@@ -52,4 +52,4 @@ pub use process::{
     run_lanes_reference, Decider, DecisionProbability, LaneProcess, PerfectDecider, Process,
     TieBreak, TwoChoice,
 };
-pub use rng::{lane_seed, LaneRng, Rng, SampleBuf, SeedScheme, SplitMix64};
+pub use rng::{lane_seed, LaneRng, Rng, SeedScheme, SplitMix64};

@@ -180,11 +180,11 @@ pub trait Process {
     /// [`allocate`](Self::allocate) calls: same final load vector, same
     /// return trajectory, and the same number of raw draws consumed from
     /// `rng` (so the generator ends in the same state). Implementations are
-    /// free to pre-draw samples ([`SampleBuf`](crate::rng::SampleBuf)),
-    /// defer aggregate maintenance ([`LoadState::batch`]), or hoist
-    /// loop-invariant checks — as long as the observable outcome is
-    /// unchanged at every fixed seed. The workspace's batch-equivalence
-    /// property suite asserts this for every registered process.
+    /// free to pre-draw samples ([`Rng::fill_below`]), defer aggregate
+    /// maintenance ([`LoadState::batch`]), or hoist loop-invariant checks —
+    /// as long as the observable outcome is unchanged at every fixed seed.
+    /// The workspace's batch-equivalence property suite asserts this for
+    /// every registered process.
     ///
     /// The default implementation is the per-ball fallback.
     fn run_batch(&mut self, state: &mut LoadState, steps: u64, rng: &mut Rng) {
@@ -451,10 +451,9 @@ impl<D: Decider> Process for TwoChoice<D> {
     /// [`place_with`](crate::LoadBatch::place_with) — removing both the
     /// min/max bookkeeping branches and the dependent re-read from the
     /// store path. Draws stay interleaved: benchmarks showed pre-drawing
-    /// samples through [`SampleBuf`](crate::rng::SampleBuf) serializes the generator's dependency
-    /// chain against the consume work and costs ~2× on current hardware
-    /// (see `docs/PERFORMANCE.md`), so the prefetcher is reserved for
-    /// workloads where the draw itself dominates.
+    /// samples through [`Rng::fill_below`] serializes the generator's
+    /// dependency chain against the consume work and costs ~2× on current
+    /// hardware (see `docs/PERFORMANCE.md`).
     fn run_batch(&mut self, state: &mut LoadState, steps: u64, rng: &mut Rng) {
         let bound = state.n() as u64;
         if !self.decider.batchable() || steps < bound {

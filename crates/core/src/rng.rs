@@ -188,9 +188,9 @@ impl Rng {
     ///   mixed float/integer deciders such as `σ-Noisy-Load` by ~35% in
     ///   `benches/throughput.rs`, see `docs/PERFORMANCE.md`.)
     ///
-    /// Batched samplers ([`fill_below`](Self::fill_below), [`SampleBuf`])
-    /// are defined in terms of this method, so pre-drawing `k` values
-    /// consumes exactly the same stream as `k` individual calls.
+    /// The batched sampler [`fill_below`](Self::fill_below) is defined in
+    /// terms of this method, so pre-drawing `k` values consumes exactly the
+    /// same stream as `k` individual calls.
     ///
     /// # Panics
     ///
@@ -226,11 +226,11 @@ impl Rng {
     /// the same raw stream as `out.len()` successive calls to
     /// [`below`](Self::below).
     ///
-    /// This is the batched-draw primitive behind [`SampleBuf`]: hot
-    /// allocation loops pre-draw a chunk of bin indices up front, which
-    /// separates the serial xoshiro dependency chain from the
-    /// memory-bound load lookups that follow. Because the per-draw mapping
-    /// is identical to `below`, results stay bit-identical at a fixed seed.
+    /// This is the batched-draw primitive behind block dispatch
+    /// (`SnapshotAllocator::decide_run` in `balloc-serve`): all candidate
+    /// draws of a block are filled in one pass before the load lookups.
+    /// Because the per-draw mapping is identical to `below`, results stay
+    /// bit-identical at a fixed seed.
     ///
     /// # Panics
     ///
@@ -350,86 +350,6 @@ impl Rng {
     #[must_use]
     pub fn fork(&mut self) -> Self {
         Self::from_seed(self.next_u64())
-    }
-}
-
-/// A reusable buffer of pre-drawn bounded samples for batched hot loops.
-///
-/// Allocation fast paths draw bin indices in chunks through
-/// [`Rng::fill_below`] and then consume them one by one, instead of calling
-/// [`Rng::below`] once per ball. The buffer preserves the determinism
-/// contract: a refill of `k` samples consumes exactly the stream of `k`
-/// individual `below` calls, so interleaving refills with direct draws
-/// reproduces the per-ball stream **as long as no other draw happens
-/// between the refill point and the consumption of its samples** — which is
-/// why batched loops only use it with deciders that promise not to touch
-/// the generator ([`Decider::batchable`](crate::Decider::batchable)).
-///
-/// # Examples
-///
-/// ```
-/// use balloc_core::{Rng, SampleBuf};
-///
-/// let mut rng = Rng::from_seed(7);
-/// let mut buf = SampleBuf::new();
-/// buf.refill(&mut rng, 10, 4);
-/// assert_eq!(buf.remaining(), 4);
-/// while buf.remaining() > 0 {
-///     assert!(buf.take() < 10);
-/// }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SampleBuf {
-    buf: Vec<u64>,
-    pos: usize,
-}
-
-impl SampleBuf {
-    /// Creates an empty buffer (no allocation until the first refill).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Discards any unconsumed samples and refills with `count` fresh draws
-    /// from `[0, bound)`.
-    ///
-    /// Consumes exactly the stream of `count` [`Rng::below`] calls. Callers
-    /// must consume every sample before drawing from `rng` through any
-    /// other path, otherwise the batched stream diverges from the per-ball
-    /// stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound == 0`.
-    pub fn refill(&mut self, rng: &mut Rng, bound: u64, count: usize) {
-        debug_assert_eq!(
-            self.pos,
-            self.buf.len(),
-            "refilling a SampleBuf with unconsumed samples breaks stream order"
-        );
-        self.buf.resize(count, 0);
-        rng.fill_below(bound, &mut self.buf);
-        self.pos = 0;
-    }
-
-    /// Takes the next pre-drawn sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is exhausted.
-    #[inline]
-    pub fn take(&mut self) -> u64 {
-        let v = self.buf[self.pos];
-        self.pos += 1;
-        v
-    }
-
-    /// Number of unconsumed samples.
-    #[inline]
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
     }
 }
 
@@ -1007,24 +927,6 @@ mod tests {
                 assert_eq!(batched, single, "stream position diverged");
             }
         }
-    }
-
-    #[test]
-    fn sample_buf_round_trips_the_stream() {
-        let mut a = Rng::from_seed(99);
-        let mut b = Rng::from_seed(99);
-        let mut buf = SampleBuf::new();
-        // Interleave refills with direct draws; both generators must stay in
-        // lock-step as long as every sample is consumed before other draws.
-        for chunk in [1usize, 5, 64, 3] {
-            buf.refill(&mut a, 12, chunk);
-            for _ in 0..chunk {
-                assert_eq!(buf.take(), b.below(12));
-            }
-            assert_eq!(buf.remaining(), 0);
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-        assert_eq!(a, b);
     }
 
     #[test]

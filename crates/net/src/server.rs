@@ -21,12 +21,12 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use balloc_core::rng::{point_seed, Fnv1a};
+use balloc_core::rng::Fnv1a;
 use balloc_core::LoadState;
 use balloc_serve::{
-    DirectCluster, InFlightLimit, InFlightLimitLayer, Layer, LoadShed, LoadShedLayer, LoadSink,
-    Permits, Request, ServeClock, Service, ShardCluster, ShardDirectory, ShardHandle,
-    ShedCounter, SnapshotAllocator, SnapshotService, Staleness,
+    DirectCluster, InFlightLimit, InFlightLimitLayer, Layer, LoadShed, LoadShedLayer, Permits,
+    Request, ServeClock, Service, ShardCluster, ShardDirectory, ShardHandle, ShedCounter,
+    SnapshotAllocator, SnapshotService, Staleness,
 };
 use epoll::{Epoll, Events, Interest, Token};
 
@@ -76,9 +76,9 @@ pub struct NetConfig {
     pub shards: usize,
     /// Snapshot refresh policy of every connection's decision state.
     pub staleness: Staleness,
-    /// Master seed; the connection identifying as `client_id` derives its
-    /// RNG stream via [`point_seed`]`(seed, client_id)` — the same
-    /// discipline as the in-process engines' workers.
+    /// Master seed; the connection identifying as `client_id` decides
+    /// with [`SnapshotAllocator::for_worker`]`(.., seed, client_id)` —
+    /// the in-process engines' worker seeding.
     pub seed: u64,
     /// Dispatch mode.
     pub mode: ServerMode,
@@ -91,10 +91,7 @@ impl NetConfig {
             self.shards > 0 && self.shards <= self.n,
             "shards must lie in 1..=n"
         );
-        match self.staleness {
-            Staleness::Batch { b } => assert!(b > 0, "batch size b must be positive"),
-            Staleness::Delay { tau } => assert!(tau > 0, "delay tau must be positive"),
-        }
+        self.staleness.validate();
         match self.mode {
             ServerMode::Stacked {
                 buffer_capacity, ..
@@ -148,28 +145,16 @@ const POLL_MS: i32 = 10;
 
 type StackedSvc = LoadShed<InFlightLimit<SnapshotService<ShardHandle>>>;
 
-/// A single-thread borrowed handle on the direct store: every
-/// connection's service applies through the same cluster, one call at a
+/// The direct store, shared by every connection's service one call at a
 /// time (the reactor never interleaves within a request).
-#[derive(Debug, Clone)]
-struct SharedSink(Rc<RefCell<DirectCluster>>);
-
-impl LoadSink for SharedSink {
-    fn apply(&mut self, bin: usize) -> Result<(), balloc_serve::ServeError> {
-        self.0.borrow_mut().apply(bin)
-    }
-
-    fn refresh(&mut self, snapshot: &mut [u64]) -> Result<(), balloc_serve::ServeError> {
-        self.0.borrow_mut().refresh(snapshot)
-    }
-}
+type SharedStore = Rc<RefCell<DirectCluster>>;
 
 /// Per-connection dispatch state.
 enum Driver {
     /// No valid `HELLO` yet: the only acceptable frame identifies the
     /// client.
     AwaitingHello,
-    Inline(Box<SnapshotService<SharedSink>>),
+    Inline(Box<SnapshotService<SharedStore>>),
     Stacked(Box<StackedSvc>),
     Replay { client: usize },
 }
@@ -182,19 +167,20 @@ struct ConnEntry {
 
 /// The authoritative store, by mode.
 enum Store {
-    Direct(Rc<RefCell<DirectCluster>>),
+    Direct(SharedStore),
     Cluster(Option<ShardCluster>),
 }
 
 struct ReplayState {
-    allocators: Vec<SnapshotAllocator>,
+    /// Every client id's leaf over the shared store and the reactor's
+    /// clock — the stacks `run_replay` drives. Step `t` (the clock's
+    /// reading) is served by client `t mod clients`.
+    stacks: Vec<SnapshotService<SharedStore>>,
     /// Decoded-but-unserved requests per client, awaiting their
     /// round-robin turn.
     pending: Vec<VecDeque<(u64, Request)>>,
     /// Connection slot currently owned by each client id.
     conn_of: Vec<Option<usize>>,
-    /// Global step: request `t` is served by client `t mod clients`.
-    t: u64,
 }
 
 /// A bound, not-yet-running server. [`run`](Self::run) consumes it on the
@@ -270,23 +256,18 @@ impl NetServer {
                 self.cfg.shards,
                 buffer_capacity,
                 balloc_serve::SnapshotPath::Buffered,
-                None,
             ))),
         };
-        let replay = match self.cfg.mode {
-            ServerMode::Replay { clients } => Some(ReplayState {
-                allocators: (0..clients)
-                    .map(|w| {
-                        SnapshotAllocator::new(
-                            self.cfg.n,
-                            self.cfg.staleness,
-                            point_seed(self.cfg.seed, w as u64),
-                        )
-                    })
+        let clock = ServeClock::new();
+        let cfg = self.cfg;
+        let alloc = |w: usize| SnapshotAllocator::for_worker(cfg.n, cfg.staleness, cfg.seed, w);
+        let replay = match (cfg.mode, &store) {
+            (ServerMode::Replay { clients }, Store::Direct(shared)) => Some(ReplayState {
+                stacks: (0..clients)
+                    .map(|w| SnapshotService::new(alloc(w), Rc::clone(shared), clock.clone()))
                     .collect(),
                 pending: (0..clients).map(|_| VecDeque::new()).collect(),
                 conn_of: vec![None; clients],
-                t: 0,
             }),
             _ => None,
         };
@@ -311,7 +292,7 @@ impl NetServer {
             listener: self.listener,
             shutdown: self.shutdown,
             conns: Vec::new(),
-            clock: ServeClock::new(),
+            clock,
             store,
             permits,
             shed: ShedCounter::new(),
@@ -622,8 +603,8 @@ impl Reactor {
             entry.close_after_flush = true;
             return;
         }
-        let seed = point_seed(self.cfg.seed, u64::from(client_id));
-        let alloc = SnapshotAllocator::new(self.cfg.n, self.cfg.staleness, seed);
+        let cfg = &self.cfg;
+        let alloc = SnapshotAllocator::for_worker(cfg.n, cfg.staleness, cfg.seed, client_id as usize);
         entry.driver = match (&self.store, self.replay.as_mut()) {
             (Store::Direct(_), Some(replay)) => {
                 let client = client_id as usize;
@@ -641,7 +622,7 @@ impl Reactor {
             }
             (Store::Direct(store), None) => Driver::Inline(Box::new(SnapshotService::new(
                 alloc,
-                SharedSink(Rc::clone(store)),
+                Rc::clone(store),
                 self.clock.clone(),
             ))),
             (Store::Cluster(cluster), _) => {
@@ -664,29 +645,16 @@ impl Reactor {
         };
         let clients = replay.pending.len() as u64;
         loop {
-            let w = (replay.t % clients) as usize;
+            let w = (self.clock.now() % clients) as usize;
             let Some((req_id, req)) = replay.pending[w].pop_front() else {
                 break;
             };
-            let Store::Direct(store) = &self.store else {
-                unreachable!("replay mode uses the direct store");
-            };
-            let alloc = &mut replay.allocators[w];
-            if alloc.needs_refresh(replay.t) {
-                store
-                    .borrow_mut()
-                    .refresh(alloc.snapshot_mut())
-                    .expect("direct sinks cannot reject");
-                alloc.note_refresh(replay.t);
-            }
-            let bin = alloc.decide(&req);
-            store
-                .borrow_mut()
-                .apply(bin)
-                .expect("direct sinks cannot reject");
+            let bin = replay.stacks[w]
+                .call(req)
+                .expect("direct sinks cannot reject")
+                .bin;
             self.digest.write_u64(bin as u64);
             self.served += 1;
-            replay.t += 1;
             if let Some(conn_idx) = replay.conn_of[w] {
                 if let Some(entry) = self.conns.get_mut(conn_idx).and_then(Option::as_mut) {
                     entry.conn.queue(&Frame::RespBin {
@@ -775,7 +743,7 @@ impl Reactor {
 
     fn finish(mut self) -> io::Result<ServerReport> {
         if let Some(replay) = &self.replay {
-            self.refreshes += replay.allocators.iter().map(SnapshotAllocator::refreshes).sum::<u64>();
+            self.refreshes += replay.stacks.iter().map(SnapshotService::refreshes).sum::<u64>();
         }
         debug_assert!(self.conns.iter().all(Option::is_none), "drain closed all");
         let state = match self.store {

@@ -81,10 +81,6 @@ pub struct Autoscaler {
     idle_streak: u32,
     /// The tick the current window ends at.
     boundary: u64,
-    /// Scale-outs recommended.
-    outs: u64,
-    /// Scale-ins recommended.
-    ins: u64,
 }
 
 impl Autoscaler {
@@ -101,27 +97,7 @@ impl Autoscaler {
             last_total: 0,
             idle_streak: 0,
             boundary: now + cfg.window,
-            outs: 0,
-            ins: 0,
         }
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &AutoscaleConfig {
-        &self.cfg
-    }
-
-    /// Scale-outs recommended so far.
-    #[must_use]
-    pub fn scale_outs(&self) -> u64 {
-        self.outs
-    }
-
-    /// Scale-ins recommended so far.
-    #[must_use]
-    pub fn scale_ins(&self) -> u64 {
-        self.ins
     }
 
     /// Samples the shed counter if tick `now` crossed a window boundary
@@ -138,13 +114,12 @@ impl Autoscaler {
         while self.boundary <= now {
             self.boundary += self.cfg.window;
         }
-        let total = shed.count();
+        let total = shed.total();
         let in_window = total - self.last_total;
         self.last_total = total;
         if in_window >= self.cfg.shed_threshold {
             self.idle_streak = 0;
             if members < self.cfg.max_shards {
-                self.outs += 1;
                 return Some(ScaleAction::Out);
             }
             return None;
@@ -153,7 +128,6 @@ impl Autoscaler {
             self.idle_streak += 1;
             if self.idle_streak >= self.cfg.idle_windows && members > self.cfg.min_shards {
                 self.idle_streak = 0;
-                self.ins += 1;
                 return Some(ScaleAction::In);
             }
         } else {
@@ -204,7 +178,6 @@ mod tests {
         shed_some(&counter, 3);
         assert_eq!(auto.poll(5, &counter, 2), None, "window not over yet");
         assert_eq!(auto.poll(10, &counter, 2), Some(ScaleAction::Out));
-        assert_eq!(auto.scale_outs(), 1);
     }
 
     #[test]
@@ -240,7 +213,6 @@ mod tests {
         assert_eq!(auto.poll(40, &counter, 3), None);
         assert_eq!(auto.poll(50, &counter, 3), None);
         assert_eq!(auto.poll(60, &counter, 3), Some(ScaleAction::In));
-        assert_eq!(auto.scale_ins(), 2);
     }
 
     #[test]

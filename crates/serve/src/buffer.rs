@@ -96,37 +96,9 @@ where
     where
         S: Service<Req, Response = Res> + Send + 'static,
     {
-        Self::spawn_with(inner, capacity, || {})
-    }
-
-    /// [`spawn`](Self::spawn) with a startup hook that runs **on the
-    /// worker thread** before the first job is drained.
-    ///
-    /// This is the thread-placement seam: the serve engine threads a
-    /// per-shard hook through here so callers can pin shard workers to
-    /// cores (`sched_setaffinity` and friends live outside this
-    /// `unsafe`-free workspace — the hook hands the decision to whoever
-    /// has the platform call), tag them for profilers, or set priorities.
-    /// The hook completes before any request is processed, so placement
-    /// applies to the worker's whole life.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`. A panic raised by the hook itself tears
-    /// the worker down and surfaces at
-    /// [`BufferController::join`].
-    #[must_use]
-    pub fn spawn_with<S, F>(inner: S, capacity: usize, on_start: F) -> (Self, BufferController<S>)
-    where
-        S: Service<Req, Response = Res> + Send + 'static,
-        F: FnOnce() + Send + 'static,
-    {
         assert!(capacity > 0, "buffer capacity must be positive");
         let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
-        let worker = std::thread::spawn(move || {
-            on_start();
-            drain(rx, inner)
-        });
+        let worker = std::thread::spawn(move || drain(rx, inner));
         (Self { tx }, BufferController { worker })
     }
 
@@ -239,47 +211,6 @@ mod tests {
         drop(clones);
         let inner = controller.join();
         assert_eq!(inner.total, accepted, "drained total must match accepted casts");
-    }
-
-    #[test]
-    fn spawn_with_runs_hook_on_the_worker_thread_before_any_job() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-
-        struct Probe {
-            hook_ran: Arc<AtomicBool>,
-            tid_tx: std::sync::mpsc::Sender<std::thread::ThreadId>,
-        }
-        impl Service<u64> for Probe {
-            type Response = u64;
-            fn call(&mut self, req: u64) -> Result<u64, ServeError> {
-                assert!(
-                    self.hook_ran.load(Ordering::SeqCst),
-                    "hook must complete before the first job"
-                );
-                self.tid_tx.send(std::thread::current().id()).unwrap();
-                Ok(req)
-            }
-        }
-
-        let hook_ran = Arc::new(AtomicBool::new(false));
-        let (tid_tx, tid_rx) = std::sync::mpsc::channel();
-        let (hook_tx, hook_rx) = std::sync::mpsc::channel();
-        let flag = Arc::clone(&hook_ran);
-        let (mut handle, controller) = Buffer::spawn_with(
-            Probe { hook_ran, tid_tx },
-            4,
-            move || {
-                flag.store(true, Ordering::SeqCst);
-                hook_tx.send(std::thread::current().id()).unwrap();
-            },
-        );
-        assert_eq!(handle.call(9).unwrap(), 9);
-        let hook_tid = hook_rx.recv().unwrap();
-        let job_tid = tid_rx.recv().unwrap();
-        assert_eq!(hook_tid, job_tid, "hook must run on the worker thread");
-        drop(handle);
-        let _ = controller.join();
     }
 
     #[test]

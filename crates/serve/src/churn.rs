@@ -25,10 +25,14 @@
 //! mid-handoff after an ownership change (debited from their shard the
 //! tick the change lands, re-credited as the new owner absorbs them at
 //! [`ChurnConfig::migration_rate`] balls per tick), and `departures`
-//! balls the churn schedule deleted. The engine `debug_assert!`s the
-//! ledger after **every** event slot and hard-asserts it at the end,
-//! after the final migration drain — including schedules that remove a
-//! shard while a previous change's migration is still in flight.
+//! balls the churn schedule deleted (`timed_out` and `broken` stay 0:
+//! no deadline, no breaker). It is the crate's one ledger under its one
+//! round-robin driver; this engine's slot hook adds the token refill,
+//! the scripted plan, the autoscaler, the migration drain and the seeded
+//! departures. The ledger is checked after **every** event slot in debug
+//! builds and always at the end, after the final migration drain —
+//! including schedules that remove a shard while a previous change's
+//! migration is still in flight.
 //!
 //! # Admission capacity
 //!
@@ -47,13 +51,16 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use balloc_core::rng::{point_seed, Fnv1a};
-use balloc_core::{LoadState, Rng};
+use balloc_core::Rng;
 use balloc_sim::VClock;
 
 use crate::autoscale::{AutoscaleConfig, Autoscaler, ScaleAction};
+use crate::cluster::DirectCluster;
 use crate::directory::{RebalanceKind, ShardDirectory};
+use crate::drive::{drive, validate_shape, Ledger};
 use crate::service::{Request, Response, ServeError, Service};
 use crate::shed::{LoadShed, LoadShedLayer, ShedCounter};
+use crate::sink::LoadSink;
 use crate::snapshot::{SnapshotAllocator, Staleness};
 use crate::Layer;
 
@@ -138,16 +145,12 @@ impl ChurnConfig {
     ///
     /// # Panics
     ///
-    /// Panics on zero bins/shards/workers/requests, `shards > n`,
-    /// `depart_pm > 1000`, a zero migration rate, token cadence, or
-    /// burst, an unsorted plan, or an invalid autoscale config.
+    /// Panics on zero bins/shards/workers/requests, `shards > n`, a zero
+    /// staleness parameter, `depart_pm > 1000`, a zero migration rate,
+    /// token cadence, or burst, an unsorted plan, or an invalid autoscale
+    /// config.
     pub fn validate(&self) {
-        assert!(self.n > 0, "need at least one bin");
-        assert!(
-            (1..=self.n).contains(&self.shards),
-            "shards must lie in 1..=n"
-        );
-        assert!(self.workers > 0, "need at least one worker");
+        validate_shape(self.n, Some(self.shards), self.workers, self.staleness);
         assert!(self.requests > 0, "need at least one event slot");
         assert!(self.depart_pm <= 1000, "depart_pm is per-mille");
         assert!(self.migration_rate > 0, "migration_rate must be positive");
@@ -164,7 +167,7 @@ impl ChurnConfig {
 }
 
 /// What a churn run measured. Every field is deterministic.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChurnOutcome {
     /// Event slots offered (`config.requests`).
     pub requests: u64,
@@ -176,10 +179,6 @@ pub struct ChurnOutcome {
     pub allocated: u64,
     /// Arrival attempts shed (admission bucket empty).
     pub shed: u64,
-    /// Ledger symmetry with the resilience engine (no faults here).
-    pub timed_out: u64,
-    /// Ledger symmetry with the resilience engine (no breaker here).
-    pub broken: u64,
     /// Balls still mid-migration at the end (always 0 after the final
     /// drain).
     pub in_migration: u64,
@@ -230,10 +229,10 @@ pub struct ChurnReport {
 }
 
 /// The leaf service: admission-gated snapshot allocation into the
-/// shared authoritative state.
+/// shared store.
 struct ChurnAlloc {
     alloc: SnapshotAllocator,
-    state: Rc<RefCell<LoadState>>,
+    store: Rc<RefCell<DirectCluster>>,
     tokens: Rc<Cell<u64>>,
     clock: VClock,
 }
@@ -245,56 +244,50 @@ impl Service<Request> for ChurnAlloc {
         if self.tokens.get() == 0 {
             return Err(ServeError::RateLimited);
         }
-        let now = self.clock.now();
-        if self.alloc.needs_refresh(now) {
-            self.state.borrow().copy_loads_into(self.alloc.snapshot_mut());
-            self.alloc.note_refresh(now);
-        }
-        let bin = self.alloc.decide(&req);
+        let bin = self.alloc.serve(&req, self.clock.now(), &mut self.store)?;
         self.tokens.set(self.tokens.get() - 1);
-        self.state.borrow_mut().allocate(bin);
         Ok(Response { bin })
     }
 }
 
-/// Mutable run state shared across the event loop's helpers.
-struct Run {
+/// The churn engine's run state around the driver's slots. `out`
+/// accumulates the membership counters of the outcome.
+struct Churn<'c> {
+    cfg: &'c ChurnConfig,
     dir: ShardDirectory,
-    state: Rc<RefCell<LoadState>>,
+    store: Rc<RefCell<DirectCluster>>,
+    tokens: Rc<Cell<u64>>,
+    shed: ShedCounter,
+    auto: Option<Autoscaler>,
+    depart_rng: Rng,
+    /// Index of the next scripted change in `cfg.plan`.
+    next_change: usize,
     /// Bin of each resident ball (swap-removed on departure).
     balls: Vec<u32>,
     /// Bins of balls mid-migration, drained FIFO.
     migrating: VecDeque<u32>,
     digest: Fnv1a,
     clock: VClock,
-    departures: u64,
-    shed_base: u64,
-    migrated: u64,
-    moved_bins: u64,
-    changes: u64,
-    changes_skipped: u64,
-    inserts: u64,
-    removes: u64,
-    max_members: usize,
+    out: ChurnOutcome,
 }
 
-impl Run {
+impl Churn<'_> {
     /// Applies one planned change through the directory, moving every
     /// ball on a transferred bin into the migration queue.
-    fn apply_change(&mut self, planned: PlannedChange) {
+    fn apply_change(&mut self, planned: PlannedChange, ledger: &mut Ledger) {
         let now = self.clock.now();
         let moves = match planned {
             PlannedChange::Insert => {
                 if self.dir.len() == self.dir.n() {
-                    self.changes_skipped += 1;
+                    self.out.changes_skipped += 1;
                     return;
                 }
-                self.inserts += 1;
+                self.out.inserts += 1;
                 self.dir.insert(now).1
             }
             PlannedChange::RemoveNewest | PlannedChange::RemoveOldest | PlannedChange::RemoveSlot(_) => {
                 if self.dir.len() <= 1 {
-                    self.changes_skipped += 1;
+                    self.out.changes_skipped += 1;
                     return;
                 }
                 let id = match planned {
@@ -303,63 +296,118 @@ impl Run {
                     PlannedChange::RemoveSlot(k) => self.dir.members()[k % self.dir.len()],
                     PlannedChange::Insert => unreachable!(),
                 };
-                self.removes += 1;
+                self.out.removes += 1;
                 self.dir.remove(id, now)
             }
         };
-        self.changes += 1;
-        self.max_members = self.max_members.max(self.dir.len());
+        self.out.changes += 1;
+        self.out.max_members = self.out.max_members.max(self.dir.len());
         if moves.is_empty() {
             return;
         }
-        self.moved_bins += moves.len() as u64;
+        self.out.moved_bins += moves.len() as u64;
         // Hand over every ball resting on a transferred bin: debit the
         // resident set, credit the migration queue. The balls re-enter
         // the same global bin once the new owner absorbs them, so loads
         // dip during the handoff exactly like a real shard handing its
         // range to a peer.
         let mut moved = vec![false; self.dir.n()];
+        let mut store = self.store.borrow_mut();
         for mv in &moves {
             moved[mv.bin] = true;
-            let resting = self.state.borrow().loads()[mv.bin];
-            let mut state = self.state.borrow_mut();
+            let resting = store.load(mv.bin);
             #[allow(clippy::cast_possible_truncation)]
             for _ in 0..resting {
-                state.deallocate(mv.bin);
+                store.deallocate(mv.bin);
                 self.migrating.push_back(mv.bin as u32);
             }
+            ledger.allocated -= resting;
+            ledger.in_migration += resting;
         }
         self.balls.retain(|&bin| !moved[bin as usize]);
     }
 
     /// Re-homes up to `rate` migrating balls.
-    fn drain_migrations(&mut self, rate: u64) {
+    fn drain_migrations(&mut self, rate: u64, ledger: &mut Ledger) {
         for _ in 0..rate {
             let Some(bin) = self.migrating.pop_front() else {
                 break;
             };
-            self.state.borrow_mut().allocate(bin as usize);
+            self.store
+                .apply(bin as usize)
+                .expect("direct stores cannot reject");
             self.balls.push(bin);
-            self.migrated += 1;
+            self.out.migrated += 1;
+            ledger.in_migration -= 1;
+            ledger.allocated += 1;
             self.digest.write_u64(4);
             self.digest.write_u64(u64::from(bin));
         }
     }
 
-    /// The ledger, checked after every event slot.
-    fn assert_ledger(&self, arrivals: u64, shed: u64) {
-        let resident = self.balls.len() as u64;
-        let in_migration = self.migrating.len() as u64;
-        assert_eq!(
-            resident + in_migration + shed + self.departures,
-            arrivals,
-            "conservation ledger violated"
-        );
-        assert_eq!(
-            self.state.borrow().balls(),
-            resident,
-            "resident balls out of sync with the load state"
-        );
+    /// Runs event slot `t`, arriving (if it does) through `stack`.
+    fn slot(&mut self, t: u64, ledger: &mut Ledger, stack: &mut LoadShed<ChurnAlloc>) {
+        let cfg = self.cfg;
+        let now = self.clock.now();
+        // 1. Capacity refill: one token per member per cadence tick.
+        if now.is_multiple_of(cfg.token_every) {
+            self.tokens
+                .set((self.tokens.get() + self.dir.len() as u64).min(cfg.burst));
+        }
+        // 2. Scripted membership changes due at this tick.
+        while let Some(&(at, planned)) = cfg.plan.get(self.next_change) {
+            if at > now {
+                break;
+            }
+            self.next_change += 1;
+            self.apply_change(planned, ledger);
+        }
+        // 3. Shed-driven autoscaling, through the same directory.
+        let action = self
+            .auto
+            .as_mut()
+            .and_then(|auto| auto.poll(now, &self.shed, self.dir.len()));
+        match action {
+            Some(ScaleAction::Out) => {
+                self.out.autoscale_outs += 1;
+                self.apply_change(PlannedChange::Insert, ledger);
+            }
+            Some(ScaleAction::In) => {
+                self.out.autoscale_ins += 1;
+                self.apply_change(PlannedChange::RemoveNewest, ledger);
+            }
+            None => {}
+        }
+        // 4. Migration drain.
+        self.drain_migrations(cfg.migration_rate, ledger);
+        // 5. The event slot: seeded departure, or an arrival through
+        //    this slot's round-robin worker.
+        let depart = cfg.depart_pm > 0
+            && !self.balls.is_empty()
+            && self.depart_rng.below(1000) < u64::from(cfg.depart_pm);
+        if depart {
+            let idx = self.depart_rng.below(self.balls.len() as u64);
+            #[allow(clippy::cast_possible_truncation)]
+            let bin = self.balls.swap_remove(idx as usize);
+            self.store.borrow_mut().deallocate(bin as usize);
+            ledger.allocated -= 1;
+            ledger.departed += 1;
+            self.digest.write_u64(3);
+            self.digest.write_u64(u64::from(bin));
+        } else if let Ok(Response { bin }) = ledger.record(stack.call(cfg.request)) {
+            #[allow(clippy::cast_possible_truncation)]
+            self.balls.push(bin as u32);
+            self.digest.write_u64(1);
+            self.digest.write_u64(bin as u64);
+        } else {
+            self.digest.write_u64(2);
+        }
+        if cfg!(debug_assertions) {
+            ledger.check(t + 1, self.store.borrow().balls(), &self.shed);
+        }
+        self.clock
+            .advance(1)
+            .expect("the churn engine sets no deadlines");
     }
 }
 
@@ -374,166 +422,75 @@ impl Run {
 pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
     cfg.validate();
     let clock = VClock::new();
-    let state = Rc::new(RefCell::new(LoadState::new(cfg.n)));
+    // Membership (which member owns which bin) lives in the directory;
+    // the authoritative loads are one flat store.
+    let store = Rc::new(RefCell::new(DirectCluster::new(cfg.n, 1)));
     let tokens = Rc::new(Cell::new(cfg.burst.min(cfg.shards as u64)));
-    let counter = ShedCounter::new();
+    let shed = ShedCounter::new();
     let mut stacks: Vec<LoadShed<ChurnAlloc>> = (0..cfg.workers)
         .map(|w| {
-            LoadShedLayer::new(counter.clone()).layer(ChurnAlloc {
-                alloc: SnapshotAllocator::new(
-                    cfg.n,
-                    cfg.staleness,
-                    point_seed(cfg.seed, w as u64),
-                ),
-                state: Rc::clone(&state),
+            LoadShedLayer::new(shed.clone()).layer(ChurnAlloc {
+                alloc: SnapshotAllocator::for_worker(cfg.n, cfg.staleness, cfg.seed, w),
+                store: Rc::clone(&store),
                 tokens: Rc::clone(&tokens),
                 clock: clock.clone(),
             })
         })
         .collect();
-    let mut depart_rng = Rng::from_seed(point_seed(cfg.seed, DEPART_STREAM));
-    let mut auto = cfg
-        .autoscale
-        .as_ref()
-        .map(|a| Autoscaler::new(*a, clock.now()));
-
-    let mut run = Run {
+    let mut churn = Churn {
+        cfg,
         dir: ShardDirectory::new(cfg.n, cfg.rebalance),
-        state,
+        store,
+        tokens,
+        shed,
+        auto: cfg.autoscale.map(|a| Autoscaler::new(a, clock.now())),
+        depart_rng: Rng::from_seed(point_seed(cfg.seed, DEPART_STREAM)),
+        next_change: 0,
         balls: Vec::new(),
         migrating: VecDeque::new(),
         digest: Fnv1a::new(),
-        clock: clock.clone(),
-        departures: 0,
-        shed_base: 0,
-        migrated: 0,
-        moved_bins: 0,
-        changes: 0,
-        changes_skipped: 0,
-        inserts: 0,
-        removes: 0,
-        max_members: cfg.shards,
+        clock,
+        out: ChurnOutcome {
+            max_members: cfg.shards,
+            ..ChurnOutcome::default()
+        },
     };
     for _ in 0..cfg.shards {
-        let _ = run.dir.insert(0);
+        let _ = churn.dir.insert(0);
     }
-    let mut plan = cfg.plan.iter().copied().peekable();
-    let mut arrivals = 0u64;
-    let mut shed = 0u64;
-    let (mut autoscale_outs, mut autoscale_ins) = (0u64, 0u64);
-
-    for t in 0..cfg.requests {
-        let now = clock.now();
-        // 1. Capacity refill: one token per member per cadence tick.
-        if now.is_multiple_of(cfg.token_every) {
-            tokens.set((tokens.get() + run.dir.len() as u64).min(cfg.burst));
-        }
-        // 2. Scripted membership changes due at this tick.
-        while plan.peek().is_some_and(|&(at, _)| at <= now) {
-            let (_, planned) = plan.next().unwrap();
-            run.apply_change(planned);
-        }
-        // 3. Shed-driven autoscaling, through the same directory.
-        if let Some(auto) = auto.as_mut() {
-            match auto.poll(now, &counter, run.dir.len()) {
-                Some(ScaleAction::Out) => {
-                    autoscale_outs += 1;
-                    run.apply_change(PlannedChange::Insert);
-                }
-                Some(ScaleAction::In) => {
-                    autoscale_ins += 1;
-                    run.apply_change(PlannedChange::RemoveNewest);
-                }
-                None => {}
-            }
-        }
-        // 4. Migration drain.
-        run.drain_migrations(cfg.migration_rate);
-        // 5. The event slot: seeded departure, or an arrival through
-        //    this slot's round-robin worker.
-        let depart = cfg.depart_pm > 0
-            && !run.balls.is_empty()
-            && depart_rng.below(1000) < u64::from(cfg.depart_pm);
-        if depart {
-            let idx = depart_rng.below(run.balls.len() as u64);
-            #[allow(clippy::cast_possible_truncation)]
-            let bin = run.balls.swap_remove(idx as usize);
-            run.state.borrow_mut().deallocate(bin as usize);
-            run.departures += 1;
-            run.digest.write_u64(3);
-            run.digest.write_u64(u64::from(bin));
-        } else {
-            arrivals += 1;
-            #[allow(clippy::cast_possible_truncation)]
-            let w = (t % cfg.workers as u64) as usize;
-            match stacks[w].call(cfg.request) {
-                Ok(Response { bin }) => {
-                    #[allow(clippy::cast_possible_truncation)]
-                    run.balls.push(bin as u32);
-                    run.digest.write_u64(1);
-                    run.digest.write_u64(bin as u64);
-                }
-                Err(ServeError::Shed) => {
-                    shed += 1;
-                    run.digest.write_u64(2);
-                }
-                Err(e) => panic!("unexpected churn-engine error: {e}"),
-            }
-        }
-        if cfg!(debug_assertions) {
-            run.assert_ledger(arrivals, shed);
-        }
-        clock
-            .advance(1)
-            .expect("the churn engine sets no deadlines");
-    }
+    let mut ledger = drive(&mut stacks, cfg.requests, |t, l, s| churn.slot(t, l, s));
 
     // Final drain: absorb every in-flight migration so the run ends
     // with a fully-settled membership.
-    while !run.migrating.is_empty() {
-        run.drain_migrations(cfg.migration_rate);
-        clock
+    while !churn.migrating.is_empty() {
+        churn.drain_migrations(cfg.migration_rate, &mut ledger);
+        churn
+            .clock
             .advance(1)
             .expect("the churn engine sets no deadlines");
     }
-
-    run.assert_ledger(arrivals, shed);
-    assert_eq!(arrivals + run.departures, cfg.requests);
-    assert_eq!(shed, counter.count() - run.shed_base);
-    let refreshes: u64 = stacks
-        .drain(..)
-        .map(|s| s.into_inner().alloc.refreshes())
-        .sum();
-    let state = run.state.borrow();
+    let state = churn.store.borrow().state();
+    ledger.check(cfg.requests, state.balls(), &churn.shed);
+    let refreshes = stacks.into_iter().map(|s| s.into_inner().alloc.refreshes()).sum();
     let outcome = ChurnOutcome {
         requests: cfg.requests,
-        arrivals,
-        departures: run.departures,
-        allocated: run.balls.len() as u64,
-        shed,
-        timed_out: 0,
-        broken: 0,
-        in_migration: 0,
-        migrated: run.migrated,
-        moved_bins: run.moved_bins,
-        changes: run.changes,
-        changes_skipped: run.changes_skipped,
-        inserts: run.inserts,
-        removes: run.removes,
-        autoscale_outs,
-        autoscale_ins,
-        final_members: run.dir.len(),
-        max_members: run.max_members,
-        epoch: run.dir.epoch().0,
+        arrivals: ledger.requests,
+        departures: ledger.departed,
+        allocated: ledger.allocated,
+        shed: ledger.shed,
+        in_migration: ledger.in_migration,
+        final_members: churn.dir.len(),
+        epoch: churn.dir.epoch().0,
         refreshes,
         gap: state.gap(),
         max_load: state.max_load(),
-        ticks: clock.now(),
+        ticks: churn.clock.now(),
+        ..churn.out
     };
     ChurnReport {
         outcome,
-        digest: run.digest.finish(),
-        membership_digest: run.dir.membership_digest(),
+        digest: churn.digest.finish(),
+        membership_digest: churn.dir.membership_digest(),
     }
 }
 
@@ -565,7 +522,7 @@ mod tests {
         let o = &report.outcome;
         assert!(o.departures > 0, "depart_pm = 150 must fire");
         assert_eq!(
-            o.allocated + o.shed + o.timed_out + o.broken + o.in_migration + o.departures,
+            o.allocated + o.shed + o.in_migration + o.departures,
             o.arrivals,
             "extended conservation ledger"
         );

@@ -9,14 +9,15 @@
 //! module is the extraction, so a reactor thread can own a cluster the
 //! same way the closed-loop engine does.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use balloc_core::LoadState;
 
 use crate::buffer::{Buffer, BufferController};
 use crate::directory::ShardDirectory;
-use crate::engine::ShardWorkerHook;
-use crate::service::{ServeError, Service};
+use crate::service::ServeError;
 use crate::shard::{merge_states, ShardRequest, ShardResponse, ShardService};
 use crate::sink::LoadSink;
 use crate::striped::StripedLoads;
@@ -37,20 +38,12 @@ impl ShardCluster {
     /// with a request buffer of `capacity`. Under
     /// [`SnapshotPath::Striped`] the workers also publish every applied
     /// load into the shared mirror, and refreshes scan it wait-free.
-    /// `on_worker` (if given) runs once on each worker's own thread
-    /// before it serves — the CPU-pinning seam.
     ///
     /// # Panics
     ///
     /// Panics if `shards ∉ 1..=n` or `capacity == 0`.
     #[must_use]
-    pub fn spawn(
-        n: usize,
-        shards: usize,
-        capacity: usize,
-        snapshot: SnapshotPath,
-        on_worker: Option<ShardWorkerHook>,
-    ) -> Self {
+    pub fn spawn(n: usize, shards: usize, capacity: usize, snapshot: SnapshotPath) -> Self {
         let striped = match snapshot {
             SnapshotPath::Striped => Some(Arc::new(StripedLoads::new(n))),
             SnapshotPath::Buffered => None,
@@ -58,17 +51,12 @@ impl ShardCluster {
         let directory = ShardDirectory::uniform(n, shards);
         let mut handles = Vec::new();
         let mut controllers = Vec::new();
-        for (s, range) in directory.ranges().into_iter().enumerate() {
+        for range in directory.ranges() {
             let shard = match &striped {
                 Some(mirror) => ShardService::with_striped(range.clone(), Arc::clone(mirror)),
                 None => ShardService::new(range.clone()),
             };
-            let hook = on_worker.clone();
-            let (handle, controller) = Buffer::spawn_with(shard, capacity, move || {
-                if let Some(hook) = hook {
-                    hook(s);
-                }
-            });
+            let (handle, controller) = Buffer::spawn(shard, capacity);
             handles.push((range, handle));
             controllers.push(controller);
         }
@@ -141,9 +129,11 @@ impl LoadSink for ShardHandle {
     }
 }
 
-/// Single-threaded direct shard access: the replay engines' and the
-/// deterministic reactor's store — applies and refreshes touch the owned
-/// [`ShardService`]s with no buffering, so they can never reject.
+/// Single-threaded direct shard access: the store of every deterministic
+/// engine and of the inline and replay reactor modes — applies and
+/// refreshes touch the owned [`ShardService`]s with no buffering, so they
+/// can never reject. Shared between per-worker services as an
+/// `Rc<RefCell<DirectCluster>>`.
 #[derive(Debug)]
 pub struct DirectCluster {
     shards: Vec<ShardService>,
@@ -170,12 +160,35 @@ impl DirectCluster {
     pub fn state(&self) -> LoadState {
         merge_states(&self.shards)
     }
+
+    /// Balls held across all shards (no merge).
+    #[must_use]
+    pub fn balls(&self) -> u64 {
+        self.shards.iter().map(|shard| shard.state().balls()).sum()
+    }
+
+    /// Current load of (global) bin `bin`.
+    pub(crate) fn load(&self, bin: usize) -> u64 {
+        self.shards[self.directory.slot_of(bin)].load(bin)
+    }
+
+    /// Removes one ball from (global) bin `bin`: a departure, or a
+    /// migration debit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bin is empty.
+    pub fn deallocate(&mut self, bin: usize) {
+        let s = self.directory.slot_of(bin);
+        self.shards[s].deallocate(bin);
+    }
 }
 
 impl LoadSink for DirectCluster {
     fn apply(&mut self, bin: usize) -> Result<(), ServeError> {
         let s = self.directory.slot_of(bin);
-        self.shards[s].call(ShardRequest::Apply { bin }).map(|_| ())
+        self.shards[s].allocate(bin);
+        Ok(())
     }
 
     fn refresh(&mut self, snapshot: &mut [u64]) -> Result<(), ServeError> {
@@ -186,15 +199,16 @@ impl LoadSink for DirectCluster {
     }
 }
 
-/// `&mut`-borrowed sinks are sinks: lets one owner (the reactor) share a
-/// [`DirectCluster`] across per-connection services one call at a time.
-impl<K: LoadSink + ?Sized> LoadSink for &mut K {
+/// Single-threaded shared sinks are sinks: every worker's service of a
+/// deterministic engine (and every reactor connection) holds one handle
+/// on the same [`DirectCluster`], borrowed for one call at a time.
+impl<K: LoadSink + ?Sized> LoadSink for Rc<RefCell<K>> {
     fn apply(&mut self, bin: usize) -> Result<(), ServeError> {
-        (**self).apply(bin)
+        self.borrow_mut().apply(bin)
     }
 
     fn refresh(&mut self, snapshot: &mut [u64]) -> Result<(), ServeError> {
-        (**self).refresh(snapshot)
+        self.borrow_mut().refresh(snapshot)
     }
 }
 
@@ -236,7 +250,7 @@ mod tests {
 
     #[test]
     fn shard_cluster_round_trips_and_drains() {
-        let cluster = ShardCluster::spawn(16, 4, 64, SnapshotPath::Buffered, None);
+        let cluster = ShardCluster::spawn(16, 4, 64, SnapshotPath::Buffered);
         let mut handle = cluster.handle();
         for bin in 0..16usize {
             handle.apply(bin).unwrap();
@@ -253,7 +267,7 @@ mod tests {
 
     #[test]
     fn striped_cluster_mirror_tracks_applies() {
-        let cluster = ShardCluster::spawn(8, 2, 64, SnapshotPath::Striped, None);
+        let cluster = ShardCluster::spawn(8, 2, 64, SnapshotPath::Striped);
         let mut handle = cluster.handle();
         for _ in 0..5 {
             handle.apply(6).unwrap();

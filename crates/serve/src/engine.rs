@@ -1,31 +1,33 @@
 //! The serve engine: closed-loop concurrent serving and deterministic
 //! single-threaded replay over the same decision code.
 //!
-//! Both modes run the same stack per worker —
-//! `LoadShed(InFlightLimit(SnapshotService))` over a [`LoadSink`] — and the
-//! same [`SnapshotAllocator`] decision state with the same per-worker
-//! seeds. They differ only in scheduling:
+//! Both modes serve through the same [`SnapshotService`] leaf over a
+//! [`LoadSink`], with the same per-worker
+//! [`SnapshotAllocator::for_worker`] decision states, and close the same
+//! [`Ledger`]. They differ only in scheduling:
 //!
 //! * [`run_concurrent`] drives `workers` OS threads through
-//!   `workpool::par_map_indexed`; shard state lives behind
-//!   [`Buffer`](crate::Buffer) workers and snapshot refreshes race with
-//!   applies, so decisions (and the achieved gap) vary run to run while
-//!   totals are exact;
-//! * [`run_replay`] interleaves the same virtual workers round-robin on
-//!   one thread with direct (unbuffered) shard access, making the
-//!   decision stream a pure function of the seed — bit-identical across
-//!   runs, digestible, and diffable (the determinism contract extends
-//!   PR 2's sweep seeding and PR 4's batched-engine guarantees to the
-//!   serving layer).
+//!   `workpool::par_map_indexed`, each with a
+//!   `LoadShed(InFlightLimit(SnapshotService))` stack; shard state lives
+//!   behind [`Buffer`](crate::Buffer) workers and snapshot refreshes race
+//!   with applies, so decisions (and the achieved gap) vary run to run
+//!   while totals are exact;
+//! * [`run_replay`] hands the same virtual workers to the crate's one
+//!   deterministic driver, round-robin on one thread over a direct
+//!   store, making the decision stream a pure function of the seed —
+//!   bit-identical across runs, digestible, and diffable.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use balloc_core::rng::{point_seed, Fnv1a};
+use balloc_core::rng::Fnv1a;
 use balloc_core::LoadState;
 use balloc_multicounter::MultiCounter;
 
 use crate::cluster::{DirectCluster, ShardCluster};
+use crate::drive::{drive, validate_shape, Ledger};
 use crate::limit::{InFlightLimitLayer, Permits};
 use crate::service::{Layer, Request, ServeError, Service};
 use crate::shed::{LoadShedLayer, ShedCounter};
@@ -86,8 +88,8 @@ pub struct ServeConfig {
     pub backend: BackendKind,
     /// How concurrent-mode snapshot refreshes read the sharded loads.
     pub snapshot: SnapshotPath,
-    /// Master seed; worker `w`'s RNG stream derives via
-    /// [`point_seed`]`(seed, w)`.
+    /// Master seed; worker `w`'s decision state is
+    /// [`SnapshotAllocator::for_worker`]`(.., seed, w)`.
     pub seed: u64,
 }
 
@@ -111,29 +113,13 @@ impl ServeConfig {
     }
 
     fn validate(&self) {
-        assert!(self.n > 0, "need at least one bin");
-        assert!(self.workers > 0, "need at least one worker");
+        let shards = (self.backend == BackendKind::Sharded).then_some(self.shards);
+        validate_shape(self.n, shards, self.workers, self.staleness);
         assert!(self.buffer_capacity > 0, "buffer capacity must be positive");
         assert!(
             self.inflight != Some(0),
             "in-flight limit must be positive (use None for unlimited)"
         );
-        self.staleness.validate();
-        if self.backend == BackendKind::Sharded {
-            // shard_ranges re-checks, but fail early with the full story.
-            assert!(
-                self.shards > 0 && self.shards <= self.n,
-                "shards must lie in 1..=n (got {} shards over {} bins)",
-                self.shards,
-                self.n
-            );
-        }
-    }
-
-    /// Requests served by worker `w` (round-robin split of
-    /// [`requests`](Self::requests)).
-    fn requests_of_worker(&self, w: usize) -> u64 {
-        worker_share(self.requests, self.workers, w)
     }
 }
 
@@ -176,31 +162,6 @@ pub struct ServeOutcome {
     pub max_load: u64,
 }
 
-impl ServeOutcome {
-    fn measure(
-        requests: u64,
-        allocated: u64,
-        shed: &ShedCounter,
-        refreshes: u64,
-        elapsed: Duration,
-        state: &LoadState,
-    ) -> Self {
-        let secs = elapsed.as_secs_f64();
-        Self {
-            requests,
-            allocated,
-            shed: shed.total(),
-            shed_buffer_full: shed.buffer_full(),
-            shed_at_capacity: shed.at_capacity(),
-            refreshes,
-            elapsed,
-            throughput_rps: if secs > 0.0 { requests as f64 / secs } else { 0.0 },
-            gap: state.gap(),
-            max_load: state.max_load(),
-        }
-    }
-}
-
 /// A replayed run: the [`ServeOutcome`] plus the decision-stream digest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutcome {
@@ -214,59 +175,18 @@ pub struct ReplayOutcome {
     pub digest: u64,
 }
 
-/// Multicounter sink (both modes): applies are `fetch_add`s on the shared
-/// counter, refreshes scan the cells.
-#[derive(Clone)]
-struct CounterSink {
-    counter: Arc<MultiCounter>,
-}
-
-impl LoadSink for CounterSink {
+/// The multicounter backend's sink (both modes): applies are `fetch_add`s
+/// on the shared counter, refreshes scan the cells.
+impl LoadSink for Arc<MultiCounter> {
     fn apply(&mut self, bin: usize) -> Result<(), ServeError> {
-        self.counter.bump(bin);
+        self.bump(bin);
         Ok(())
     }
 
     fn refresh(&mut self, snapshot: &mut [u64]) -> Result<(), ServeError> {
-        self.counter.cells_into(snapshot);
+        self.cells_into(snapshot);
         Ok(())
     }
-}
-
-/// Per-worker closed-loop counters.
-struct WorkerStats {
-    allocated: u64,
-    shed: u64,
-    refreshes: u64,
-}
-
-/// Runs one worker's closed loop over its share of the requests.
-fn worker_loop<K: LoadSink>(
-    cfg: &ServeConfig,
-    w: usize,
-    sink: K,
-    clock: ServeClock,
-    permits: &Permits,
-    shed: &ShedCounter,
-) -> WorkerStats {
-    let alloc = SnapshotAllocator::new(cfg.n, cfg.staleness, point_seed(cfg.seed, w as u64));
-    let leaf = SnapshotService::new(alloc, sink, clock);
-    let limited = InFlightLimitLayer::new(permits.clone()).layer(leaf);
-    let mut stack = LoadShedLayer::new(shed.clone()).layer(limited);
-    let mut stats = WorkerStats {
-        allocated: 0,
-        shed: 0,
-        refreshes: 0,
-    };
-    for _ in 0..cfg.requests_of_worker(w) {
-        match stack.call(cfg.request) {
-            Ok(_) => stats.allocated += 1,
-            Err(ServeError::Shed) => stats.shed += 1,
-            Err(e) => panic!("serve worker {w} hit a non-shed failure: {e}"),
-        }
-    }
-    stats.refreshes = stack.into_inner().into_inner().refreshes();
-    stats
 }
 
 /// Runs the closed-loop **concurrent** engine: `workers` threads hammer
@@ -293,114 +213,90 @@ fn worker_loop<K: LoadSink>(
 /// ```
 #[must_use]
 pub fn run_concurrent(cfg: &ServeConfig) -> ServeOutcome {
-    run_concurrent_with(cfg, None)
+    cfg.validate();
+    match cfg.backend {
+        BackendKind::Sharded => {
+            let cluster = ShardCluster::spawn(cfg.n, cfg.shards, cfg.buffer_capacity, cfg.snapshot);
+            closed_loop(cfg, cluster.handle(), || cluster.join())
+        }
+        BackendKind::Multicounter => {
+            let counter = Arc::new(MultiCounter::new(cfg.n));
+            closed_loop(cfg, Arc::clone(&counter), || {
+                LoadState::from_loads(counter.cells())
+            })
+        }
+    }
 }
 
-/// A per-shard worker start hook: called once on each shard worker's own
-/// OS thread, with the shard index, before the worker serves its first
-/// request. The seam for CPU pinning / NUMA placement — the workspace has
-/// no affinity syscalls of its own (no `unsafe`, no libc), so the caller
-/// supplies whatever binding its platform offers.
-pub type ShardWorkerHook = Arc<dyn Fn(usize) + Send + Sync>;
-
-/// [`run_concurrent`] with an optional [`ShardWorkerHook`] (sharded
-/// backend only; the multicounter backend spawns no shard workers, so the
-/// hook is never called there).
-///
-/// # Panics
-///
-/// Panics on an invalid configuration or a non-shed worker failure, like
-/// [`run_concurrent`].
-#[must_use]
-pub fn run_concurrent_with(cfg: &ServeConfig, on_shard_worker: Option<ShardWorkerHook>) -> ServeOutcome {
-    cfg.validate();
+/// [`run_concurrent`] over one sink: fans the worker loops out over the
+/// work-stealing pool, times them, folds their ledgers, drops the sink
+/// and reads the final loads with `state`.
+fn closed_loop<K>(cfg: &ServeConfig, sink: K, state: impl FnOnce() -> LoadState) -> ServeOutcome
+where
+    K: LoadSink + Clone + Sync,
+{
     let clock = ServeClock::new();
     // No explicit limit ⇒ one permit per worker, which can never bind
     // (each closed-loop worker has at most one request in flight).
     let permits = Permits::new(cfg.inflight.unwrap_or(cfg.workers));
     let shed = ShedCounter::new();
-    match cfg.backend {
-        BackendKind::Sharded => {
-            let cluster = ShardCluster::spawn(
-                cfg.n,
-                cfg.shards,
-                cfg.buffer_capacity,
-                cfg.snapshot,
-                on_shard_worker,
-            );
-            let handle = cluster.handle();
-            let (stats, elapsed) = closed_loop(cfg, &clock, &permits, &shed, &handle);
-            drop(handle);
-            let state = cluster.join();
-            finish(cfg, stats, elapsed, &shed, &state)
-        }
-        BackendKind::Multicounter => {
-            let sink = CounterSink {
-                counter: Arc::new(MultiCounter::new(cfg.n)),
-            };
-            let (stats, elapsed) = closed_loop(cfg, &clock, &permits, &shed, &sink);
-            let state = LoadState::from_loads(sink.counter.cells());
-            finish(cfg, stats, elapsed, &shed, &state)
-        }
-    }
-}
-
-/// Fans the worker loops out over the work-stealing pool and times them.
-fn closed_loop<K>(
-    cfg: &ServeConfig,
-    clock: &ServeClock,
-    permits: &Permits,
-    shed: &ShedCounter,
-    sink: &K,
-) -> (Vec<WorkerStats>, Duration)
-where
-    K: LoadSink + Clone + Sync,
-{
     // balloc-lint: allow(L002): real-throughput measurement only — the
     // elapsed Duration is reported, never fed into allocation decisions.
     let start = Instant::now();
-    let stats = workpool::par_map_indexed(cfg.workers, cfg.workers, |w| {
-        worker_loop(cfg, w, sink.clone(), clock.clone(), permits, shed)
+    let workers = workpool::par_map_indexed(cfg.workers, cfg.workers, |w| {
+        let alloc = SnapshotAllocator::for_worker(cfg.n, cfg.staleness, cfg.seed, w);
+        let leaf = SnapshotService::new(alloc, sink.clone(), clock.clone());
+        let limited = InFlightLimitLayer::new(permits.clone()).layer(leaf);
+        let mut stack = LoadShedLayer::new(shed.clone()).layer(limited);
+        let mut ledger = Ledger::default();
+        for _ in 0..worker_share(cfg.requests, cfg.workers, w) {
+            let _ = ledger.record(stack.call(cfg.request));
+        }
+        (ledger, stack.into_inner().into_inner().refreshes())
     });
-    (stats, start.elapsed())
+    let elapsed = start.elapsed();
+    drop(sink);
+    let mut ledger = Ledger::default();
+    let mut refreshes = 0;
+    for (worker, worker_refreshes) in workers {
+        ledger += worker;
+        refreshes += worker_refreshes;
+    }
+    finish(cfg, &ledger, refreshes, elapsed, &shed, &state())
 }
 
-/// Folds worker stats and the final state into a [`ServeOutcome`],
-/// asserting the conservation invariants.
+/// Checks the run's ledger against the final state and measures the
+/// [`ServeOutcome`].
 fn finish(
     cfg: &ServeConfig,
-    stats: Vec<WorkerStats>,
+    ledger: &Ledger,
+    refreshes: u64,
     elapsed: Duration,
     shed: &ShedCounter,
     state: &LoadState,
 ) -> ServeOutcome {
-    let allocated: u64 = stats.iter().map(|s| s.allocated).sum();
-    let shed_total: u64 = stats.iter().map(|s| s.shed).sum();
-    let refreshes: u64 = stats.iter().map(|s| s.refreshes).sum();
-    assert_eq!(
-        allocated + shed_total,
-        cfg.requests,
-        "every request must be either allocated or shed"
-    );
-    assert_eq!(
-        shed.count(),
-        shed_total,
-        "the shed layer's counter must agree with the workers'"
-    );
-    assert_eq!(
-        state.balls(),
-        allocated,
-        "the drained authoritative state must hold every allocated ball"
-    );
-    ServeOutcome::measure(cfg.requests, allocated, shed, refreshes, elapsed, state)
+    ledger.check(cfg.requests, state.balls(), shed);
+    let secs = elapsed.as_secs_f64();
+    ServeOutcome {
+        requests: cfg.requests,
+        allocated: ledger.allocated,
+        shed: ledger.shed,
+        shed_buffer_full: shed.buffer_full(),
+        shed_at_capacity: shed.at_capacity(),
+        refreshes,
+        elapsed,
+        throughput_rps: if secs > 0.0 { cfg.requests as f64 / secs } else { 0.0 },
+        gap: state.gap(),
+        max_load: state.max_load(),
+    }
 }
 
 /// Runs the **deterministic replay** engine: the same per-worker decision
-/// states as [`run_concurrent`] (same seeds, same stack semantics), but
-/// interleaved round-robin on the calling thread with direct shard
-/// access, so the decision stream — and therefore the digest, the final
-/// loads, the gap, and every count — is a pure function of the
-/// configuration and seed.
+/// states as [`run_concurrent`] (same seeds, same leaf service), but
+/// interleaved round-robin on the calling thread by the crate's one
+/// driver, over a direct store, so the decision stream — and therefore
+/// the digest, the final loads, the gap, and every count — is a pure
+/// function of the configuration and seed.
 ///
 /// This is the serving layer's extension of the workspace determinism
 /// contract: run it twice at the same seed and compare
@@ -426,71 +322,47 @@ pub fn run_replay(cfg: &ServeConfig) -> ReplayOutcome {
     cfg.validate();
     match cfg.backend {
         BackendKind::Sharded => {
-            let sink = DirectCluster::new(cfg.n, cfg.shards);
-            let (outcome_parts, digest, sink) = replay_loop(cfg, sink);
-            let state = sink.state();
-            let (stats, elapsed) = outcome_parts;
-            let shed = ShedCounter::new();
-            ReplayOutcome {
-                outcome: finish(cfg, stats, elapsed, &shed, &state),
-                digest,
-            }
+            let store = Rc::new(RefCell::new(DirectCluster::new(cfg.n, cfg.shards)));
+            replay(cfg, &store, || store.borrow().state())
         }
         BackendKind::Multicounter => {
-            let sink = CounterSink {
-                counter: Arc::new(MultiCounter::new(cfg.n)),
-            };
-            let (outcome_parts, digest, sink) = replay_loop(cfg, sink);
-            let state = LoadState::from_loads(sink.counter.cells());
-            let (stats, elapsed) = outcome_parts;
-            let shed = ShedCounter::new();
-            ReplayOutcome {
-                outcome: finish(cfg, stats, elapsed, &shed, &state),
-                digest,
-            }
+            let counter = Arc::new(MultiCounter::new(cfg.n));
+            replay(cfg, &counter, || LoadState::from_loads(counter.cells()))
         }
     }
 }
 
-/// The round-robin single-threaded loop shared by both replay backends.
-#[allow(clippy::type_complexity)]
-fn replay_loop<K: LoadSink>(
+/// [`run_replay`] over one shared sink; `state` reads the final loads.
+fn replay<K: LoadSink + Clone>(
     cfg: &ServeConfig,
-    mut sink: K,
-) -> ((Vec<WorkerStats>, Duration), u64, K) {
-    let mut workers: Vec<SnapshotAllocator> = (0..cfg.workers)
-        .map(|w| SnapshotAllocator::new(cfg.n, cfg.staleness, point_seed(cfg.seed, w as u64)))
+    sink: &K,
+    state: impl FnOnce() -> LoadState,
+) -> ReplayOutcome {
+    // Every request completes (direct sinks never reject), so the shared
+    // clock reads `t` at slot `t`.
+    let clock = ServeClock::new();
+    let mut stacks: Vec<SnapshotService<K>> = (0..cfg.workers)
+        .map(|w| {
+            let alloc = SnapshotAllocator::for_worker(cfg.n, cfg.staleness, cfg.seed, w);
+            SnapshotService::new(alloc, sink.clone(), clock.clone())
+        })
         .collect();
     let mut digest = Fnv1a::new();
     // balloc-lint: allow(L002): wall-clock timing of the replay itself;
-    // the decision digest above never reads it.
+    // the decision digest never reads it.
     let start = Instant::now();
-    for t in 0..cfg.requests {
-        let w = (t % cfg.workers as u64) as usize;
-        let alloc = &mut workers[w];
-        if alloc.needs_refresh(t) {
-            sink.refresh(alloc.snapshot_mut())
-                .expect("direct sinks cannot reject");
-            alloc.note_refresh(t);
+    let ledger = drive(&mut stacks, cfg.requests, |_, ledger, stack| {
+        if let Ok(resp) = ledger.record(stack.call(cfg.request)) {
+            digest.write_u64(resp.bin as u64);
         }
-        let bin = alloc.decide(&cfg.request);
-        sink.apply(bin).expect("direct sinks cannot reject");
-        digest.write_u64(bin as u64);
-    }
+    });
     let elapsed = start.elapsed();
-    let stats = workers
-        .iter()
-        .enumerate()
-        .map(|(w, alloc)| WorkerStats {
-            // Round-robin assigns worker w exactly its concurrent-mode
-            // share (requests_of_worker): per + 1 for the first
-            // `requests % workers` workers.
-            allocated: cfg.requests_of_worker(w),
-            shed: 0,
-            refreshes: alloc.refreshes(),
-        })
-        .collect();
-    ((stats, elapsed), digest.finish(), sink)
+    let refreshes = stacks.iter().map(SnapshotService::refreshes).sum();
+    let outcome = finish(cfg, &ledger, refreshes, elapsed, &ShedCounter::new(), &state());
+    ReplayOutcome {
+        outcome,
+        digest: digest.finish(),
+    }
 }
 
 #[cfg(test)]
@@ -533,41 +405,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_worker_hook_fires_once_per_shard_on_the_worker_thread() {
-        use std::sync::Mutex;
-
-        let mut cfg = ServeConfig::demo(64, 4, 13);
-        cfg.snapshot = SnapshotPath::Striped;
-        let seen: Arc<Mutex<Vec<(usize, std::thread::ThreadId)>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let hook: ShardWorkerHook = {
-            let seen = Arc::clone(&seen);
-            Arc::new(move |shard| {
-                seen.lock().unwrap().push((shard, std::thread::current().id()));
-            })
-        };
-        let outcome = run_concurrent_with(&cfg, Some(hook));
-        assert_eq!(outcome.allocated + outcome.shed, cfg.requests);
-
-        let mut seen = seen.lock().unwrap().clone();
-        seen.sort_by_key(|&(shard, _)| shard);
-        let shards: Vec<usize> = seen.iter().map(|&(s, _)| s).collect();
-        assert_eq!(shards, vec![0, 1, 2, 3], "one start hook per shard, each exactly once");
-        // Each hook ran on its own worker's thread — and none on ours.
-        let me = std::thread::current().id();
-        for &(shard, tid) in &seen {
-            assert_ne!(tid, me, "hook for shard {shard} ran on the caller thread");
-        }
-        for a in 0..seen.len() {
-            for b in a + 1..seen.len() {
-                assert_ne!(seen[a].1, seen[b].1, "shards {a} and {b} shared a worker thread");
-            }
-        }
-    }
-
-    #[test]
     fn replay_ignores_the_snapshot_path() {
-        // Replay reads shards directly (DirectShards) in both cases: the
+        // Replay reads shards directly (DirectCluster) in both cases: the
         // concurrent-only mirror must not leak into the deterministic
         // decision stream.
         let mut buffered = ServeConfig::demo(64, 4, 9);

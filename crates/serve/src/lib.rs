@@ -18,7 +18,7 @@
 //!  ┌───────────────────────────┐       ┌─────────────────────────┐
 //!  │ LoadShed                  │ cast  │ bounded queue ─ drain ─▶│
 //!  │  └ InFlightLimit          │──────▶│  ShardService           │
-//!  │     └ AllocService        │       │   owns LoadState        │
+//!  │     └ SnapshotService     │       │   owns LoadState        │
 //!  │        snapshot ◀─────────│◀──────│  (bins s·n/S..(s+1)n/S) │
 //!  │        (refresh: b / τ)    │ call  └─────────────────────────┘
 //!  └───────────────────────────┘            × S shards
@@ -35,6 +35,11 @@
 //!   (`τ-Delay`);
 //! * [`run_concurrent`]/[`run_replay`] — the closed-loop engine and its
 //!   deterministic single-threaded replay twin;
+//! * one deterministic driver behind [`run_replay`], [`run_resilient`]
+//!   and [`run_churn`]: a round-robin slot loop over per-worker stacks
+//!   with a per-slot engine hook, one [`DirectCluster`] store, and one
+//!   conservation ledger whose check every engine (the concurrent one
+//!   included) ends in;
 //! * [`BackendKind::Multicounter`] — swaps the sharded store for a
 //!   [`MultiCounter`](balloc_multicounter::MultiCounter), turning the
 //!   engine into a stress harness for the counter.
@@ -57,19 +62,20 @@
 //! * [`FaultPlan`]/[`FaultKind`] — the adversaries: slow, stalled, and
 //!   erroring shards, plus `g`-Adv-Comp load corruption via
 //!   [`LoadCorruptor`](balloc_noise::LoadCorruptor);
-//! * [`run_resilient`] — drives fault plan against policy and asserts
-//!   the four-way conservation ledger: every request ends exactly once —
-//!   allocated, shed, timed out, or broken.
+//! * [`run_resilient`] — drives fault plan against policy; the ledger
+//!   check asserts every request ends exactly once — allocated, shed,
+//!   timed out, or broken.
 //!
 //! # Determinism contract
 //!
 //! [`run_replay`] decisions are a pure function of `(config, seed)`:
 //! two runs at the same seed produce bit-identical decision streams
 //! (asserted via [`ReplayOutcome::digest`]), final loads, gaps, and
-//! counts. Worker `w`'s RNG stream derives via
-//! [`point_seed`](balloc_core::rng::point_seed)`(seed, w)` — the same
-//! mixer discipline as the sweep engine, so serving never shares streams
-//! with the simulation experiments. [`run_concurrent`] keeps the exact
+//! counts. Worker `w`'s decision state is
+//! [`SnapshotAllocator::for_worker`]`(n, staleness, seed, w)`, streamed
+//! from [`point_seed`](balloc_core::rng::point_seed)`(seed, w)` — the
+//! same mixer discipline as the sweep engine, so serving never shares
+//! streams with the simulation experiments. [`run_concurrent`] keeps the exact
 //! *conservation* guarantees (`allocated + shed == requests`, final state
 //! holds exactly `allocated` balls) but lets the decision stream race —
 //! measuring that race against the replayed baseline is the point of the
@@ -99,6 +105,7 @@ mod buffer;
 mod churn;
 mod cluster;
 mod directory;
+mod drive;
 mod engine;
 mod fault;
 mod hedge;
@@ -123,8 +130,8 @@ pub use directory::{
     BinMove, Change, MembershipEpoch, RebalanceKind, ShardDirectory, ShardId,
 };
 pub use engine::{
-    run_concurrent, run_concurrent_with, run_replay, worker_share, BackendKind, ReplayOutcome,
-    ServeConfig, ServeOutcome, ShardWorkerHook, SnapshotPath,
+    run_concurrent, run_replay, worker_share, BackendKind, ReplayOutcome, ServeConfig,
+    ServeOutcome, SnapshotPath,
 };
 pub use fault::{FaultKind, FaultPlan, FaultStats, FaultyShard, ShardRole};
 pub use hedge::{Hedge, HedgeConfig, HedgeLayer, HedgeStats, HedgeSteer, LatencyHistogram};

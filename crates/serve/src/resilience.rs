@@ -16,10 +16,12 @@
 //! Every layer is optional except the outermost [`LoadShed`], which is
 //! what keeps the run's ledger closed: a request ends in exactly one of
 //! four terminal outcomes — **allocated**, **shed** (pressure or an
-//! unrecovered clean fault), **timed out**, or **broken** (circuit open)
-//! — and [`run_resilient`] asserts the four sum to the request count, the
-//! same conservation discipline the PR 5 engine enforces for its two
-//! outcomes.
+//! unrecovered clean fault), **timed out**, or **broken** (circuit open).
+//! The workers' stacks run under the crate's one round-robin driver, and
+//! its ledger check asserts the four sum to the request count — the same
+//! check every engine ends in. This engine's slot hook adds the outcome
+//! digest and the virtual clock: one inter-arrival tick per slot, and
+//! each allocated request's latency.
 //!
 //! Everything is deterministic: decisions, fault draws, latencies, and
 //! therefore the [`ResilienceReport::digest`] are pure functions of
@@ -31,19 +33,21 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use balloc_core::rng::{point_seed, Fnv1a};
-use balloc_core::{LoadState, Rng};
+use balloc_core::Rng;
 use balloc_noise::LoadCorruptor;
 use balloc_sim::VClock;
 
 use crate::breaker::{BreakerConfig, BreakerStats, CircuitBreaker};
+use crate::cluster::DirectCluster;
 use crate::directory::ShardDirectory;
+use crate::drive::{drive, validate_shape};
 use crate::fault::{FaultPlan, FaultStats, ShardRole};
 use crate::hedge::{Hedge, HedgeConfig, HedgeStats, HedgeSteer};
 use crate::rate::{RateLimit, RateLimitConfig, RateStats};
 use crate::retry::{Retry, RetryBudget, RetryConfig, RetryStats};
 use crate::service::{Layer, Request, Response, ServeError, Service};
-use crate::shard::{merge_states, ShardRequest, ShardService};
 use crate::shed::{LoadShedLayer, ShedCounter};
+use crate::sink::LoadSink;
 use crate::snapshot::{SnapshotAllocator, Staleness};
 
 /// Distinguishes the fault-draw RNG domain from the decision streams.
@@ -139,15 +143,7 @@ impl ResilienceConfig {
     }
 
     fn validate(&self) {
-        assert!(self.n > 0, "need at least one bin");
-        assert!(self.workers > 0, "need at least one worker");
-        assert!(
-            self.shards > 0 && self.shards <= self.n,
-            "shards must lie in 1..=n (got {} shards over {} bins)",
-            self.shards,
-            self.n
-        );
-        self.staleness.validate();
+        validate_shape(self.n, Some(self.shards), self.workers, self.staleness);
         self.faults.validate(self.shards);
         self.policy.validate(&self.faults);
     }
@@ -219,16 +215,9 @@ pub struct ResilienceReport {
     pub digest: u64,
 }
 
-/// The shards, shared single-threaded across every worker's stack.
-type SharedShards = Rc<RefCell<Vec<ShardService>>>;
-
-/// The engine clock in *completed requests* (the staleness unit), shared
-/// across workers like the PR 5 engine's `Clock`.
-type Completed = Rc<Cell<u64>>;
-
-/// Everything the faulty leaves share: shard storage, roles, corruptors.
+/// Everything the faulty leaves share: the store, roles, corruptors.
 struct Backend {
-    shards: SharedShards,
+    store: RefCell<DirectCluster>,
     ranges: Vec<Range<usize>>,
     roles: Vec<ShardRole>,
     corruptors: Vec<Option<LoadCorruptor>>,
@@ -245,7 +234,8 @@ struct FaultyAlloc {
     alloc: SnapshotAllocator,
     backend: Rc<Backend>,
     clock: VClock,
-    completed: Completed,
+    /// Completed requests across workers: the staleness clock.
+    completed: Rc<Cell<u64>>,
     fault_rng: Rng,
     stats: FaultStats,
     /// Per-leaf refresh counter: the corruption epoch.
@@ -257,12 +247,11 @@ struct FaultyAlloc {
 
 impl FaultyAlloc {
     fn refresh(&mut self) {
-        {
-            let shards = self.backend.shards.borrow();
-            for shard in shards.iter() {
-                shard.publish_into(self.alloc.snapshot_mut());
-            }
-        }
+        self.backend
+            .store
+            .borrow_mut()
+            .refresh(self.alloc.snapshot_mut())
+            .expect("direct stores cannot reject");
         self.refresh_epoch += 1;
         let epoch = self.refresh_epoch;
         for (s, corruptor) in self.backend.corruptors.iter().enumerate() {
@@ -325,9 +314,11 @@ impl Service<Request> for FaultyAlloc {
             self.stats.note_errored();
             return Err(ServeError::Faulted);
         }
-        self.backend.shards.borrow_mut()[s]
-            .call(ShardRequest::Apply { bin })
-            .expect("direct shards cannot reject");
+        self.backend
+            .store
+            .borrow_mut()
+            .apply(bin)
+            .expect("direct stores cannot reject");
         self.completed.set(self.completed.get() + 1);
         Ok(Response { bin })
     }
@@ -353,13 +344,13 @@ fn build_stack(
     w: usize,
     backend: &Rc<Backend>,
     clock: &VClock,
-    completed: &Completed,
+    completed: &Rc<Cell<u64>>,
     budget: &RetryBudget,
     stats: &PolicyStats,
     steer: &HedgeSteer,
 ) -> crate::shed::LoadShed<BoxAlloc> {
     let leaf = FaultyAlloc {
-        alloc: SnapshotAllocator::new(cfg.n, cfg.staleness, point_seed(cfg.seed, w as u64)),
+        alloc: SnapshotAllocator::for_worker(cfg.n, cfg.staleness, cfg.seed, w),
         backend: Rc::clone(backend),
         clock: clock.clone(),
         completed: Rc::clone(completed),
@@ -433,15 +424,11 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 pub fn run_resilient(cfg: &ResilienceConfig) -> ResilienceReport {
     cfg.validate();
     let clock = VClock::new();
-    let completed: Completed = Rc::new(Cell::new(0));
+    let completed = Rc::new(Cell::new(0));
     let directory = ShardDirectory::uniform(cfg.n, cfg.shards);
-    let ranges = directory.ranges();
-    let shards: SharedShards = Rc::new(RefCell::new(
-        ranges.iter().cloned().map(ShardService::new).collect(),
-    ));
     let corrupt_seed = point_seed(cfg.seed, CORRUPT_STREAM);
     let backend = Rc::new(Backend {
-        shards: Rc::clone(&shards),
+        store: RefCell::new(DirectCluster::new(cfg.n, cfg.shards)),
         roles: (0..cfg.shards).map(|s| cfg.faults.role_of(s)).collect(),
         corruptors: (0..cfg.shards)
             .map(|s| {
@@ -450,7 +437,7 @@ pub fn run_resilient(cfg: &ResilienceConfig) -> ResilienceReport {
                 })
             })
             .collect(),
-        ranges,
+        ranges: directory.ranges(),
         base_latency: cfg.faults.base_latency,
         directory,
     });
@@ -469,32 +456,20 @@ pub fn run_resilient(cfg: &ResilienceConfig) -> ResilienceReport {
         .collect();
 
     let mut digest = Fnv1a::new();
-    let (mut allocated, mut shed, mut timed_out, mut broken) = (0u64, 0u64, 0u64, 0u64);
     let mut latencies: Vec<u64> = Vec::new();
-    for t in 0..cfg.requests {
-        let w = (t % cfg.workers as u64) as usize;
+    let ledger = drive(&mut stacks, cfg.requests, |_, ledger, stack| {
         let start = clock.now();
-        let result = stacks[w].call(cfg.request);
+        let result = ledger.record(stack.call(cfg.request));
         let end = clock.now();
+        // The ledger has already refused every non-terminal error.
         let (code, bin) = match result {
             Ok(resp) => {
-                allocated += 1;
                 latencies.push(end - start);
                 (0u64, resp.bin as u64)
             }
-            Err(ServeError::Shed) => {
-                shed += 1;
-                (1, u64::MAX)
-            }
-            Err(ServeError::TimedOut) => {
-                timed_out += 1;
-                (2, u64::MAX)
-            }
-            Err(ServeError::Broken) => {
-                broken += 1;
-                (3, u64::MAX)
-            }
-            Err(e) => panic!("non-terminal error escaped the stack: {e}"),
+            Err(ServeError::Shed) => (1, u64::MAX),
+            Err(ServeError::TimedOut) => (2, u64::MAX),
+            Err(_) => (3, u64::MAX),
         };
         digest.write_u64(code);
         digest.write_u64(bin);
@@ -502,33 +477,17 @@ pub fn run_resilient(cfg: &ResilienceConfig) -> ResilienceReport {
         clock
             .advance(1)
             .expect("no deadline is active between requests");
-    }
+    });
+    let state = backend.store.borrow().state();
+    ledger.check(cfg.requests, state.balls(), &stats.shed);
 
-    assert_eq!(
-        allocated + shed + timed_out + broken,
-        cfg.requests,
-        "every request must end in exactly one terminal outcome"
-    );
-    assert_eq!(
-        stats.shed.total(),
-        shed,
-        "the shed layer's counter must agree with the loop's tally"
-    );
-    let state: LoadState = merge_states(&shards.borrow());
-    assert_eq!(
-        state.balls(),
-        allocated,
-        "the authoritative state must hold exactly one ball per allocated request"
-    );
-
-    let refreshes = stats.fault.refreshes();
     latencies.sort_unstable();
     let outcome = ResilienceOutcome {
         requests: cfg.requests,
-        allocated,
-        shed,
-        timed_out,
-        broken,
+        allocated: ledger.allocated,
+        shed: ledger.shed,
+        timed_out: ledger.timed_out,
+        broken: ledger.broken,
         shed_rate_limited: stats.shed.rate_limited(),
         shed_faulted: stats.shed.faulted(),
         retries: stats.retry.retries(),
@@ -542,7 +501,7 @@ pub fn run_resilient(cfg: &ResilienceConfig) -> ResilienceReport {
         faults_slowed: stats.fault.slowed(),
         faults_stalled: stats.fault.stalled(),
         faults_errored: stats.fault.errored(),
-        refreshes,
+        refreshes: stats.fault.refreshes(),
         gap: state.gap(),
         max_load: state.max_load(),
         latency_p50: percentile(&latencies, 0.50),

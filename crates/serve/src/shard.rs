@@ -114,16 +114,34 @@ impl ShardService {
         }
     }
 
-    /// Global index of the first owned bin.
-    #[must_use]
-    pub fn lo(&self) -> usize {
-        self.lo
-    }
-
     /// The shard's load state.
     #[must_use]
     pub fn state(&self) -> &LoadState {
         &self.state
+    }
+
+    /// Current load of the owned (global) bin `bin`.
+    pub(crate) fn load(&self, bin: usize) -> u64 {
+        self.state.load(bin - self.lo)
+    }
+
+    /// Places one ball into the owned (global) bin `bin`.
+    #[inline]
+    pub(crate) fn allocate(&mut self, bin: usize) {
+        let local = bin - self.lo;
+        self.state.allocate(local);
+        if let Some(striped) = &self.striped {
+            striped.publish(bin, self.state.load(local));
+        }
+    }
+
+    /// Removes one ball from the owned (global) bin `bin`.
+    pub(crate) fn deallocate(&mut self, bin: usize) {
+        let local = bin - self.lo;
+        self.state.deallocate(local);
+        if let Some(striped) = &self.striped {
+            striped.publish(bin, self.state.load(local));
+        }
     }
 
     /// Copies the shard's loads into the matching slice of a global
@@ -141,11 +159,7 @@ impl Service<ShardRequest> for ShardService {
     fn call(&mut self, req: ShardRequest) -> Result<ShardResponse, ServeError> {
         match req {
             ShardRequest::Apply { bin } => {
-                let local = bin - self.lo;
-                self.state.allocate(local);
-                if let Some(striped) = &self.striped {
-                    striped.publish(bin, self.state.load(local));
-                }
+                self.allocate(bin);
                 Ok(ShardResponse::Applied)
             }
             ShardRequest::ReadLoads => Ok(ShardResponse::Loads(self.state.loads().to_vec())),
@@ -243,7 +257,7 @@ mod tests {
         for bin in [0usize, 3, 3, 9, 5, 0, 7] {
             let s = shards
                 .iter()
-                .position(|sh| bin >= sh.lo() && bin < sh.lo() + sh.state().n())
+                .position(|sh| bin >= sh.lo && bin < sh.lo + sh.state.n())
                 .unwrap();
             shards[s].call(ShardRequest::Apply { bin }).unwrap();
         }

@@ -14,9 +14,8 @@
 //! The per-cause split exists because the resilience engine's
 //! conservation accounting needs to attribute every shed to the layer
 //! that produced the pressure (was the buffer full, or did the retry
-//! budget run dry against a faulty shard?). [`ShedCounter::total`] — and
-//! its historical alias [`ShedCounter::count`] — still report the single
-//! number the PR 5 conservation assertion checks.
+//! budget run dry against a faulty shard?). [`ShedCounter::total`] is the
+//! single number the engines' conservation ledger checks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,13 +49,6 @@ impl ShedCounter {
     #[must_use]
     pub fn total(&self) -> u64 {
         self.buffer_full() + self.at_capacity() + self.rate_limited() + self.faulted()
-    }
-
-    /// Alias for [`total`](Self::total) — the pre-split name, kept so the
-    /// engine's PR 5 conservation assertion reads identically.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.total()
     }
 
     /// Sheds caused by a full bounded buffer.
@@ -202,7 +194,7 @@ mod tests {
                 }
             }
             assert_eq!((ok, shed), (66, 33));
-            assert_eq!(counter.count(), 33);
+            assert_eq!(counter.total(), 33);
         }
     }
 
@@ -224,7 +216,6 @@ mod tests {
         assert_eq!(counter.rate_limited(), 2);
         assert_eq!(counter.faulted(), 1);
         assert_eq!(counter.total(), 10, "causes must sum to the total");
-        assert_eq!(counter.count(), counter.total(), "back-compat alias");
     }
 
     #[test]
@@ -240,7 +231,7 @@ mod tests {
                 counter.clone(),
             );
             assert_eq!(svc.call(1), Err(terminal));
-            assert_eq!(counter.count(), 0);
+            assert_eq!(counter.total(), 0);
         }
     }
 }

@@ -1,13 +1,13 @@
 //! The decision-state/backend seam: [`LoadSink`], [`ServeClock`], and the
 //! leaf service [`SnapshotService`] every serving engine shares.
 //!
-//! PR 5's engine kept these as private internals; the TCP front-end
-//! (`balloc-net`) needs to terminate connections in its own reactor while
-//! dispatching into the *same* leaf — decide against a per-worker
-//! snapshot, apply through a sink, tick the shared clock — so the seam is
-//! now public. The in-process engine ([`run_concurrent`](crate::run_concurrent) /
-//! [`run_replay`](crate::run_replay)) and the socket server are two
-//! drivers of one service.
+//! The TCP front-end (`balloc-net`) terminates connections in its own
+//! reactor while dispatching into the *same* leaf — decide against a
+//! per-worker snapshot, apply through a sink, tick the shared clock — so
+//! the seam is public. The in-process engines
+//! ([`run_concurrent`](crate::run_concurrent) /
+//! [`run_replay`](crate::run_replay)) and the socket server are drivers
+//! of one service.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,8 +18,8 @@ use crate::snapshot::SnapshotAllocator;
 /// Where decided allocations land and where snapshot refreshes read from:
 /// the authoritative-store side of the serving path. Implementations are
 /// the sharded buffer fan-out ([`ShardHandle`](crate::ShardHandle)), the
-/// direct single-threaded shards ([`DirectCluster`](crate::DirectCluster)),
-/// and the multicounter sink.
+/// direct single-threaded shards ([`DirectCluster`](crate::DirectCluster),
+/// shared as `Rc<RefCell<DirectCluster>>`), and the multicounter sink.
 pub trait LoadSink {
     /// Places one ball into (global) bin `bin`.
     ///
@@ -101,12 +101,6 @@ impl<K: LoadSink> SnapshotService<K> {
         self.alloc.refreshes()
     }
 
-    /// The worker's decision state (tests and diagnostics).
-    #[must_use]
-    pub fn allocator(&self) -> &SnapshotAllocator {
-        &self.alloc
-    }
-
     /// Serves a whole pipelined block of `count` identical-template
     /// requests, calling `emit` once per request in decision order.
     ///
@@ -132,18 +126,12 @@ impl<K: LoadSink> SnapshotService<K> {
         let mut remaining = count;
         while remaining > 0 {
             let now = self.clock.now();
-            if self.alloc.needs_refresh(now) {
-                match self.sink.refresh(self.alloc.snapshot_mut()) {
-                    Ok(()) => self.alloc.note_refresh(now),
-                    Err(e) => {
-                        // A refresh that cannot read the store rejects the
-                        // request that demanded it; the next request
-                        // retries the refresh.
-                        emit(Err(e));
-                        remaining -= 1;
-                        continue;
-                    }
-                }
+            if let Err(e) = self.alloc.refresh_if_stale(now, &mut self.sink) {
+                // A refresh that cannot read the store rejects the request
+                // that demanded it; the next request retries the refresh.
+                emit(Err(e));
+                remaining -= 1;
+                continue;
             }
             #[allow(clippy::cast_possible_truncation)]
             let run = self
@@ -170,13 +158,7 @@ impl<K: LoadSink> Service<Request> for SnapshotService<K> {
     type Response = Response;
 
     fn call(&mut self, req: Request) -> Result<Response, ServeError> {
-        let now = self.clock.now();
-        if self.alloc.needs_refresh(now) {
-            self.sink.refresh(self.alloc.snapshot_mut())?;
-            self.alloc.note_refresh(now);
-        }
-        let bin = self.alloc.decide(&req);
-        self.sink.apply(bin)?;
+        let bin = self.alloc.serve(&req, self.clock.now(), &mut self.sink)?;
         self.clock.tick();
         Ok(Response { bin })
     }

@@ -39,7 +39,11 @@ pub enum Staleness {
 
 impl Staleness {
     /// Asserts the parameter is usable (`b`/`τ` must be positive).
-    pub(crate) fn validate(self) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` or `τ` is zero.
+    pub fn validate(self) {
         match self {
             Self::Batch { b } => assert!(b > 0, "batch size b must be positive"),
             Self::Delay { tau } => assert!(tau > 0, "delay tau must be positive"),
@@ -119,12 +123,6 @@ impl SnapshotAllocator {
     /// The snapshot buffer, for a refresh to overwrite.
     pub fn snapshot_mut(&mut self) -> &mut [u64] {
         &mut self.snapshot
-    }
-
-    /// The current snapshot.
-    #[must_use]
-    pub fn snapshot(&self) -> &[u64] {
-        &self.snapshot
     }
 
     /// Records that the snapshot was just refreshed at clock `now`.

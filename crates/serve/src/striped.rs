@@ -69,18 +69,6 @@ impl StripedLoads {
         self.cells[bin].store(load, Ordering::Relaxed);
     }
 
-    /// Publishes a whole stripe of loads starting at global bin `lo`
-    /// (bulk re-sync, e.g. when a shard attaches mid-run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stripe overruns the mirror.
-    pub fn publish_stripe(&self, lo: usize, loads: &[u64]) {
-        for (i, &load) in loads.iter().enumerate() {
-            self.cells[lo + i].store(load, Ordering::Relaxed);
-        }
-    }
-
     /// Overwrites `snapshot` with a current reading of every cell — the
     /// wait-free refresh path.
     ///
@@ -111,7 +99,9 @@ mod tests {
         let striped = StripedLoads::new(8);
         striped.publish(3, 7);
         striped.publish(0, 1);
-        striped.publish_stripe(5, &[10, 11, 12]);
+        for (bin, load) in [(5, 10), (6, 11), (7, 12)] {
+            striped.publish(bin, load);
+        }
         let mut snapshot = vec![0u64; 8];
         striped.read_into(&mut snapshot);
         assert_eq!(snapshot, [1, 0, 0, 7, 0, 10, 11, 12]);

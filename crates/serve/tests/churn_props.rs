@@ -101,7 +101,7 @@ proptest! {
         let report = run_churn(&cfg);
         let o = &report.outcome;
         prop_assert_eq!(
-            o.allocated + o.shed + o.timed_out + o.broken + o.in_migration + o.departures,
+            o.allocated + o.shed + o.in_migration + o.departures,
             o.arrivals,
             "extended conservation ledger"
         );

@@ -2,12 +2,32 @@
 //! contract as `crates/multicounter/tests/stress.rs`, one API level up:
 //! concurrent mixed traffic, then exactness (every request is allocated
 //! or shed, and the authoritative state holds exactly the allocated
-//! balls) and boundedness (the achieved gap tracks the staleness law
-//! instead of drifting).
+//! balls) and boundedness.
+//!
+//! Boundedness is split by what a thread race can promise. A worker
+//! thread that is descheduled keeps deciding against its last snapshot
+//! for as long as the others run, so the concurrent runs' staleness has
+//! no bound and their gap is held only to the One-Choice sanity bound
+//! below. The staleness law's quality bound is asserted on `run_replay`
+//! at the same configuration, where the schedule is fixed.
 
 use balloc_serve::{
-    run_concurrent, BackendKind, NoiseMode, Request, ServeConfig, SnapshotPath, Staleness,
+    run_concurrent, run_replay, BackendKind, NoiseMode, Request, ServeConfig, SnapshotPath,
+    Staleness,
 };
+
+/// The One-Choice sanity bound: with `m` balls in `n` bins One-Choice
+/// drifts to a gap of ~√(m·ln n/n) (≈ 72 at the stress config's 1250
+/// balls/bin over 64 bins), so a concurrent run past it has lost the
+/// second choice altogether.
+fn one_choice_gap(cfg: &ServeConfig) -> f64 {
+    let n = cfg.n as f64;
+    (cfg.requests as f64 * n.ln() / n).sqrt()
+}
+
+/// The stale two-choice quality bound at b-Batch(64 · 4 workers),
+/// asserted where it is deterministic.
+const QUALITY_GAP: f64 = 40.0;
 
 fn stress_config(seed: u64) -> ServeConfig {
     ServeConfig {
@@ -34,7 +54,7 @@ fn striped_snapshots_conserve_under_concurrency() {
     let outcome = run_concurrent(&cfg);
     assert_eq!(outcome.allocated + outcome.shed, cfg.requests);
     assert!(
-        outcome.gap < 40.0,
+        outcome.gap < one_choice_gap(&cfg),
         "striped-snapshot serving gap blew up: {}",
         outcome.gap
     );
@@ -44,18 +64,35 @@ fn striped_snapshots_conserve_under_concurrency() {
 fn sharded_stack_conserves_under_concurrency() {
     let cfg = stress_config(41);
     let outcome = run_concurrent(&cfg);
-    // finish() already asserts conservation internally; re-state the
-    // contract at the public level.
+    // The engine's ledger check already asserts conservation
+    // internally; re-state the contract at the public level.
     assert_eq!(outcome.allocated + outcome.shed, cfg.requests);
     assert!(outcome.allocated > 0);
-    // Quality: two-choice at b-Batch(64·4 workers) over 64 bins with
-    // 1250 balls/bin average. One-Choice would drift to a gap of ~√(m·ln
-    // n/n) ≈ 65; the stale two-choice must stay well under that.
     assert!(
-        outcome.gap < 40.0,
+        outcome.gap < one_choice_gap(&cfg),
         "stressed serving gap blew up: {}",
         outcome.gap
     );
+}
+
+#[test]
+fn replayed_stress_config_meets_the_quality_bound() {
+    // The same traffic on a fixed round-robin schedule: staleness is
+    // exactly b-Batch, so the quality bound is deterministic here. (Replay
+    // ignores the snapshot path, so this covers the striped run too.)
+    for (backend, seed) in [(BackendKind::Sharded, 41), (BackendKind::Multicounter, 53)] {
+        let cfg = ServeConfig {
+            backend,
+            ..stress_config(seed)
+        };
+        let replay = run_replay(&cfg).outcome;
+        assert_eq!(replay.allocated, cfg.requests);
+        assert!(
+            replay.gap < QUALITY_GAP,
+            "{backend:?}: replayed serving gap {} breaks the b-Batch quality bound",
+            replay.gap
+        );
+    }
 }
 
 #[test]
@@ -85,7 +122,11 @@ fn multicounter_backend_is_exact_under_the_same_traffic() {
     let outcome = run_concurrent(&cfg);
     assert_eq!(outcome.allocated, cfg.requests);
     assert_eq!(outcome.shed, 0);
-    assert!(outcome.gap < 40.0, "counter quality blew up: {}", outcome.gap);
+    assert!(
+        outcome.gap < one_choice_gap(&cfg),
+        "counter quality blew up: {}",
+        outcome.gap
+    );
 }
 
 #[test]
