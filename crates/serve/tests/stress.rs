@@ -16,13 +16,17 @@ use balloc_serve::{
     Staleness,
 };
 
-/// The One-Choice sanity bound: with `m` balls in `n` bins One-Choice
-/// drifts to a gap of ~√(m·ln n/n) (≈ 72 at the stress config's 1250
-/// balls/bin over 64 bins), so a concurrent run past it has lost the
-/// second choice altogether.
+/// The One-Choice sanity bound: with `m ≫ n ln n` balls in `n` bins
+/// One-Choice reaches a gap of √(2·m·ln n/n)·(1 + o(1)) (Raab and
+/// Steger's heavily-loaded case; ≈ 102 for the stress config's 80 000
+/// requests over 64 bins), so a concurrent run past it has lost the
+/// second choice altogether. Striped runs under a loaded host have
+/// reached gaps in the 50s–70s: their shard workers lag, the mirror
+/// freezes, and every refresh reads the same stale loads until the
+/// buffers fill and shed.
 fn one_choice_gap(cfg: &ServeConfig) -> f64 {
     let n = cfg.n as f64;
-    (cfg.requests as f64 * n.ln() / n).sqrt()
+    (2.0 * cfg.requests as f64 * n.ln() / n).sqrt()
 }
 
 /// The stale two-choice quality bound at b-Batch(64 · 4 workers),
