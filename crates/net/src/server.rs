@@ -173,8 +173,9 @@ enum Store {
 
 struct ReplayState {
     /// Every client id's leaf over the shared store and the reactor's
-    /// clock — the stacks `run_replay` drives. Step `t` (the clock's
-    /// reading) is served by client `t mod clients`.
+    /// clock; it serves with `run_replay`'s refresh → decide → apply
+    /// step. Step `t` (the clock's reading) is served by client
+    /// `t mod clients`.
     stacks: Vec<SnapshotService<SharedStore>>,
     /// Decoded-but-unserved requests per client, awaiting their
     /// round-robin turn.
@@ -306,6 +307,16 @@ impl NetServer {
             run_ids: Vec::new(),
         };
         reactor.run()
+    }
+}
+
+/// Queues `frame` on connection slot `conn`, if it is still open.
+fn queue_on(conns: &mut [Option<ConnEntry>], conn: Option<usize>, frame: &Frame) {
+    if let Some(entry) = conn
+        .and_then(|idx| conns.get_mut(idx))
+        .and_then(Option::as_mut)
+    {
+        entry.conn.queue(frame);
     }
 }
 
@@ -454,7 +465,7 @@ impl Reactor {
                 Ok(Some(frame)) => match frame {
                     Frame::Alloc { req_id, .. } => {
                         let req = frame.request().expect("ALLOC has a request");
-                        self.dispatch_alloc(entry, idx, req_id, req, &mut template);
+                        self.dispatch_alloc(entry, req_id, req, &mut template);
                     }
                     Frame::Hello { client_id, epoch } => {
                         self.flush_run(entry, &mut template);
@@ -493,7 +504,6 @@ impl Reactor {
     fn dispatch_alloc(
         &mut self,
         entry: &mut ConnEntry,
-        _idx: usize,
         req_id: u64,
         req: Request,
         template: &mut Option<Request>,
@@ -655,15 +665,12 @@ impl Reactor {
                 .bin;
             self.digest.write_u64(bin as u64);
             self.served += 1;
-            if let Some(conn_idx) = replay.conn_of[w] {
-                if let Some(entry) = self.conns.get_mut(conn_idx).and_then(Option::as_mut) {
-                    entry.conn.queue(&Frame::RespBin {
-                        req_id,
-                        bin: bin as u64,
-                        epoch: self.epoch,
-                    });
-                }
-            }
+            let reply = Frame::RespBin {
+                req_id,
+                bin: bin as u64,
+                epoch: self.epoch,
+            };
+            queue_on(&mut self.conns, replay.conn_of[w], &reply);
         }
         self.replay = Some(replay);
         // Opportunistic flush of everything the pump queued.
@@ -693,16 +700,9 @@ impl Reactor {
             for (w, queue) in replay.pending.iter_mut().enumerate() {
                 while let Some((req_id, _req)) = queue.pop_front() {
                     self.rejected += 1;
-                    if let Some(conn_idx) = replay.conn_of[w] {
-                        if let Some(entry) =
-                            self.conns.get_mut(conn_idx).and_then(Option::as_mut)
-                        {
-                            entry.conn.queue(&Frame::RespErr {
-                                req_id,
-                                code: ErrorCode::ShuttingDown,
-                            });
-                        }
-                    }
+                    let code = ErrorCode::ShuttingDown;
+                    let reply = Frame::RespErr { req_id, code };
+                    queue_on(&mut self.conns, replay.conn_of[w], &reply);
                 }
             }
             self.replay = Some(replay);

@@ -274,30 +274,28 @@ struct Churn<'c> {
 impl Churn<'_> {
     /// Applies one planned change through the directory, moving every
     /// ball on a transferred bin into the migration queue.
-    fn apply_change(&mut self, planned: PlannedChange, ledger: &mut Ledger) {
+    fn apply_change(&mut self, planned: PlannedChange) {
         let now = self.clock.now();
-        let moves = match planned {
-            PlannedChange::Insert => {
-                if self.dir.len() == self.dir.n() {
-                    self.out.changes_skipped += 1;
-                    return;
-                }
+        // The membership is never empty: a remove needs a second member.
+        let members = self.dir.members();
+        let removed = match planned {
+            PlannedChange::Insert => None,
+            PlannedChange::RemoveNewest => Some(members[members.len() - 1]),
+            PlannedChange::RemoveOldest => Some(members[0]),
+            PlannedChange::RemoveSlot(k) => Some(members[k % members.len()]),
+        };
+        let moves = match removed {
+            None if self.dir.len() < self.dir.n() => {
                 self.out.inserts += 1;
                 self.dir.insert(now).1
             }
-            PlannedChange::RemoveNewest | PlannedChange::RemoveOldest | PlannedChange::RemoveSlot(_) => {
-                if self.dir.len() <= 1 {
-                    self.out.changes_skipped += 1;
-                    return;
-                }
-                let id = match planned {
-                    PlannedChange::RemoveNewest => *self.dir.members().last().unwrap(),
-                    PlannedChange::RemoveOldest => self.dir.members()[0],
-                    PlannedChange::RemoveSlot(k) => self.dir.members()[k % self.dir.len()],
-                    PlannedChange::Insert => unreachable!(),
-                };
+            Some(id) if self.dir.len() > 1 => {
                 self.out.removes += 1;
                 self.dir.remove(id, now)
+            }
+            _ => {
+                self.out.changes_skipped += 1;
+                return;
             }
         };
         self.out.changes += 1;
@@ -321,14 +319,12 @@ impl Churn<'_> {
                 store.deallocate(mv.bin);
                 self.migrating.push_back(mv.bin as u32);
             }
-            ledger.allocated -= resting;
-            ledger.in_migration += resting;
         }
         self.balls.retain(|&bin| !moved[bin as usize]);
     }
 
     /// Re-homes up to `rate` migrating balls.
-    fn drain_migrations(&mut self, rate: u64, ledger: &mut Ledger) {
+    fn drain_migrations(&mut self, rate: u64) {
         for _ in 0..rate {
             let Some(bin) = self.migrating.pop_front() else {
                 break;
@@ -338,10 +334,18 @@ impl Churn<'_> {
                 .expect("direct stores cannot reject");
             self.balls.push(bin);
             self.out.migrated += 1;
-            ledger.in_migration -= 1;
-            ledger.allocated += 1;
             self.digest.write_u64(4);
             self.digest.write_u64(u64::from(bin));
+        }
+    }
+
+    /// `ledger` with its resident and migrating balls read off `balls`
+    /// and `migrating`, so its check compares those with the store.
+    fn settled(&self, ledger: Ledger) -> Ledger {
+        Ledger {
+            allocated: self.balls.len() as u64,
+            in_migration: self.migrating.len() as u64,
+            ..ledger
         }
     }
 
@@ -360,7 +364,7 @@ impl Churn<'_> {
                 break;
             }
             self.next_change += 1;
-            self.apply_change(planned, ledger);
+            self.apply_change(planned);
         }
         // 3. Shed-driven autoscaling, through the same directory.
         let action = self
@@ -370,16 +374,16 @@ impl Churn<'_> {
         match action {
             Some(ScaleAction::Out) => {
                 self.out.autoscale_outs += 1;
-                self.apply_change(PlannedChange::Insert, ledger);
+                self.apply_change(PlannedChange::Insert);
             }
             Some(ScaleAction::In) => {
                 self.out.autoscale_ins += 1;
-                self.apply_change(PlannedChange::RemoveNewest, ledger);
+                self.apply_change(PlannedChange::RemoveNewest);
             }
             None => {}
         }
         // 4. Migration drain.
-        self.drain_migrations(cfg.migration_rate, ledger);
+        self.drain_migrations(cfg.migration_rate);
         // 5. The event slot: seeded departure, or an arrival through
         //    this slot's round-robin worker.
         let depart = cfg.depart_pm > 0
@@ -390,7 +394,6 @@ impl Churn<'_> {
             #[allow(clippy::cast_possible_truncation)]
             let bin = self.balls.swap_remove(idx as usize);
             self.store.borrow_mut().deallocate(bin as usize);
-            ledger.allocated -= 1;
             ledger.departed += 1;
             self.digest.write_u64(3);
             self.digest.write_u64(u64::from(bin));
@@ -403,7 +406,8 @@ impl Churn<'_> {
             self.digest.write_u64(2);
         }
         if cfg!(debug_assertions) {
-            ledger.check(t + 1, self.store.borrow().balls(), &self.shed);
+            self.settled(*ledger)
+                .check(t + 1, self.store.borrow().balls(), &self.shed);
         }
         self.clock
             .advance(1)
@@ -458,18 +462,19 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
     for _ in 0..cfg.shards {
         let _ = churn.dir.insert(0);
     }
-    let mut ledger = drive(&mut stacks, cfg.requests, |t, l, s| churn.slot(t, l, s));
+    let ledger = drive(&mut stacks, cfg.requests, |t, l, s| churn.slot(t, l, s));
 
     // Final drain: absorb every in-flight migration so the run ends
     // with a fully-settled membership.
     while !churn.migrating.is_empty() {
-        churn.drain_migrations(cfg.migration_rate, &mut ledger);
+        churn.drain_migrations(cfg.migration_rate);
         churn
             .clock
             .advance(1)
             .expect("the churn engine sets no deadlines");
     }
     let state = churn.store.borrow().state();
+    let ledger = churn.settled(ledger);
     ledger.check(cfg.requests, state.balls(), &churn.shed);
     let refreshes = stacks.into_iter().map(|s| s.into_inner().alloc.refreshes()).sum();
     let outcome = ChurnOutcome {

@@ -167,6 +167,11 @@ impl DirectCluster {
         self.shards.iter().map(|shard| shard.state().balls()).sum()
     }
 
+    /// The bin↔shard map the store routes by.
+    pub(crate) fn directory(&self) -> &ShardDirectory {
+        &self.directory
+    }
+
     /// Current load of (global) bin `bin`.
     pub(crate) fn load(&self, bin: usize) -> u64 {
         self.shards[self.directory.slot_of(bin)].load(bin)

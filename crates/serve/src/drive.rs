@@ -7,8 +7,9 @@
 //! conservation assert (the threaded [`run_concurrent`](crate::run_concurrent)
 //! folds its per-worker ledgers and ends in the same check).
 //! [`SnapshotAllocator::for_worker`] holds the per-worker seeding rule and
-//! [`SnapshotAllocator::serve`] the refresh → decide → apply step behind
-//! every fault-free leaf, the TCP reactor's replay turnstile included.
+//! [`SnapshotAllocator::serve`] the refresh → decide → apply step of
+//! replay's slots and of every fault-free leaf, the TCP reactor's replay
+//! turnstile included.
 
 use balloc_core::rng::point_seed;
 

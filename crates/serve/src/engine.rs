@@ -1,10 +1,10 @@
 //! The serve engine: closed-loop concurrent serving and deterministic
 //! single-threaded replay over the same decision code.
 //!
-//! Both modes serve through the same [`SnapshotService`] leaf over a
-//! [`LoadSink`], with the same per-worker
-//! [`SnapshotAllocator::for_worker`] decision states, and close the same
-//! [`Ledger`]. They differ only in scheduling:
+//! Both modes serve each request with the same refresh → decide → apply
+//! step over a [`LoadSink`] (the one inside [`SnapshotService`]), with
+//! the same per-worker [`SnapshotAllocator::for_worker`] decision states,
+//! and close the same [`Ledger`]. They differ only in scheduling:
 //!
 //! * [`run_concurrent`] drives `workers` OS threads through
 //!   `workpool::par_map_indexed`, each with a
@@ -17,8 +17,6 @@
 //!   store, making the decision stream a pure function of the seed —
 //!   bit-identical across runs, digestible, and diffable.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,7 +27,7 @@ use balloc_multicounter::MultiCounter;
 use crate::cluster::{DirectCluster, ShardCluster};
 use crate::drive::{drive, validate_shape, Ledger};
 use crate::limit::{InFlightLimitLayer, Permits};
-use crate::service::{Layer, Request, ServeError, Service};
+use crate::service::{Layer, Request, Response, ServeError, Service};
 use crate::shed::{LoadShedLayer, ShedCounter};
 use crate::sink::{LoadSink, ServeClock, SnapshotService};
 use crate::snapshot::{SnapshotAllocator, Staleness};
@@ -292,7 +290,7 @@ fn finish(
 }
 
 /// Runs the **deterministic replay** engine: the same per-worker decision
-/// states as [`run_concurrent`] (same seeds, same leaf service), but
+/// states as [`run_concurrent`] (same seeds, same serving step), but
 /// interleaved round-robin on the calling thread by the crate's one
 /// driver, over a direct store, so the decision stream — and therefore
 /// the digest, the final loads, the gap, and every count — is a pure
@@ -321,44 +319,46 @@ fn finish(
 pub fn run_replay(cfg: &ServeConfig) -> ReplayOutcome {
     cfg.validate();
     match cfg.backend {
-        BackendKind::Sharded => {
-            let store = Rc::new(RefCell::new(DirectCluster::new(cfg.n, cfg.shards)));
-            replay(cfg, &store, || store.borrow().state())
-        }
-        BackendKind::Multicounter => {
-            let counter = Arc::new(MultiCounter::new(cfg.n));
-            replay(cfg, &counter, || LoadState::from_loads(counter.cells()))
-        }
+        BackendKind::Sharded => replay(cfg, DirectCluster::new(cfg.n, cfg.shards), |store| {
+            store.state()
+        }),
+        BackendKind::Multicounter => replay(cfg, Arc::new(MultiCounter::new(cfg.n)), |counter| {
+            LoadState::from_loads(counter.cells())
+        }),
     }
 }
 
-/// [`run_replay`] over one shared sink; `state` reads the final loads.
-fn replay<K: LoadSink + Clone>(
+/// [`run_replay`] over one direct sink; `state` reads its final loads.
+/// Every request completes (direct sinks never reject), so slot `t`
+/// serves at clock `t`.
+fn replay<K: LoadSink>(
     cfg: &ServeConfig,
-    sink: &K,
-    state: impl FnOnce() -> LoadState,
+    mut sink: K,
+    state: impl FnOnce(K) -> LoadState,
 ) -> ReplayOutcome {
-    // Every request completes (direct sinks never reject), so the shared
-    // clock reads `t` at slot `t`.
-    let clock = ServeClock::new();
-    let mut stacks: Vec<SnapshotService<K>> = (0..cfg.workers)
-        .map(|w| {
-            let alloc = SnapshotAllocator::for_worker(cfg.n, cfg.staleness, cfg.seed, w);
-            SnapshotService::new(alloc, sink.clone(), clock.clone())
-        })
+    let mut workers: Vec<SnapshotAllocator> = (0..cfg.workers)
+        .map(|w| SnapshotAllocator::for_worker(cfg.n, cfg.staleness, cfg.seed, w))
         .collect();
     let mut digest = Fnv1a::new();
     // balloc-lint: allow(L002): wall-clock timing of the replay itself;
     // the decision digest never reads it.
     let start = Instant::now();
-    let ledger = drive(&mut stacks, cfg.requests, |_, ledger, stack| {
-        if let Ok(resp) = ledger.record(stack.call(cfg.request)) {
+    let ledger = drive(&mut workers, cfg.requests, |t, ledger, alloc| {
+        let served = alloc.serve(&cfg.request, t, &mut sink);
+        if let Ok(resp) = ledger.record(served.map(|bin| Response { bin })) {
             digest.write_u64(resp.bin as u64);
         }
     });
     let elapsed = start.elapsed();
-    let refreshes = stacks.iter().map(SnapshotService::refreshes).sum();
-    let outcome = finish(cfg, &ledger, refreshes, elapsed, &ShedCounter::new(), &state());
+    let refreshes = workers.iter().map(SnapshotAllocator::refreshes).sum();
+    let outcome = finish(
+        cfg,
+        &ledger,
+        refreshes,
+        elapsed,
+        &ShedCounter::new(),
+        &state(sink),
+    );
     ReplayOutcome {
         outcome,
         digest: digest.finish(),

@@ -39,7 +39,6 @@ use balloc_sim::VClock;
 
 use crate::breaker::{BreakerConfig, BreakerStats, CircuitBreaker};
 use crate::cluster::DirectCluster;
-use crate::directory::ShardDirectory;
 use crate::drive::{drive, validate_shape};
 use crate::fault::{FaultPlan, FaultStats, ShardRole};
 use crate::hedge::{Hedge, HedgeConfig, HedgeStats, HedgeSteer};
@@ -215,14 +214,13 @@ pub struct ResilienceReport {
     pub digest: u64,
 }
 
-/// Everything the faulty leaves share: the store, roles, corruptors.
+/// Everything the faulty leaves share: the store, roles, and the load
+/// corruptor of each corrupted shard's bin range.
 struct Backend {
     store: RefCell<DirectCluster>,
-    ranges: Vec<Range<usize>>,
     roles: Vec<ShardRole>,
-    corruptors: Vec<Option<LoadCorruptor>>,
+    corruptors: Vec<(Range<usize>, LoadCorruptor)>,
     base_latency: u64,
-    directory: ShardDirectory,
 }
 
 /// The leaf service: refresh-if-stale (through the corruption filter),
@@ -245,44 +243,39 @@ struct FaultyAlloc {
     steer: HedgeSteer,
 }
 
-impl FaultyAlloc {
-    fn refresh(&mut self) {
-        self.backend
-            .store
-            .borrow_mut()
-            .refresh(self.alloc.snapshot_mut())
-            .expect("direct stores cannot reject");
-        self.refresh_epoch += 1;
-        let epoch = self.refresh_epoch;
-        for (s, corruptor) in self.backend.corruptors.iter().enumerate() {
-            if let Some(c) = corruptor {
-                let range = self.backend.ranges[s].clone();
-                c.corrupt(&mut self.alloc.snapshot_mut()[range], epoch);
-            }
-        }
-        self.stats.note_refresh();
-    }
-}
-
 impl Service<Request> for FaultyAlloc {
     type Response = Response;
 
     fn call(&mut self, req: Request) -> Result<Response, ServeError> {
         let now = self.completed.get();
         if self.alloc.needs_refresh(now) {
-            self.refresh();
+            let snapshot = self.alloc.snapshot_mut();
+            let mut store = self.backend.store.borrow_mut();
+            store
+                .refresh(snapshot)
+                .expect("direct stores cannot reject");
+            self.refresh_epoch += 1;
+            for (range, c) in &self.backend.corruptors {
+                c.corrupt(&mut snapshot[range.clone()], self.refresh_epoch);
+            }
+            self.stats.note_refresh();
             self.alloc.note_refresh(now);
         }
         let mut bin = self.alloc.decide(&req);
-        // A hedge duplicate in flight avoids the first attempt's shard —
-        // a true second choice in space — unless it is the only member.
-        if let Some(avoid) = self.steer.avoid() {
-            if self.backend.directory.len() >= 2 && self.backend.directory.slot_of(bin) == avoid {
-                bin = self.backend.directory.retarget(bin, avoid);
-                self.steer.note_retarget();
+        let s = {
+            let store = self.backend.store.borrow();
+            let directory = store.directory();
+            // A hedge duplicate in flight avoids the first attempt's shard
+            // — a true second choice in space — unless it is the only
+            // member.
+            if let Some(avoid) = self.steer.avoid() {
+                if directory.len() >= 2 && directory.slot_of(bin) == avoid {
+                    bin = directory.retarget(bin, avoid);
+                    self.steer.note_retarget();
+                }
             }
-        }
-        let s = self.backend.directory.slot_of(bin);
+            directory.slot_of(bin)
+        };
         self.steer.note_attempt(s);
         let role = self.backend.roles[s];
 
@@ -425,21 +418,22 @@ pub fn run_resilient(cfg: &ResilienceConfig) -> ResilienceReport {
     cfg.validate();
     let clock = VClock::new();
     let completed = Rc::new(Cell::new(0));
-    let directory = ShardDirectory::uniform(cfg.n, cfg.shards);
+    let store = DirectCluster::new(cfg.n, cfg.shards);
     let corrupt_seed = point_seed(cfg.seed, CORRUPT_STREAM);
+    let corruptors = store.directory().ranges().into_iter().enumerate();
     let backend = Rc::new(Backend {
-        store: RefCell::new(DirectCluster::new(cfg.n, cfg.shards)),
         roles: (0..cfg.shards).map(|s| cfg.faults.role_of(s)).collect(),
-        corruptors: (0..cfg.shards)
-            .map(|s| {
-                cfg.faults.role_of(s).corrupt.map(|(g, kind)| {
-                    LoadCorruptor::new(g, kind, point_seed(corrupt_seed, s as u64))
-                })
+        corruptors: corruptors
+            .filter_map(|(s, range)| {
+                let (g, kind) = cfg.faults.role_of(s).corrupt?;
+                Some((
+                    range,
+                    LoadCorruptor::new(g, kind, point_seed(corrupt_seed, s as u64)),
+                ))
             })
             .collect(),
-        ranges: directory.ranges(),
+        store: RefCell::new(store),
         base_latency: cfg.faults.base_latency,
-        directory,
     });
     let stats = PolicyStats {
         shed: ShedCounter::new(),

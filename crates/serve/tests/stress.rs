@@ -4,34 +4,38 @@
 //! or shed, and the authoritative state holds exactly the allocated
 //! balls) and boundedness.
 //!
-//! Boundedness is split by what a thread race can promise. A worker
-//! thread that is descheduled keeps deciding against its last snapshot
-//! for as long as the others run, so the concurrent runs' staleness has
-//! no bound and their gap is held only to the One-Choice sanity bound
-//! below. The staleness law's quality bound is asserted on `run_replay`
-//! at the same configuration, where the schedule is fixed.
+//! Boundedness is split by what a thread race can promise. Every worker
+//! decides at most `b` times on one snapshot. The multicounter and
+//! buffered-shard runs read each snapshot from the store itself, so it
+//! is current when taken and their gap keeps a bound that One-Choice
+//! fails. The striped run reads a mirror that the shard workers publish
+//! as they apply; when those workers lag, the mirror freezes and every
+//! refresh reads the same old loads. Its staleness has no bound (on a
+//! loaded host one striped run reached a gap of 75.4, as large as
+//! One-Choice's), so it keeps conservation only. The staleness law's
+//! quality bound is asserted on `run_replay` at the same configuration,
+//! where the schedule is fixed.
 
 use balloc_serve::{
-    run_concurrent, run_replay, BackendKind, NoiseMode, Request, ServeConfig, SnapshotPath,
-    Staleness,
+    run_concurrent, run_replay, BackendKind, NoiseMode, Request, ServeConfig, ServeOutcome,
+    SnapshotPath, Staleness,
 };
 
-/// The One-Choice sanity bound: with `m ≫ n ln n` balls in `n` bins
-/// One-Choice reaches a gap of √(2·m·ln n/n)·(1 + o(1)) (Raab and
-/// Steger's heavily-loaded case; ≈ 102 for the stress config's 80 000
-/// requests over 64 bins), so a concurrent run past it has lost the
-/// second choice altogether. Striped runs under a loaded host have
-/// reached gaps in the 50s–70s: their shard workers lag, the mirror
-/// freezes, and every refresh reads the same stale loads until the
-/// buffers fill and shed.
-fn one_choice_gap(cfg: &ServeConfig) -> f64 {
-    let n = cfg.n as f64;
-    (2.0 * cfg.requests as f64 * n.ln() / n).sqrt()
-}
-
-/// The stale two-choice quality bound at b-Batch(64 · 4 workers),
-/// asserted where it is deterministic.
+/// The stale two-choice quality bound at b-Batch(64 · 4 workers). In 60
+/// concurrent runs alongside the full test suite on a 2-CPU host, the
+/// buffered-shard gaps were 2–5 and the multicounter gaps 2–6; the
+/// striped gaps were 2.6–35.7.
 const QUALITY_GAP: f64 = 40.0;
+
+/// Half of One-Choice's heavily-loaded gap √(2·m·ln n/n) (Raab and
+/// Steger) over the `m` balls a run placed: ≈ 51 when all 80 000 stress
+/// requests land on 64 bins. One-Choice itself stays above it — 400
+/// simulated One-Choice runs at that size had gaps of 55–114, median
+/// 81 — so a concurrent run that lost the second choice fails it.
+fn half_one_choice_gap(outcome: &ServeOutcome, n: usize) -> f64 {
+    let n = n as f64;
+    (outcome.allocated as f64 * n.ln() / (2.0 * n)).sqrt()
+}
 
 fn stress_config(seed: u64) -> ServeConfig {
     ServeConfig {
@@ -57,11 +61,7 @@ fn striped_snapshots_conserve_under_concurrency() {
     cfg.snapshot = SnapshotPath::Striped;
     let outcome = run_concurrent(&cfg);
     assert_eq!(outcome.allocated + outcome.shed, cfg.requests);
-    assert!(
-        outcome.gap < one_choice_gap(&cfg),
-        "striped-snapshot serving gap blew up: {}",
-        outcome.gap
-    );
+    assert!(outcome.allocated > 0);
 }
 
 #[test]
@@ -73,7 +73,7 @@ fn sharded_stack_conserves_under_concurrency() {
     assert_eq!(outcome.allocated + outcome.shed, cfg.requests);
     assert!(outcome.allocated > 0);
     assert!(
-        outcome.gap < one_choice_gap(&cfg),
+        outcome.gap < half_one_choice_gap(&outcome, cfg.n),
         "stressed serving gap blew up: {}",
         outcome.gap
     );
@@ -127,7 +127,7 @@ fn multicounter_backend_is_exact_under_the_same_traffic() {
     assert_eq!(outcome.allocated, cfg.requests);
     assert_eq!(outcome.shed, 0);
     assert!(
-        outcome.gap < one_choice_gap(&cfg),
+        outcome.gap < QUALITY_GAP,
         "counter quality blew up: {}",
         outcome.gap
     );
