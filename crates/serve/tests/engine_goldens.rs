@@ -1,7 +1,12 @@
-//! Golden values for the deterministic replay and churn engines.
+//! Golden values for the deterministic replay, resilience and churn
+//! engines.
 //!
-//! `fault_replay.rs` pins the resilience engine; this file pins the other
-//! two. Each engine's output is a pure function of `(config, seed)`, so
+//! `fault_replay.rs` pins the resilience engine one fault kind and at most
+//! two layers at a time; the resilience golden here runs the full
+//! `d2_full` stack (retry, hedge, timeout, breaker) against all four
+//! faults at once, so the hedge soft deadline nests around the timeout
+//! deadline and the clock's overrun register feeds hedge regret. Each
+//! engine's output is a pure function of `(config, seed)`, so
 //! the constants below fix the whole decision stream (the digest), the
 //! refresh schedule and every ledger count. A refactor of the engines
 //! must leave every value here unchanged. The binary-level `cmp` gates
@@ -11,9 +16,11 @@
 //! If a change *intentionally* alters a stream, re-pin the constants from
 //! the failure output and say why in the commit.
 
+use balloc_noise::CorruptKind;
 use balloc_serve::{
-    run_churn, run_replay, AutoscaleConfig, BackendKind, ChurnConfig, NoiseMode, PlannedChange,
-    Request, ServeConfig, Staleness,
+    run_churn, run_replay, run_resilient, AutoscaleConfig, BackendKind, BreakerConfig,
+    ChurnConfig, FaultKind, FaultPlan, HedgeConfig, NoiseMode, PlannedChange, Policy, Request,
+    ResilienceConfig, ResilienceOutcome, RetryConfig, ServeConfig, Staleness,
 };
 
 /// Sharded store, b-Batch, two workers that split the requests evenly.
@@ -165,4 +172,70 @@ fn churn_goldens() {
         let got = churn_counts(&cfg);
         assert_eq!(got, golden, "{name}: run_churn drifted; got {got:#x?}");
     }
+}
+
+/// `resilience_duel`'s `d2_full` policy against its four faults (slow,
+/// stalling, erroring and load-corrupting shards), at n = 64 with four
+/// shards, four workers and 8·n requests.
+fn resilient_d2_full() -> ResilienceConfig {
+    ResilienceConfig {
+        workers: 4,
+        faults: FaultPlan::clean(1)
+            .with(0, FaultKind::Slow { extra: 12 })
+            .with(1, FaultKind::Stalled { per_mille: 100 })
+            .with(2, FaultKind::Erroring { per_mille: 200 })
+            .with(
+                3,
+                FaultKind::CorruptedLoad {
+                    g: 4,
+                    kind: CorruptKind::Understate,
+                },
+            ),
+        policy: Policy {
+            retry: Some(RetryConfig::default()),
+            rate: None,
+            hedge: Some(HedgeConfig::default()),
+            timeout: Some(24),
+            breaker: Some(BreakerConfig::default()),
+        },
+        ..ResilienceConfig::demo(64, 4, 2025)
+    }
+}
+
+#[test]
+fn resilient_golden() {
+    let r = run_resilient(&resilient_d2_full());
+    let golden = ResilienceOutcome {
+        requests: 512,
+        allocated: 413,
+        shed: 0,
+        timed_out: 0,
+        broken: 99,
+        shed_rate_limited: 0,
+        shed_faulted: 0,
+        retries: 34,
+        retries_exhausted: 0,
+        hedged: 81,
+        hedge_rescued: 65,
+        hedge_regret: 3,
+        hedge_retargeted: 25,
+        breaker_trips: 16,
+        breaker_rejections: 99,
+        faults_slowed: 134,
+        faults_stalled: 11,
+        faults_errored: 31,
+        refreshes: 11,
+        gap: 6.546_875,
+        max_load: 13,
+        latency_p50: 1,
+        latency_p99: 17,
+        latency_max: 37,
+        ticks: 2216,
+    };
+    assert_eq!(
+        (r.digest, &r.outcome),
+        (0x0bb0_dd83_ba52_7a72_u64, &golden),
+        "d2_full: run_resilient drifted; got digest {:#018x}",
+        r.digest
+    );
 }
