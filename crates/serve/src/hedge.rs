@@ -311,9 +311,10 @@ impl<Req: Clone, S: Service<Req>> Service<Req> for Hedge<S> {
     fn call(&mut self, req: Req) -> Result<Self::Response, ServeError> {
         let start = self.clock.now();
         let soft_deadline = start.saturating_add(self.delay());
-        self.clock.push_deadline(soft_deadline);
-        let first = self.inner.call(req.clone());
-        self.clock.pop_deadline();
+        let first = {
+            let _soft = self.clock.deadline_scope(soft_deadline);
+            self.inner.call(req.clone())
+        };
         match first {
             Ok(resp) => {
                 self.hist.record(self.clock.now() - start);

@@ -1,8 +1,8 @@
 //! A deadline layer over the virtual clock — tower-timeout,
 //! synchronously and deterministically.
 //!
-//! [`Timeout`] pushes `now + budget` onto the shared [`VClock`]'s
-//! deadline register before calling the inner service and pops it after.
+//! [`Timeout`] opens a [`VClock::deadline_scope`] at `now + budget` around
+//! the inner call; the scope closes when the call returns.
 //! A backend that respects the clock (every fault-injected backend does)
 //! cannot advance time past the deadline: its `advance` call fails
 //! *before* any side effect, it surfaces [`ServeError::TimedOut`], and
@@ -10,8 +10,8 @@
 //! the engine count `timed_out` as a first-class terminal outcome
 //! alongside `allocated` and `shed` without breaking conservation.
 //!
-//! Because deadlines nest (the register keeps a stack and honors the
-//! minimum), `Timeout` composes with the hedge layer's soft deadline and
+//! Because deadline scopes nest (the active cutoff is the minimum over
+//! the open scopes), `Timeout` composes with the hedge layer's soft deadline and
 //! with outer timeouts: whichever cutoff is earliest wins, and each layer
 //! can tell whether *its own* deadline was the one that fired by
 //! comparing the clock against it.
@@ -88,9 +88,10 @@ impl<Req, S: Service<Req>> Service<Req> for Timeout<S> {
 
     fn call(&mut self, req: Req) -> Result<Self::Response, ServeError> {
         let deadline = self.clock.now().saturating_add(self.budget);
-        self.clock.push_deadline(deadline);
-        let result = self.inner.call(req);
-        self.clock.pop_deadline();
+        let result = {
+            let _scope = self.clock.deadline_scope(deadline);
+            self.inner.call(req)
+        };
         // Only count expiries *we* caused: an inner layer (a nested
         // timeout, a hedge soft deadline) may have fired first, in which
         // case the clock stopped short of our deadline.
@@ -169,7 +170,7 @@ mod tests {
         }
         assert_eq!(stats.timed_out(), 0);
         assert_eq!(clock.now(), 30);
-        assert_eq!(clock.deadline(), None, "deadlines popped after each call");
+        assert_eq!(clock.deadline(), None, "deadline scopes closed after each call");
     }
 
     #[test]

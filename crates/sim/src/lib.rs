@@ -83,4 +83,4 @@ pub use runner::{
     run_on_state, run_traced, GapTrace, NoObserver, RunResult, StepObserver, TracePoint,
 };
 pub use sweep::{series, sweep, sweep_traced, SweepPoint};
-pub use vclock::{DeadlineExpired, VClock};
+pub use vclock::{DeadlineExpired, DeadlineScope, VClock};

@@ -10,15 +10,36 @@
 //! inter-arrival spacing).
 //!
 //! The deadline register is what makes synchronous timeouts sound. A
-//! layer that wants to bound a call pushes a deadline, calls the inner
-//! service, and pops it. When the backend tries to advance the clock
-//! *past* the earliest pushed deadline, [`VClock::advance`] refuses: the
-//! clock stops exactly at the deadline, the would-be completion time is
-//! recorded (for hedging's regret accounting), and the backend gets
-//! [`DeadlineExpired`] — *before* it applies any side effect. A timed-out
-//! request therefore never half-happens, which is the substrate of the
-//! serve engine's conservation invariant (every request ends exactly
-//! once).
+//! layer that wants to bound a call opens a [`DeadlineScope`], calls the
+//! inner service, and lets the scope drop. Scopes nest: the active cutoff
+//! is the minimum of every open scope's deadline, and each scope restores
+//! the cutoff it found when it drops. When the backend tries to advance
+//! the clock *past* the cutoff, [`VClock::advance`] refuses: the clock
+//! stops at the cutoff (or stays put, if the cutoff is already behind
+//! it), the would-be completion time is recorded (for hedging's regret
+//! accounting), and the backend gets [`DeadlineExpired`] — *before* it
+//! applies any side effect. A timed-out request therefore never
+//! half-happens, which is the substrate of the serve engine's
+//! conservation invariant (every request ends exactly once).
+//!
+//! # The serialized-owner contract
+//!
+//! A clock and all its clones are driven by one thread at a time. Clones
+//! may cross threads, but only through a synchronizing handoff: a thread
+//! spawn or join, a channel round trip (the serve crate's `Buffer` worker
+//! answers each call over a channel before the caller touches the clock
+//! again), or a lock. Two threads advancing one clock at the same moment
+//! is outside the contract: the result would not be a function of the
+//! seed, whatever the clock did internally.
+//!
+//! Under that contract the three registers (`now`, the cutoff, the last
+//! overrun) need no read-modify-write and no ordering of their own. Each
+//! is an `AtomicU64` read and written with `Relaxed` plain loads and
+//! stores, which compile to ordinary moves. Within one thread, program
+//! order already sequences every access. Across a handoff, the
+//! synchronizing operation makes every store before it visible to every
+//! load after it. The atomics are there only so that `VClock` is `Sync`
+//! without a lock.
 //!
 //! # Examples
 //!
@@ -26,21 +47,29 @@
 //! use balloc_sim::VClock;
 //!
 //! let clock = VClock::new();
-//! clock.push_deadline(10);
-//! assert_eq!(clock.advance(7), Ok(7));     // within budget
-//! assert!(clock.advance(7).is_err());      // 7 + 7 > 10: expired
-//! assert_eq!(clock.now(), 10);             // clamped to the deadline
-//! assert_eq!(clock.last_overrun(), Some(14)); // would have finished at 14
-//! clock.pop_deadline();
-//! assert_eq!(clock.advance(7), Ok(17));    // unbounded again
+//! {
+//!     let _scope = clock.deadline_scope(10);
+//!     assert_eq!(clock.advance(7), Ok(7));        // within budget
+//!     assert!(clock.advance(7).is_err());         // 7 + 7 > 10: expired
+//!     assert_eq!(clock.now(), 10);                // stopped at the cutoff
+//!     assert_eq!(clock.last_overrun(), Some(14)); // would have finished at 14
+//! }
+//! assert_eq!(clock.advance(7), Ok(17)); // unbounded again
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
+
+/// Cutoff register value meaning "no deadline is active".
+const NO_CUTOFF: u64 = u64::MAX;
+/// Overrun register value meaning "no advance has been refused yet". A
+/// refused target is always greater than some cutoff, so it is never 0.
+const NO_OVERRUN: u64 = 0;
 
 /// Error returned by [`VClock::advance`] when the requested advance would
-/// cross the earliest pushed deadline. The clock is left *at* the
-/// deadline and the would-be completion time is readable via
-/// [`VClock::last_overrun`].
+/// cross the active cutoff. The clock is left at the cutoff (or where it
+/// was, if that is later) and the would-be completion time is readable
+/// via [`VClock::last_overrun`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeadlineExpired;
 
@@ -52,24 +81,43 @@ impl std::fmt::Display for DeadlineExpired {
 
 impl std::error::Error for DeadlineExpired {}
 
-#[derive(Debug, Default)]
-struct ClockInner {
-    now: u64,
-    /// Stack of active deadlines (absolute ticks), pushed/popped in LIFO
-    /// order by nested timeout-like layers. `advance` honors the minimum.
-    deadlines: Vec<u64>,
-    /// The tick the last refused advance *would* have completed at.
-    last_overrun: Option<u64>,
+#[derive(Debug)]
+struct Registers {
+    now: AtomicU64,
+    /// Minimum deadline (absolute tick) over the open scopes, or
+    /// [`NO_CUTOFF`].
+    cutoff: AtomicU64,
+    /// The tick the last refused advance *would* have completed at, or
+    /// [`NO_OVERRUN`].
+    overrun: AtomicU64,
 }
 
 /// A shared deterministic virtual clock (see the module docs).
 ///
-/// Cheap to clone: clones share the same underlying counter and deadline
-/// register, so every layer of a service stack (and every worker of an
-/// engine) observes the same time.
-#[derive(Debug, Clone, Default)]
+/// Cheap to clone: clones share the same counter and deadline register,
+/// so every layer of a service stack (and every worker of an engine)
+/// observes the same time.
+#[derive(Debug, Clone)]
 pub struct VClock {
-    inner: Arc<Mutex<ClockInner>>,
+    regs: Arc<Registers>,
+}
+
+// Engines hand clocks to worker threads; keep that possible without a lock.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<VClock>();
+};
+
+impl Default for VClock {
+    fn default() -> Self {
+        Self {
+            regs: Arc::new(Registers {
+                now: AtomicU64::new(0),
+                cutoff: AtomicU64::new(NO_CUTOFF),
+                overrun: AtomicU64::new(NO_OVERRUN),
+            }),
+        }
+    }
 }
 
 impl VClock {
@@ -82,61 +130,57 @@ impl VClock {
     /// The current tick.
     #[must_use]
     pub fn now(&self) -> u64 {
-        self.lock().now
+        self.regs.now.load(Relaxed)
     }
 
-    /// Advances the clock by `ticks`, unless that would cross the
-    /// earliest pushed deadline.
+    /// Advances the clock by `ticks`, unless that would cross the active
+    /// cutoff.
     ///
-    /// On success returns the new current tick. On refusal the clock is
-    /// clamped *to* the deadline (time passed up to the cutoff — the
-    /// caller waited that long before giving up), the would-be completion
-    /// tick is stored for [`last_overrun`](Self::last_overrun), and
-    /// [`DeadlineExpired`] is returned. Saturates at `u64::MAX` instead
-    /// of wrapping.
+    /// On success returns the new current tick. On refusal time passes up
+    /// to the cutoff — the caller waited that long before giving up — but
+    /// never runs backwards: a cutoff already behind the clock leaves it
+    /// where it is. The would-be completion tick is stored for
+    /// [`last_overrun`](Self::last_overrun) and [`DeadlineExpired`] is
+    /// returned. Saturates at `u64::MAX` instead of wrapping.
     ///
     /// # Errors
     ///
-    /// Returns [`DeadlineExpired`] when `now + ticks` exceeds the
-    /// earliest active deadline.
+    /// Returns [`DeadlineExpired`] when `now + ticks` exceeds the active
+    /// cutoff.
     pub fn advance(&self, ticks: u64) -> Result<u64, DeadlineExpired> {
-        let mut inner = self.lock();
-        let target = inner.now.saturating_add(ticks);
-        if let Some(&cutoff) = inner.deadlines.iter().min() {
-            if target > cutoff {
-                inner.last_overrun = Some(target);
-                inner.now = cutoff;
-                return Err(DeadlineExpired);
-            }
+        let now = self.regs.now.load(Relaxed);
+        let target = now.saturating_add(ticks);
+        let cutoff = self.regs.cutoff.load(Relaxed);
+        if target > cutoff {
+            self.regs.overrun.store(target, Relaxed);
+            self.regs.now.store(now.max(cutoff), Relaxed);
+            return Err(DeadlineExpired);
         }
-        inner.now = target;
+        self.regs.now.store(target, Relaxed);
         Ok(target)
     }
 
-    /// Pushes an absolute-tick deadline; [`advance`](Self::advance) will
-    /// refuse to cross the minimum of all pushed deadlines until the
-    /// matching [`pop_deadline`](Self::pop_deadline).
-    pub fn push_deadline(&self, at: u64) {
-        self.lock().deadlines.push(at);
+    /// Opens a deadline scope at absolute tick `at`: until the returned
+    /// guard drops, [`advance`](Self::advance) refuses to cross
+    /// `min(at, the cutoff of any enclosing scope)`.
+    ///
+    /// Scopes must end in the reverse order they were opened, which
+    /// lexical scoping gives for free.
+    pub fn deadline_scope(&self, at: u64) -> DeadlineScope<'_> {
+        let prev = self.regs.cutoff.load(Relaxed);
+        let cutoff = prev.min(at);
+        self.regs.cutoff.store(cutoff, Relaxed);
+        DeadlineScope {
+            clock: self,
+            prev,
+            cutoff,
+        }
     }
 
-    /// Pops the most recently pushed deadline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no deadline is active (unbalanced push/pop indicates a
-    /// middleware bug).
-    pub fn pop_deadline(&self) {
-        self.lock()
-            .deadlines
-            .pop()
-            .expect("pop_deadline without a matching push_deadline");
-    }
-
-    /// The earliest active deadline, if any.
+    /// The active cutoff, if any scope is open.
     #[must_use]
     pub fn deadline(&self) -> Option<u64> {
-        self.lock().deadlines.iter().min().copied()
+        Some(self.regs.cutoff.load(Relaxed)).filter(|&c| c != NO_CUTOFF)
     }
 
     /// The tick the last refused [`advance`](Self::advance) would have
@@ -144,11 +188,30 @@ impl VClock {
     /// regret accounting. `None` until the first refusal.
     #[must_use]
     pub fn last_overrun(&self) -> Option<u64> {
-        self.lock().last_overrun
+        Some(self.regs.overrun.load(Relaxed)).filter(|&t| t != NO_OVERRUN)
     }
+}
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, ClockInner> {
-        self.inner.lock().expect("virtual clock poisoned")
+/// An open deadline on a [`VClock`], from
+/// [`VClock::deadline_scope`]. Dropping it restores the cutoff that was
+/// active when it was opened.
+#[derive(Debug)]
+#[must_use = "the deadline is lifted as soon as the scope drops"]
+pub struct DeadlineScope<'a> {
+    clock: &'a VClock,
+    prev: u64,
+    cutoff: u64,
+}
+
+impl Drop for DeadlineScope<'_> {
+    fn drop(&mut self) {
+        let regs = &self.clock.regs;
+        debug_assert_eq!(
+            regs.cutoff.load(Relaxed),
+            self.cutoff,
+            "deadline scopes must end in the reverse order they were opened"
+        );
+        regs.cutoff.store(self.prev, Relaxed);
     }
 }
 
@@ -180,7 +243,7 @@ mod tests {
     #[test]
     fn deadline_clamps_and_records_overrun() {
         let clock = VClock::new();
-        clock.push_deadline(10);
+        let _scope = clock.deadline_scope(10);
         assert_eq!(clock.advance(9), Ok(9));
         assert_eq!(clock.advance(1), Ok(10), "landing exactly on the deadline is fine");
         assert_eq!(clock.advance(1), Err(DeadlineExpired));
@@ -189,30 +252,93 @@ mod tests {
     }
 
     #[test]
+    fn last_overrun_is_none_until_the_first_refusal() {
+        let clock = VClock::new();
+        let _scope = clock.deadline_scope(4);
+        assert_eq!(clock.advance(4), Ok(4));
+        assert_eq!(clock.last_overrun(), None, "an accepted advance is no overrun");
+        assert_eq!(clock.advance(1), Err(DeadlineExpired));
+        assert_eq!(clock.last_overrun(), Some(5));
+    }
+
+    #[test]
+    fn stall_records_the_saturated_target() {
+        let clock = VClock::new();
+        clock.advance(3).unwrap();
+        let _scope = clock.deadline_scope(8);
+        assert_eq!(clock.advance(u64::MAX), Err(DeadlineExpired));
+        assert_eq!(clock.now(), 8);
+        assert_eq!(clock.last_overrun(), Some(u64::MAX));
+    }
+
+    #[test]
+    fn passed_cutoff_refuses_without_running_backwards() {
+        let clock = VClock::new();
+        clock.advance(10).unwrap();
+        let _scope = clock.deadline_scope(5);
+        assert_eq!(clock.advance(0), Err(DeadlineExpired));
+        assert_eq!(clock.now(), 10, "a cutoff behind the clock must not rewind it");
+        assert_eq!(clock.last_overrun(), Some(10));
+    }
+
+    #[test]
     fn nested_deadlines_honor_the_minimum() {
         let clock = VClock::new();
-        clock.push_deadline(100);
-        clock.push_deadline(5);
-        assert_eq!(clock.advance(7), Err(DeadlineExpired));
-        assert_eq!(clock.now(), 5);
-        clock.pop_deadline();
-        // The outer deadline still binds.
-        assert_eq!(clock.advance(200), Err(DeadlineExpired));
-        assert_eq!(clock.now(), 100);
-        clock.pop_deadline();
+        {
+            let _outer = clock.deadline_scope(100);
+            {
+                let _inner = clock.deadline_scope(5);
+                assert_eq!(clock.advance(7), Err(DeadlineExpired));
+                assert_eq!(clock.now(), 5);
+            }
+            // The outer deadline still binds.
+            assert_eq!(clock.advance(200), Err(DeadlineExpired));
+            assert_eq!(clock.now(), 100);
+        }
         assert_eq!(clock.advance(200), Ok(300));
     }
 
     #[test]
     fn min_not_lifo_governs_out_of_order_deadlines() {
-        // An inner layer may push a *later* deadline than the outer one;
+        // An inner layer may open a *later* deadline than the outer one;
         // the earlier (outer) deadline must still be the cutoff.
         let clock = VClock::new();
-        clock.push_deadline(5);
-        clock.push_deadline(100);
+        let _outer = clock.deadline_scope(5);
+        let _inner = clock.deadline_scope(100);
         assert_eq!(clock.advance(50), Err(DeadlineExpired));
         assert_eq!(clock.now(), 5);
         assert_eq!(clock.deadline(), Some(5));
+    }
+
+    #[test]
+    fn scope_drop_restores_the_enclosing_cutoff() {
+        let clock = VClock::new();
+        assert_eq!(clock.deadline(), None);
+        let outer = clock.deadline_scope(20);
+        {
+            let _inner = clock.deadline_scope(7);
+            assert_eq!(clock.deadline(), Some(7));
+        }
+        assert_eq!(clock.deadline(), Some(20));
+        drop(outer);
+        assert_eq!(clock.deadline(), None);
+    }
+
+    #[test]
+    fn handoff_across_threads_carries_every_register() {
+        let clock = VClock::new();
+        clock.advance(2).unwrap();
+        let remote = clock.clone();
+        std::thread::spawn(move || {
+            let _scope = remote.deadline_scope(9);
+            assert_eq!(remote.advance(5), Ok(7));
+            assert_eq!(remote.advance(5), Err(DeadlineExpired));
+        })
+        .join()
+        .unwrap();
+        assert_eq!(clock.now(), 9);
+        assert_eq!(clock.last_overrun(), Some(12));
+        assert_eq!(clock.deadline(), None, "the remote scope ended before the join");
     }
 
     #[test]
@@ -220,11 +346,5 @@ mod tests {
         let clock = VClock::new();
         assert_eq!(clock.advance(u64::MAX), Ok(u64::MAX));
         assert_eq!(clock.advance(u64::MAX), Ok(u64::MAX));
-    }
-
-    #[test]
-    #[should_panic(expected = "without a matching push")]
-    fn unbalanced_pop_panics() {
-        VClock::new().pop_deadline();
     }
 }
