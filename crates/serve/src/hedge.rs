@@ -13,12 +13,15 @@
 //! implements the standard cancel-on-hedge variant: the first attempt
 //! runs under a *soft deadline* of `now + delay`, where `delay` is the
 //! configured quantile of this service's observed latencies (the
-//! BigTable/"Tail at Scale" backup-request rule). If the attempt would
-//! outlive the delay, the virtual clock aborts it side-effect-free, the
-//! duplicate is issued, and the duplicate's outcome is the request's
-//! outcome. The clock's overrun register remembers when the first attempt
-//! *would* have finished, so the layer also reports hedge *regret* —
-//! duplicates that finished later than simply waiting would have.
+//! BigTable/"Tail at Scale" backup-request rule). The soft deadline is a
+//! [`VClock::deadline_scope`] around the first attempt only, so it nests
+//! with any `Timeout` deadline and the earlier cutoff wins. If the
+//! attempt would outlive the delay, the virtual clock aborts it
+//! side-effect-free, the duplicate is issued, and the duplicate's outcome
+//! is the request's outcome. The clock's overrun register remembers when
+//! the first attempt *would* have finished, so the layer also reports
+//! hedge *regret* — duplicates that finished later than simply waiting
+//! would have.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -1,9 +1,9 @@
 //! A deadline layer over the virtual clock — tower-timeout,
 //! synchronously and deterministically.
 //!
-//! [`Timeout`] opens a [`VClock::deadline_scope`] at `now + budget` around
-//! the inner call; the scope closes when the call returns.
-//! A backend that respects the clock (every fault-injected backend does)
+//! [`Timeout`] opens a [`VClock::deadline_scope`] at `now + budget`
+//! around the inner call; the scope closes when the call returns. A
+//! backend that respects the clock (every fault-injected backend does)
 //! cannot advance time past the deadline: its `advance` call fails
 //! *before* any side effect, it surfaces [`ServeError::TimedOut`], and
 //! the request ends with exactly zero balls placed — which is what lets
@@ -11,10 +11,10 @@
 //! alongside `allocated` and `shed` without breaking conservation.
 //!
 //! Because deadline scopes nest (the active cutoff is the minimum over
-//! the open scopes), `Timeout` composes with the hedge layer's soft deadline and
-//! with outer timeouts: whichever cutoff is earliest wins, and each layer
-//! can tell whether *its own* deadline was the one that fired by
-//! comparing the clock against it.
+//! the open scopes), `Timeout` composes with the hedge layer's soft
+//! deadline and with outer timeouts: whichever cutoff is earliest wins,
+//! and each layer can tell whether *its own* deadline was the one that
+//! fired by comparing the clock against it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -170,7 +170,7 @@ mod tests {
         }
         assert_eq!(stats.timed_out(), 0);
         assert_eq!(clock.now(), 30);
-        assert_eq!(clock.deadline(), None, "deadline scopes closed after each call");
+        assert_eq!(clock.deadline(), None, "no deadline left after each call");
     }
 
     #[test]

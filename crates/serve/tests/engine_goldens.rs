@@ -18,9 +18,9 @@
 
 use balloc_noise::CorruptKind;
 use balloc_serve::{
-    run_churn, run_replay, run_resilient, AutoscaleConfig, BackendKind, BreakerConfig,
-    ChurnConfig, FaultKind, FaultPlan, HedgeConfig, NoiseMode, PlannedChange, Policy, Request,
-    ResilienceConfig, ResilienceOutcome, RetryConfig, ServeConfig, Staleness,
+    run_churn, run_replay, run_resilient, AutoscaleConfig, BackendKind, BreakerConfig, ChurnConfig,
+    FaultKind, FaultPlan, HedgeConfig, NoiseMode, PlannedChange, Policy, Request, ResilienceConfig,
+    ResilienceOutcome, RetryConfig, ServeConfig, Staleness,
 };
 
 /// Sharded store, b-Batch, two workers that split the requests evenly.

