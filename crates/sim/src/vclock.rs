@@ -34,12 +34,12 @@
 //!
 //! Under that contract the three registers (`now`, the cutoff, the last
 //! overrun) need no read-modify-write and no ordering of their own. Each
-//! is an `AtomicU64` read and written with `Relaxed` plain loads and
-//! stores, which compile to ordinary moves. Within one thread, program
-//! order already sequences every access. Across a handoff, the
-//! synchronizing operation makes every store before it visible to every
-//! load after it. The atomics are there only so that `VClock` is `Sync`
-//! without a lock.
+//! is an `AtomicU64` read and written with `Relaxed` loads and stores,
+//! which compile to ordinary memory accesses with no lock prefix. Within
+//! one thread, program order already sequences every access. Across a
+//! handoff, the synchronizing operation makes every store before it
+//! visible to every load after it. The atomics are there only so that
+//! `VClock` is `Sync` without a lock.
 //!
 //! # Examples
 //!
@@ -102,7 +102,8 @@ pub struct VClock {
     regs: Arc<Registers>,
 }
 
-// Engines hand clocks to worker threads; keep that possible without a lock.
+// A clock may be handed to a worker thread (a `Buffer` backend); keep
+// that possible without a lock.
 const _: () = {
     const fn send_sync<T: Send + Sync>() {}
     send_sync::<VClock>();
