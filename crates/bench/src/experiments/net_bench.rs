@@ -34,8 +34,7 @@ use std::net::SocketAddr;
 
 use balloc_net::{run_loadgen, LoadGenConfig, NetConfig, NetServer, ServerMode, ServerReport};
 use balloc_serve::{
-    run_concurrent, run_replay, BackendKind, NoiseMode, Request, ServeConfig, SnapshotPath,
-    Staleness,
+    run_replay, BackendKind, NoiseMode, Request, ServeConfig, SnapshotPath, Staleness,
 };
 use balloc_sim::{OutputSink, Report, TextTable};
 use serde::Serialize;
@@ -274,12 +273,12 @@ impl Experiment for NetBench {
             replay[0].in_process_digest.clone(),
         ]);
 
-        // The in-process baseline for the overhead column: the same
-        // serve stack, one worker, no socket.
+        // The in-process baseline for the overhead column: the replay
+        // engine's serving step, one worker, no socket.
         let mut in_process_rps = 0.0;
         let mut cells = Vec::new();
         if !replay_only {
-            in_process_rps = run_concurrent(&replay_config(1)).throughput_rps;
+            in_process_rps = run_replay(&replay_config(1)).outcome.throughput_rps;
 
             let mut table = TextTable::new(vec![
                 "connections".into(),

@@ -3,26 +3,22 @@
 //!
 //! `balloc-serve` serves `allocate(d)` decisions from per-worker
 //! snapshots refreshed every `b` requests (`b-Batch`) or at age `τ`
-//! (`τ-Delay`), while the authoritative loads live in `S` shards behind
-//! buffer workers. This experiment drives the closed-loop engine over a
-//! `shards × staleness` grid and reports, per cell:
+//! (`τ-Delay`), while the authoritative loads live in `S` shards of one
+//! direct store. This experiment runs the single-threaded replay engine
+//! once per cell of a `shards × staleness` grid and reports the decision
+//! digest, the achieved gap and the maximum load of each cell, next to
+//! the `b-Batch` theory term `batch_gap(n, b_global)` — the paper's price
+//! list for the staleness knob. Outside `--replay` it also reports each
+//! cell's wall-clock throughput.
 //!
-//! * **throughput** (requests/s through the layered stack, concurrent
-//!   engine), and
-//! * **achieved gap** of the final authoritative load vector, next to the
-//!   `b-Batch` theory term `batch_gap(n, b_global)` — the paper's price
-//!   list for the staleness knob.
-//!
-//! The replay table re-runs every cell on the deterministic
-//! single-threaded engine: digests there are bit-identical across runs at
-//! a fixed seed (checked in-process by running the first cell twice), so
+//! Digests are bit-identical across runs at a fixed seed (checked
+//! in-process by running the first cell twice), so
 //! `balloc serve_bench --replay --json` is byte-stable — the serving
 //! layer's extension of the workspace determinism contract.
 
 use balloc_analysis::bounds::batch_gap;
 use balloc_serve::{
-    run_concurrent, run_replay, BackendKind, NoiseMode, Request, ServeConfig, SnapshotPath,
-    Staleness,
+    run_replay, BackendKind, NoiseMode, Request, ServeConfig, SnapshotPath, Staleness,
 };
 use balloc_sim::{OutputSink, Report, TextTable};
 use serde::Serialize;
@@ -30,20 +26,6 @@ use serde::Serialize;
 use crate::{emit_header, experiment_seed, fmt3, BenchError, CommonArgs, FlagKind, FlagSpec};
 
 use super::Experiment;
-
-#[derive(Serialize)]
-struct ConcurrentCell {
-    shards: usize,
-    staleness: String,
-    /// The global batch-size equivalent the theory term is evaluated at.
-    b_global: u64,
-    throughput_rps: f64,
-    gap: f64,
-    allocated: u64,
-    shed: u64,
-    refreshes: u64,
-    theory_term: f64,
-}
 
 #[derive(Serialize)]
 struct ReplayCell {
@@ -62,30 +44,16 @@ struct ServeBenchArtifact {
     workers: usize,
     d: usize,
     sigma: f64,
-    backend: String,
-    snapshot: String,
-    buffer_capacity: usize,
-    inflight: Option<usize>,
     requests_per_cell: u64,
-    /// Hardware threads the host exposed to this run.
-    cpus: usize,
-    /// Present iff the host exposes a single hardware thread: the
-    /// concurrent table then measures overhead, not parallel speedup.
-    cpu_caveat: Option<String>,
-    concurrent: Vec<ConcurrentCell>,
     replay: Vec<ReplayCell>,
 }
 
-/// The honesty note for single-CPU hosts. With one hardware thread the
-/// concurrent engine's threads time-slice instead of running in parallel,
-/// so throughput numbers quantify scheduling and synchronization overhead
-/// only — any reader comparing shard counts on such a host must know that.
-fn single_core_caveat(cpus: usize) -> Option<String> {
-    (cpus == 1).then(|| {
-        "overhead-only: this host exposes 1 hardware thread, so concurrent throughput \
-         measures scheduling/synchronization overhead, not parallel speedup"
-            .to_string()
-    })
+/// Outside `--replay`: the replay artifact plus each cell's wall-clock
+/// throughput, in `replay` order.
+#[derive(Serialize)]
+struct TimedArtifact {
+    grid: ServeBenchArtifact,
+    throughput_rps: Vec<f64>,
 }
 
 /// `balloc serve_bench` — see the module docs.
@@ -133,21 +101,7 @@ impl Experiment for ServeBench {
                 kind: FlagKind::U64,
                 positive: true,
                 default: "4",
-                help: "serving worker threads (replay: virtual workers)",
-            },
-            FlagSpec {
-                name: "--buffer",
-                kind: FlagKind::U64,
-                positive: true,
-                default: "4096",
-                help: "per-shard request buffer capacity",
-            },
-            FlagSpec {
-                name: "--inflight",
-                kind: FlagKind::U64,
-                positive: false,
-                default: "0",
-                help: "fleet-wide in-flight limit (0 = unlimited)",
+                help: "virtual round-robin serving workers",
             },
             FlagSpec {
                 name: "--d",
@@ -164,25 +118,11 @@ impl Experiment for ServeBench {
                 help: "extra sigma-Noisy-Load Gaussian on every comparison (0 = off)",
             },
             FlagSpec {
-                name: "--multicounter",
-                kind: FlagKind::Switch,
-                positive: false,
-                default: "off",
-                help: "back the service with one shared MultiCounter instead of shards",
-            },
-            FlagSpec {
                 name: "--replay",
                 kind: FlagKind::Switch,
                 positive: false,
                 default: "off",
-                help: "deterministic replay only (byte-stable output; no throughput)",
-            },
-            FlagSpec {
-                name: "--striped",
-                kind: FlagKind::Switch,
-                positive: false,
-                default: "off",
-                help: "refresh snapshots from the lock-free striped mirror (sharded backend)",
+                help: "deterministic output only (byte-stable; no throughput)",
             },
         ]
     }
@@ -191,27 +131,12 @@ impl Experiment for ServeBench {
         emit_header(sink, "A9", "sharded serving front-end", args);
 
         let workers = args.extras.u64("--workers").unwrap_or(4) as usize;
-        let buffer = args.extras.u64("--buffer").unwrap_or(4096) as usize;
-        let inflight = match args.extras.u64("--inflight").unwrap_or(0) {
-            0 => None,
-            k => Some(k as usize),
-        };
         let d = args.extras.u64("--d").unwrap_or(2) as usize;
         let sigma = args.extras.f64("--sigma").unwrap_or(0.0);
         if sigma < 0.0 {
             return Err(BenchError::Usage("--sigma must be non-negative".into()));
         }
-        let backend = if args.extras.switch("--multicounter") {
-            BackendKind::Multicounter
-        } else {
-            BackendKind::Sharded
-        };
         let replay_only = args.extras.switch("--replay");
-        let snapshot = if args.extras.switch("--striped") {
-            SnapshotPath::Striped
-        } else {
-            SnapshotPath::Buffered
-        };
 
         let request = Request {
             d,
@@ -221,14 +146,10 @@ impl Experiment for ServeBench {
                 NoiseMode::Snapshot
             },
         };
-        // The multicounter backend has no shards — collapsing the axis
-        // keeps the grid honest (and CI fast) instead of running
-        // byte-identical cells three times.
-        let shard_counts: Vec<usize> = if backend == BackendKind::Multicounter {
-            vec![1]
-        } else {
-            [1usize, 2, 4].into_iter().filter(|&s| s <= args.n).collect()
-        };
+        let shard_counts: Vec<usize> = [1usize, 2, 4]
+            .into_iter()
+            .filter(|&s| s <= args.n)
+            .collect();
         let staleness_axis = staleness_grid(args.n);
         let cell_config = |shards: usize, staleness: Staleness| ServeConfig {
             n: args.n,
@@ -237,10 +158,10 @@ impl Experiment for ServeBench {
             requests: args.m(),
             request,
             staleness,
-            buffer_capacity: buffer,
-            inflight,
-            backend,
-            snapshot,
+            buffer_capacity: 4096,
+            inflight: None,
+            backend: BackendKind::Sharded,
+            snapshot: SnapshotPath::Buffered,
             // Deliberately *not* folding the shard count into the tag:
             // decisions only ever read snapshots of the global vector, so
             // at a fixed seed the replay digest must be identical for
@@ -249,31 +170,41 @@ impl Experiment for ServeBench {
             seed: experiment_seed(&format!("serve_bench/{staleness}"), args.seed),
         };
 
-        // The replay grid is computed first so the determinism self-check
-        // can reuse its first cell (emission order below stays
-        // concurrent-then-replay).
-        let mut replay_table = TextTable::new(vec![
-            "shards".into(),
-            "staleness".into(),
-            "digest".into(),
-            "gap".into(),
-            "max load".into(),
-        ]);
+        let mut columns = vec![
+            "shards",
+            "staleness",
+            "digest",
+            "gap",
+            "max load",
+            "theory (b-Batch)",
+        ];
+        if !replay_only {
+            columns.push("throughput (req/s)");
+        }
+        let mut table = TextTable::new(columns.into_iter().map(String::from).collect());
         let mut replay = Vec::new();
+        let mut throughput_rps = Vec::new();
         for &shards in &shard_counts {
             for &staleness in &staleness_axis {
                 let out = run_replay(&cell_config(shards, staleness));
-                replay_table.push_row(vec![
+                let digest = format!("{:016x}", out.digest);
+                let mut row = vec![
                     shards.to_string(),
                     staleness.to_string(),
-                    format!("{:016x}", out.digest),
+                    digest.clone(),
                     fmt3(out.outcome.gap),
                     out.outcome.max_load.to_string(),
-                ]);
+                    fmt3(batch_gap(args.n as u64, b_global(staleness, workers))),
+                ];
+                if !replay_only {
+                    row.push(format!("{:.0}", out.outcome.throughput_rps));
+                }
+                table.push_row(row);
+                throughput_rps.push(out.outcome.throughput_rps);
                 replay.push(ReplayCell {
                     shards,
                     staleness: staleness.to_string(),
-                    digest: format!("{:016x}", out.digest),
+                    digest,
                     gap: out.outcome.gap,
                     max_load: out.outcome.max_load,
                     allocated: out.outcome.allocated,
@@ -293,54 +224,7 @@ impl Experiment for ServeBench {
             )));
         }
 
-        let mut concurrent = Vec::new();
-        if !replay_only {
-            let mut table = TextTable::new(vec![
-                "shards".into(),
-                "staleness".into(),
-                "throughput (req/s)".into(),
-                "gap".into(),
-                "shed".into(),
-                "theory (b-Batch)".into(),
-            ]);
-            for &shards in &shard_counts {
-                for &staleness in &staleness_axis {
-                    let outcome = run_concurrent(&cell_config(shards, staleness));
-                    let bg = b_global(staleness, workers);
-                    let theory = batch_gap(args.n as u64, bg);
-                    table.push_row(vec![
-                        shards.to_string(),
-                        staleness.to_string(),
-                        format!("{:.0}", outcome.throughput_rps),
-                        fmt3(outcome.gap),
-                        outcome.shed.to_string(),
-                        fmt3(theory),
-                    ]);
-                    concurrent.push(ConcurrentCell {
-                        shards,
-                        staleness: staleness.to_string(),
-                        b_global: bg,
-                        throughput_rps: outcome.throughput_rps,
-                        gap: outcome.gap,
-                        allocated: outcome.allocated,
-                        shed: outcome.shed,
-                        refreshes: outcome.refreshes,
-                        theory_term: theory,
-                    });
-                }
-            }
-            sink.table("concurrent", table);
-        }
-
-        let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let cpu_caveat = single_core_caveat(cpus);
-        if !replay_only {
-            if let Some(caveat) = &cpu_caveat {
-                sink.line(caveat);
-            }
-        }
-
-        sink.table("replay", replay_table);
+        sink.table("replay", table);
         sink.line(
             "expected: gap grows with staleness along the b-Batch law; replay digests \
              repeat across shard counts (sharding is storage layout, not policy) and \
@@ -352,18 +236,18 @@ impl Experiment for ServeBench {
             workers,
             d,
             sigma,
-            backend: format!("{backend:?}"),
-            snapshot: format!("{snapshot:?}"),
-            buffer_capacity: buffer,
-            inflight,
             requests_per_cell: args.m(),
-            cpus,
-            cpu_caveat,
-            concurrent,
             replay,
         };
         sink.blank();
-        sink.save_artifact(&artifact);
+        if replay_only {
+            sink.save_artifact(&artifact);
+        } else {
+            sink.save_artifact(&TimedArtifact {
+                grid: artifact,
+                throughput_rps,
+            });
+        }
         Ok(sink.take_report())
     }
 }
@@ -390,22 +274,5 @@ mod tests {
     fn b_global_folds_workers_into_batches_only() {
         assert_eq!(b_global(Staleness::Batch { b: 8 }, 4), 32);
         assert_eq!(b_global(Staleness::Delay { tau: 8 }, 4), 8);
-    }
-
-    #[test]
-    fn single_core_caveat_is_byte_pinned() {
-        // Golden: the caveat is part of the JSON artifact surface, so its
-        // exact wording is pinned — downstream tooling greps for it.
-        assert_eq!(
-            single_core_caveat(1).as_deref(),
-            Some(
-                "overhead-only: this host exposes 1 hardware thread, so concurrent \
-                 throughput measures scheduling/synchronization overhead, not parallel \
-                 speedup"
-            )
-        );
-        for cpus in [2usize, 4, 64] {
-            assert_eq!(single_core_caveat(cpus), None, "cpus = {cpus}");
-        }
     }
 }

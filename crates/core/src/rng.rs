@@ -121,24 +121,6 @@ impl Rng {
         }
     }
 
-    /// Creates a generator from raw xoshiro256++ state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state is all zero (the only degenerate state of the
-    /// generator).
-    #[must_use]
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(
-            s.iter().any(|&w| w != 0),
-            "xoshiro256++ state must not be all zero"
-        );
-        Self {
-            s,
-            gaussian_spare: None,
-        }
-    }
-
     /// Returns the next 64 uniformly random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -330,26 +312,6 @@ impl Rng {
             "standard deviation must be finite and non-negative"
         );
         mean + std_dev * self.standard_gaussian()
-    }
-
-    /// Derives an independent child generator.
-    ///
-    /// The child stream is seeded from the parent's output stream through
-    /// SplitMix64, the standard technique for spawning per-run generators
-    /// from a master seed.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use balloc_core::Rng;
-    /// let mut master = Rng::from_seed(5);
-    /// let mut child_a = master.fork();
-    /// let mut child_b = master.fork();
-    /// assert_ne!(child_a.next_u64(), child_b.next_u64());
-    /// ```
-    #[must_use]
-    pub fn fork(&mut self) -> Self {
-        Self::from_seed(self.next_u64())
     }
 }
 
@@ -891,12 +853,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "all zero")]
-    fn zero_state_rejected() {
-        let _ = Rng::from_state([0, 0, 0, 0]);
-    }
-
-    #[test]
     #[should_panic(expected = "bound must be positive")]
     fn below_zero_bound_panics() {
         let mut rng = Rng::from_seed(0);
@@ -1051,15 +1007,6 @@ mod tests {
         let mut rng = Rng::from_seed(101);
         let heads = (0..100_000).filter(|_| rng.coin()).count();
         assert!((heads as f64 / 100_000.0 - 0.5).abs() < 0.01);
-    }
-
-    #[test]
-    fn fork_streams_are_decorrelated() {
-        let mut master = Rng::from_seed(0);
-        let mut a = master.fork();
-        let mut b = master.fork();
-        let matches = (0..1000).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(matches, 0);
     }
 
     #[test]

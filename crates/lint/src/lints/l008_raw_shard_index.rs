@@ -10,7 +10,7 @@
 //! because the arithmetic still produces a valid-looking index. This lint
 //! flags arithmetic operators adjacent to shard-count identifiers in
 //! library and reactor code; the sanctioned fixes are `directory.slot_of`,
-//! `directory.owner_of`, `directory.ranges()`, and
+//! `directory.members()`, `directory.ranges()`, and
 //! `directory.retarget`. `crates/serve/src/directory.rs` itself is the
 //! one exempt home of the real thing.
 
@@ -40,7 +40,7 @@ static INFO: LintInfo = LintInfo {
     code: "L008",
     name: "raw-shard-index",
     severity: Severity::Deny,
-    summary: "bin-to-shard arithmetic belongs to ShardDirectory: use slot_of/owner_of/ranges",
+    summary: "bin-to-shard arithmetic belongs to ShardDirectory: use slot_of/members/ranges",
 };
 
 impl Lint for RawShardIndex {
@@ -86,7 +86,7 @@ impl Lint for RawShardIndex {
                     format!(
                         "arithmetic on `{text}` re-derives bin-to-shard ownership, which \
                          goes stale the moment the membership changes; route through \
-                         `ShardDirectory` (`slot_of`/`owner_of`/`ranges`) instead \
+                         `ShardDirectory` (`slot_of`/`members`/`ranges`) instead \
                          (docs/LINTS.md#l008)"
                     ),
                     out,

@@ -4,14 +4,13 @@
 //! state machine, the decision states, and the authoritative store. The
 //! reactor is edge-triggered — each readiness event drains its direction
 //! to `WouldBlock` — and dispatches decoded `ALLOC` frames into the
-//! serve-layer stack in one of three modes (see [`ServerMode`]).
+//! serve-layer leaf over one direct store in one of two modes (see
+//! [`ServerMode`]).
 //!
 //! Back-pressure is structural: a closed-loop client with pipeline depth
 //! `P` can have at most `P` requests buffered here, and a slow client
 //! simply stops being read once its window is unacknowledged — TCP flow
-//! control *is* the admission control. Shed decisions (stacked mode)
-//! become protocol-level [`Frame::RespErr`] replies instead of silent
-//! drops.
+//! control *is* the admission control.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -24,9 +23,8 @@ use std::sync::Arc;
 use balloc_core::rng::Fnv1a;
 use balloc_core::LoadState;
 use balloc_serve::{
-    DirectCluster, InFlightLimit, InFlightLimitLayer, Layer, LoadShed, LoadShedLayer, Permits,
-    Request, ServeClock, Service, ShardCluster, ShardDirectory, ShardHandle, ShedCounter,
-    SnapshotAllocator, SnapshotService, Staleness,
+    DirectCluster, Request, ServeClock, Service, ShardDirectory, SnapshotAllocator,
+    SnapshotService, Staleness,
 };
 use epoll::{Epoll, Events, Interest, Token};
 
@@ -42,18 +40,6 @@ pub enum ServerMode {
     /// on the wire becomes block dispatch in the allocator, feeding the
     /// batched kernels full windows instead of single balls.
     Inline,
-    /// The conformance path: per-connection
-    /// `LoadShed(InFlightLimit(SnapshotService))` stack over buffered
-    /// shard workers ([`ShardCluster`]). Back-pressure (full shard
-    /// buffers, the in-flight cap) surfaces as [`ErrorCode::Shed`] reply
-    /// frames.
-    Stacked {
-        /// Capacity of each shard's request buffer.
-        buffer_capacity: usize,
-        /// In-flight cap across the server (`None` = effectively
-        /// unlimited in a single-threaded reactor).
-        inflight: Option<usize>,
-    },
     /// The determinism path: `clients` connections are the replay
     /// engine's virtual workers. Requests are served in strict global
     /// round-robin order (step `t` waits for client `t mod clients`), so
@@ -92,14 +78,8 @@ impl NetConfig {
             "shards must lie in 1..=n"
         );
         self.staleness.validate();
-        match self.mode {
-            ServerMode::Stacked {
-                buffer_capacity, ..
-            } => assert!(buffer_capacity > 0, "buffer capacity must be positive"),
-            ServerMode::Replay { clients } => {
-                assert!(clients > 0, "replay needs at least one client");
-            }
-            ServerMode::Inline => {}
+        if let ServerMode::Replay { clients } = self.mode {
+            assert!(clients > 0, "replay needs at least one client");
         }
     }
 }
@@ -143,8 +123,6 @@ const LISTENER: Token = Token(0);
 /// Poll timeout: the latency ceiling on observing the shutdown flag.
 const POLL_MS: i32 = 10;
 
-type StackedSvc = LoadShed<InFlightLimit<SnapshotService<ShardHandle>>>;
-
 /// The direct store, shared by every connection's service one call at a
 /// time (the reactor never interleaves within a request).
 type SharedStore = Rc<RefCell<DirectCluster>>;
@@ -155,7 +133,6 @@ enum Driver {
     /// client.
     AwaitingHello,
     Inline(Box<SnapshotService<SharedStore>>),
-    Stacked(Box<StackedSvc>),
     Replay { client: usize },
 }
 
@@ -163,12 +140,6 @@ struct ConnEntry {
     conn: FramedConn,
     driver: Driver,
     close_after_flush: bool,
-}
-
-/// The authoritative store, by mode.
-enum Store {
-    Direct(SharedStore),
-    Cluster(Option<ShardCluster>),
 }
 
 struct ReplayState {
@@ -204,7 +175,7 @@ impl NetServer {
     /// # Panics
     ///
     /// Panics on an invalid configuration (zero bins, `shards ∉ 1..=n`,
-    /// zero capacity/clients).
+    /// zero clients).
     pub fn bind(addr: impl ToSocketAddrs, cfg: NetConfig) -> io::Result<Self> {
         cfg.validate();
         let listener = TcpListener::bind(addr)?;
@@ -238,45 +209,31 @@ impl NetServer {
     ///
     /// # Errors
     ///
-    /// Propagates reactor-fatal I/O errors (epoll or listener failures;
-    /// per-connection errors only close that connection).
+    /// Propagates reactor-fatal I/O errors (epoll or listener setup
+    /// failures). A failed `accept` ends only that accept round, and
+    /// per-connection errors only close that connection.
     ///
     /// # Panics
     ///
     /// Panics if the final authoritative state disagrees with the served
     /// count — the conservation contract.
     pub fn run(self) -> io::Result<ServerReport> {
-        let store = match self.cfg.mode {
-            ServerMode::Inline | ServerMode::Replay { .. } => Store::Direct(Rc::new(
-                RefCell::new(DirectCluster::new(self.cfg.n, self.cfg.shards)),
-            )),
-            ServerMode::Stacked {
-                buffer_capacity, ..
-            } => Store::Cluster(Some(ShardCluster::spawn(
-                self.cfg.n,
-                self.cfg.shards,
-                buffer_capacity,
-                balloc_serve::SnapshotPath::Buffered,
-            ))),
-        };
+        let store = Rc::new(RefCell::new(DirectCluster::new(
+            self.cfg.n,
+            self.cfg.shards,
+        )));
         let clock = ServeClock::new();
         let cfg = self.cfg;
         let alloc = |w: usize| SnapshotAllocator::for_worker(cfg.n, cfg.staleness, cfg.seed, w);
-        let replay = match (cfg.mode, &store) {
-            (ServerMode::Replay { clients }, Store::Direct(shared)) => Some(ReplayState {
+        let replay = match cfg.mode {
+            ServerMode::Replay { clients } => Some(ReplayState {
                 stacks: (0..clients)
-                    .map(|w| SnapshotService::new(alloc(w), Rc::clone(shared), clock.clone()))
+                    .map(|w| SnapshotService::new(alloc(w), Rc::clone(&store), clock.clone()))
                     .collect(),
                 pending: (0..clients).map(|_| VecDeque::new()).collect(),
                 conn_of: vec![None; clients],
             }),
-            _ => None,
-        };
-        let permits = match self.cfg.mode {
-            ServerMode::Stacked { inflight, .. } => {
-                Some(Permits::new(inflight.unwrap_or(1 << 20)))
-            }
-            _ => None,
+            ServerMode::Inline => None,
         };
         let epoll = Epoll::new()?;
         self.listener.set_nonblocking(true)?;
@@ -295,8 +252,6 @@ impl NetServer {
             conns: Vec::new(),
             clock,
             store,
-            permits,
-            shed: ShedCounter::new(),
             replay,
             digest: Fnv1a::new(),
             accepted: 0,
@@ -329,9 +284,7 @@ struct Reactor {
     shutdown: Arc<AtomicBool>,
     conns: Vec<Option<ConnEntry>>,
     clock: ServeClock,
-    store: Store,
-    permits: Option<Permits>,
-    shed: ShedCounter,
+    store: SharedStore,
     replay: Option<ReplayState>,
     digest: Fnv1a,
     accepted: u64,
@@ -350,7 +303,7 @@ impl Reactor {
             self.epoll.wait(&mut events, Some(POLL_MS))?;
             for event in events.iter() {
                 if event.token == LISTENER {
-                    self.accept_ready()?;
+                    self.accept_ready();
                 } else {
                     let idx = (event.token.0 - 1) as usize;
                     if event.readable || event.hangup || event.error {
@@ -367,8 +320,11 @@ impl Reactor {
     }
 
     /// Accepts until `WouldBlock`, registering each connection
-    /// edge-triggered for both directions once.
-    fn accept_ready(&mut self) -> io::Result<()> {
+    /// edge-triggered for both directions once. A connection aborted
+    /// before it was accepted is skipped; any other accept error (a full
+    /// fd table, kernel memory) ends this round and the reactor keeps
+    /// serving the connections it has.
+    fn accept_ready(&mut self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
@@ -397,9 +353,14 @@ impl Reactor {
                     });
                     self.accepted += 1;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                    ) => {}
+                // `WouldBlock` ends the round as intended; anything else
+                // ends it early.
+                Err(_) => return,
             }
         }
     }
@@ -524,24 +485,6 @@ impl Reactor {
                 }
                 self.run_ids.push(req_id);
             }
-            Driver::Stacked(stack) => match stack.call(req) {
-                Ok(resp) => {
-                    self.digest.write_u64(resp.bin as u64);
-                    self.served += 1;
-                    entry.conn.queue(&Frame::RespBin {
-                        req_id,
-                        bin: resp.bin as u64,
-                        epoch: self.epoch,
-                    });
-                }
-                Err(e) => {
-                    self.rejected += 1;
-                    entry.conn.queue(&Frame::RespErr {
-                        req_id,
-                        code: e.into(),
-                    });
-                }
-            },
             Driver::Replay { client } => {
                 let replay = self.replay.as_mut().expect("replay mode has state");
                 replay.pending[*client].push_back((req_id, req));
@@ -615,8 +558,8 @@ impl Reactor {
         }
         let cfg = &self.cfg;
         let alloc = SnapshotAllocator::for_worker(cfg.n, cfg.staleness, cfg.seed, client_id as usize);
-        entry.driver = match (&self.store, self.replay.as_mut()) {
-            (Store::Direct(_), Some(replay)) => {
+        entry.driver = match self.replay.as_mut() {
+            Some(replay) => {
                 let client = client_id as usize;
                 if client >= replay.conn_of.len() || replay.conn_of[client].is_some() {
                     entry.conn.queue(&Frame::RespErr {
@@ -630,21 +573,11 @@ impl Reactor {
                 replay.conn_of[client] = Some(idx);
                 Driver::Replay { client }
             }
-            (Store::Direct(store), None) => Driver::Inline(Box::new(SnapshotService::new(
+            None => Driver::Inline(Box::new(SnapshotService::new(
                 alloc,
-                Rc::clone(store),
+                Rc::clone(&self.store),
                 self.clock.clone(),
             ))),
-            (Store::Cluster(cluster), _) => {
-                let handle = cluster
-                    .as_ref()
-                    .expect("cluster lives until finish")
-                    .handle();
-                let leaf = SnapshotService::new(alloc, handle, self.clock.clone());
-                let permits = self.permits.clone().expect("stacked mode has permits");
-                let limited = InFlightLimitLayer::new(permits).layer(leaf);
-                Driver::Stacked(Box::new(LoadShedLayer::new(self.shed.clone()).layer(limited)))
-            }
         };
     }
 
@@ -728,9 +661,6 @@ impl Reactor {
         match entry.driver {
             Driver::AwaitingHello => {}
             Driver::Inline(svc) => self.refreshes += svc.refreshes(),
-            Driver::Stacked(stack) => {
-                self.refreshes += stack.into_inner().into_inner().refreshes();
-            }
             Driver::Replay { client } => {
                 if let Some(replay) = self.replay.as_mut() {
                     replay.conn_of[client] = None;
@@ -746,10 +676,7 @@ impl Reactor {
             self.refreshes += replay.stacks.iter().map(SnapshotService::refreshes).sum::<u64>();
         }
         debug_assert!(self.conns.iter().all(Option::is_none), "drain closed all");
-        let state = match self.store {
-            Store::Direct(store) => store.borrow().state(),
-            Store::Cluster(cluster) => cluster.expect("cluster set once").join(),
-        };
+        let state = self.store.borrow().state();
         assert_eq!(
             state.balls(),
             self.served,

@@ -64,38 +64,6 @@ fn inline_conservation_across_the_socket() {
 }
 
 #[test]
-fn stacked_mode_serves_and_sheds_on_the_wire() {
-    let (addr, shutdown, join) = spawn_server(NetConfig {
-        n: 32,
-        shards: 2,
-        staleness: Staleness::Batch { b: 32 },
-        seed: 5,
-        mode: ServerMode::Stacked {
-            buffer_capacity: 1024,
-            inflight: None,
-        },
-    });
-    let report = run_loadgen(&LoadGenConfig {
-        addr,
-        connections: 2,
-        pipeline: 8,
-        requests: 1_000,
-        request: Request::two_choice(),
-        seed: 11,
-        collect_bins: false,
-    })
-    .expect("loadgen");
-    shutdown.shutdown();
-    let server = join.join().expect("server thread");
-    // Shed requests get error replies, served ones get bins; nothing is
-    // silently lost on either side of the socket.
-    assert_eq!(report.completed + report.errors, 1_000);
-    assert_eq!(report.completed, server.served);
-    assert_eq!(report.errors, server.rejected);
-    assert_eq!(server.state.balls(), server.served);
-}
-
-#[test]
 fn replay_digest_matches_in_process_replay_across_the_socket() {
     let n = 128;
     let shards = 4;

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use balloc_sim::VClock;
 
-use crate::service::{Layer, ServeError, Service};
+use crate::service::{ServeError, Service};
 
 /// Configuration of a [`CircuitBreaker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,38 +242,6 @@ impl<Req, S: Service<Req>> Service<Req> for CircuitBreaker<S> {
             State::Open { .. } => unreachable!("open state handled before the call"),
         }
         result
-    }
-}
-
-/// [`Layer`] producing [`CircuitBreaker`] services over a shared clock
-/// and counters. Each service keeps its own window and state (a breaker
-/// guards one worker's path to the backend).
-#[derive(Debug, Clone)]
-pub struct CircuitBreakerLayer {
-    clock: VClock,
-    cfg: BreakerConfig,
-    stats: BreakerStats,
-}
-
-impl CircuitBreakerLayer {
-    /// A layer whose services run the breaker state machine per `cfg` on
-    /// `clock`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid.
-    #[must_use]
-    pub fn new(clock: VClock, cfg: BreakerConfig, stats: BreakerStats) -> Self {
-        cfg.validate();
-        Self { clock, cfg, stats }
-    }
-}
-
-impl<S> Layer<S> for CircuitBreakerLayer {
-    type Service = CircuitBreaker<S>;
-
-    fn layer(&self, inner: S) -> Self::Service {
-        CircuitBreaker::new(inner, self.clock.clone(), self.cfg, self.stats.clone())
     }
 }
 
@@ -515,8 +483,12 @@ mod tests {
 
     #[test]
     fn into_inner_round_trips() {
-        let b = CircuitBreakerLayer::new(VClock::new(), cfg(), BreakerStats::new())
-            .layer(always_failing(ServeError::Faulted));
+        let b = CircuitBreaker::new(
+            always_failing(ServeError::Faulted),
+            VClock::new(),
+            cfg(),
+            BreakerStats::new(),
+        );
         let mut inner = b.into_inner();
         assert_eq!(inner.call(1), Err(ServeError::Faulted));
         assert_eq!(inner.calls, 1);
@@ -537,6 +509,11 @@ mod tests {
             max_failures: 5,
             cooldown: 1,
         };
-        let _ = CircuitBreakerLayer::new(VClock::new(), bad, BreakerStats::new());
+        let _ = CircuitBreaker::new(
+            always_failing(ServeError::Faulted),
+            VClock::new(),
+            bad,
+            BreakerStats::new(),
+        );
     }
 }

@@ -150,7 +150,7 @@ impl ChurnConfig {
     /// token cadence, or burst, an unsorted plan, or an invalid autoscale
     /// config.
     pub fn validate(&self) {
-        validate_shape(self.n, Some(self.shards), self.workers, self.staleness);
+        validate_shape(self.n, self.shards, self.workers, self.staleness);
         assert!(self.requests > 0, "need at least one event slot");
         assert!(self.depart_pm <= 1000, "depart_pm is per-mille");
         assert!(self.migration_rate > 0, "migration_rate must be positive");

@@ -120,9 +120,9 @@ impl ShardDirectory {
 
     /// The static layout every pre-directory caller wired by hand:
     /// `shards` members inserted at tick 0 under
-    /// [`RebalanceKind::Proportional`], so member slot `s` owns exactly
-    /// the bins the old `shard_ranges(n, shards)` block partition gave
-    /// it.
+    /// [`RebalanceKind::Proportional`], so member slot `s` owns the
+    /// block `s·n/S .. (s+1)·n/S` (sizes differ by at most one and every
+    /// bin is covered exactly once).
     ///
     /// # Panics
     ///
@@ -304,16 +304,6 @@ impl ShardDirectory {
         self.owner_slot[bin] as usize
     }
 
-    /// The member owning global bin `bin`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the directory is empty or `bin >= n`.
-    #[must_use]
-    pub fn owner_of(&self, bin: usize) -> ShardId {
-        self.members[self.slot_of(bin)]
-    }
-
     /// Deterministically remaps `bin` onto a bin owned by a member slot
     /// *other than* `avoid` — the hedge layer's "second choice in space":
     /// a duplicate request re-lands on a different shard than the attempt
@@ -456,7 +446,7 @@ mod tests {
         // Every move's destination is the newcomer or a rebalanced
         // survivor; every moved bin's new owner matches the map.
         for mv in &moves {
-            assert_eq!(dir.owner_of(mv.bin), mv.to);
+            assert_eq!(dir.members()[dir.slot_of(mv.bin)], mv.to);
             assert_ne!(mv.from, mv.to);
         }
         assert_eq!(dir.log().last(), Some(&(5, Change::Insert(ShardId(2)))));
@@ -466,7 +456,7 @@ mod tests {
     fn remove_debits_every_bin_of_the_departed() {
         let mut dir = ShardDirectory::uniform(12, 3);
         let victim = dir.members()[1];
-        let owned: Vec<usize> = (0..12).filter(|&b| dir.owner_of(b) == victim).collect();
+        let owned: Vec<usize> = (0..12).filter(|&b| dir.members()[dir.slot_of(b)] == victim).collect();
         let moves = dir.remove(victim, 9);
         assert!(!dir.members().contains(&victim));
         // All previously-owned bins appear in the plan, sourced from the
@@ -568,7 +558,7 @@ mod tests {
         let _ = dir.insert(1);
         let _ = dir.remove(a, 2);
         for bin in 0..32 {
-            let owner = dir.owner_of(bin);
+            let owner = dir.members()[dir.slot_of(bin)];
             assert!(dir.members().contains(&owner));
         }
     }

@@ -4,8 +4,7 @@
 //! and [`run_churn`](crate::run_churn) differ only in their per-worker
 //! stacks and in what each does around a slot: [`drive`] is their one
 //! round-robin slot loop, and [`Ledger::check`] is the crate's one
-//! conservation assert (the threaded [`run_concurrent`](crate::run_concurrent)
-//! folds its per-worker ledgers and ends in the same check).
+//! conservation assert.
 //! [`SnapshotAllocator::for_worker`] holds the per-worker seeding rule and
 //! [`SnapshotAllocator::serve`] the refresh → decide → apply step of
 //! replay's slots and of every fault-free leaf, the TCP reactor's replay
@@ -92,18 +91,6 @@ impl Ledger {
     }
 }
 
-impl std::ops::AddAssign for Ledger {
-    fn add_assign(&mut self, other: Self) {
-        self.requests += other.requests;
-        self.allocated += other.allocated;
-        self.shed += other.shed;
-        self.timed_out += other.timed_out;
-        self.broken += other.broken;
-        self.in_migration += other.in_migration;
-        self.departed += other.departed;
-    }
-}
-
 /// Runs `slots` slots round-robin over the per-worker `stacks` and returns
 /// the run's ledger: `slot(t, ledger, stack)` runs slot `t` on worker
 /// `t mod stacks.len()`'s stack, booking what it issues through
@@ -120,22 +107,14 @@ pub(crate) fn drive<S>(
     ledger
 }
 
-/// The shape checks every engine configuration shares. `shards` is
-/// `None` where the store ignores it (the multicounter backend).
-pub(crate) fn validate_shape(
-    n: usize,
-    shards: Option<usize>,
-    workers: usize,
-    staleness: Staleness,
-) {
+/// The shape checks every engine configuration shares.
+pub(crate) fn validate_shape(n: usize, shards: usize, workers: usize, staleness: Staleness) {
     assert!(n > 0, "need at least one bin");
     assert!(workers > 0, "need at least one worker");
-    if let Some(shards) = shards {
-        assert!(
-            (1..=n).contains(&shards),
-            "shards must lie in 1..=n (got {shards} shards over {n} bins)"
-        );
-    }
+    assert!(
+        (1..=n).contains(&shards),
+        "shards must lie in 1..=n (got {shards} shards over {n} bins)"
+    );
     staleness.validate();
 }
 

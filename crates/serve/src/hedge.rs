@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use balloc_sim::VClock;
 
-use crate::service::{Layer, ServeError, Service};
+use crate::service::{ServeError, Service};
 
 /// A log₂-bucketed latency histogram (64 buckets cover all of `u64`),
 /// used by [`Hedge`] to track its observed completion latencies and read
@@ -352,38 +352,6 @@ impl<Req: Clone, S: Service<Req>> Service<Req> for Hedge<S> {
     }
 }
 
-/// [`Layer`] producing [`Hedge`] services over a shared clock and
-/// counters. Each service keeps its *own* latency histogram (latency is a
-/// per-replica property; sharing would let one slow shard poison every
-/// worker's estimate).
-#[derive(Debug, Clone)]
-pub struct HedgeLayer {
-    clock: VClock,
-    cfg: HedgeConfig,
-    stats: HedgeStats,
-}
-
-impl HedgeLayer {
-    /// A layer whose services hedge on `clock` per `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid.
-    #[must_use]
-    pub fn new(clock: VClock, cfg: HedgeConfig, stats: HedgeStats) -> Self {
-        cfg.validate();
-        Self { clock, cfg, stats }
-    }
-}
-
-impl<S> Layer<S> for HedgeLayer {
-    type Service = Hedge<S>;
-
-    fn layer(&self, inner: S) -> Self::Service {
-        Hedge::new(inner, self.clock.clone(), self.cfg, self.stats.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,7 +529,7 @@ mod tests {
             pos: 0,
             completions: 0,
         };
-        let svc = HedgeLayer::new(clock.clone(), cfg(5), HedgeStats::new()).layer(backend);
+        let svc = Hedge::new(backend, clock.clone(), cfg(5), HedgeStats::new());
         let mut backend = svc.into_inner();
         assert_eq!(backend.call(2), Ok(2));
         assert_eq!(backend.completions, 1);
@@ -570,8 +538,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "quantile must lie strictly between")]
     fn degenerate_quantile_rejected() {
-        let _ = HedgeLayer::new(
-            VClock::new(),
+        let clock = VClock::new();
+        let backend = Scripted {
+            clock: clock.clone(),
+            script: vec![1],
+            pos: 0,
+            completions: 0,
+        };
+        let _ = Hedge::new(
+            backend,
+            clock,
             HedgeConfig {
                 quantile: 1.0,
                 ..HedgeConfig::default()

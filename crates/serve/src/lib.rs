@@ -9,40 +9,35 @@
 //! the system: a service that places balls (requests) into `n` bins
 //! (backends) with Two-Choice decisions made **against stale snapshots**,
 //! while the authoritative loads live in `S` shards, each an owned
-//! [`LoadState`](balloc_core::LoadState) behind a worker.
+//! [`LoadState`](balloc_core::LoadState) slice of one direct store.
 //!
 //! # Architecture
 //!
 //! ```text
-//!  client workers (workpool)          shard workers (Buffer threads)
-//!  ┌───────────────────────────┐       ┌─────────────────────────┐
-//!  │ LoadShed                  │ cast  │ bounded queue ─ drain ─▶│
-//!  │  └ InFlightLimit          │──────▶│  ShardService           │
-//!  │     └ SnapshotService     │       │   owns LoadState        │
-//!  │        snapshot ◀─────────│◀──────│  (bins s·n/S..(s+1)n/S) │
-//!  │        (refresh: b / τ)    │ call  └─────────────────────────┘
-//!  └───────────────────────────┘            × S shards
+//!  one thread, round-robin over virtual workers (or TCP connections)
+//!  ┌────────────────────────────┐         ┌──────────────────────────┐
+//!  │ worker w's stack           │  apply  │ DirectCluster            │
+//!  │  (middleware layers)       │────────▶│  ShardService × S        │
+//!  │   └ SnapshotService        │         │   owns LoadState         │
+//!  │      snapshot ◀────────────│◀────────│   (bins s·n/S..(s+1)n/S) │
+//!  │      (refresh: b / τ)      │ refresh └──────────────────────────┘
+//!  └────────────────────────────┘
+//!            × workers
 //! ```
 //!
 //! * [`Service`]/[`Layer`] — tower-style synchronous service traits;
-//! * [`Buffer`] — bounded request buffer in front of a worker-owned
-//!   service (back-pressure via [`ServeError::BufferFull`]);
-//! * [`InFlightLimit`]/[`Permits`] — a fleet-wide concurrency cap;
+//! * [`InFlightLimit`]/[`Permits`] — a concurrency cap;
 //! * [`LoadShed`]/[`ShedCounter`] — converts back-pressure into counted,
 //!   typed drops;
 //! * [`SnapshotAllocator`]/[`Staleness`] — the decision state: private
 //!   snapshots refreshed every `b` own requests (`b-Batch`) or at age `τ`
 //!   (`τ-Delay`);
-//! * [`run_concurrent`]/[`run_replay`] — the closed-loop engine and its
-//!   deterministic single-threaded replay twin;
 //! * one deterministic driver behind [`run_replay`], [`run_resilient`]
 //!   and [`run_churn`]: a round-robin slot loop over per-worker stacks
 //!   with a per-slot engine hook, one [`DirectCluster`] store, and one
-//!   conservation ledger whose check every engine (the concurrent one
-//!   included) ends in;
-//! * [`BackendKind::Multicounter`] — swaps the sharded store for a
-//!   [`MultiCounter`](balloc_multicounter::MultiCounter), turning the
-//!   engine into a stress harness for the counter.
+//!   conservation ledger whose check every engine ends in. The TCP
+//!   reactor in `balloc-net` serves over the same store and leaf on its
+//!   one thread.
 //!
 //! # Resilience middleware
 //!
@@ -75,21 +70,16 @@
 //! [`SnapshotAllocator::for_worker`]`(n, staleness, seed, w)`, streamed
 //! from [`point_seed`](balloc_core::rng::point_seed)`(seed, w)` — the
 //! same mixer discipline as the sweep engine, so serving never shares
-//! streams with the simulation experiments. [`run_concurrent`] keeps the exact
-//! *conservation* guarantees (`allocated + shed == requests`, final state
-//! holds exactly `allocated` balls) but lets the decision stream race —
-//! measuring that race against the replayed baseline is the point of the
-//! `balloc serve_bench` experiment.
+//! streams with the simulation experiments. Staleness is therefore
+//! exactly the configured `b` or `τ`, the fixed parameter the batched
+//! analyses take as input.
 //!
 //! # Examples
 //!
 //! ```
-//! use balloc_serve::{run_concurrent, run_replay, ServeConfig};
+//! use balloc_serve::{run_replay, ServeConfig};
 //!
 //! let cfg = ServeConfig::demo(128, 4, 2022);
-//! let live = run_concurrent(&cfg);
-//! assert_eq!(live.allocated + live.shed, cfg.requests);
-//!
 //! let replay = run_replay(&cfg);
 //! assert_eq!(replay.outcome.allocated, cfg.requests);
 //! assert_eq!(replay.digest, run_replay(&cfg).digest);
@@ -101,7 +91,6 @@
 
 mod autoscale;
 mod breaker;
-mod buffer;
 mod churn;
 mod cluster;
 mod directory;
@@ -118,33 +107,29 @@ mod shard;
 mod shed;
 mod sink;
 mod snapshot;
-mod striped;
 mod timeout;
 
 pub use autoscale::{AutoscaleConfig, Autoscaler, ScaleAction};
-pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker, CircuitBreakerLayer};
-pub use buffer::{Buffer, BufferController};
+pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 pub use churn::{run_churn, ChurnConfig, ChurnOutcome, ChurnReport, PlannedChange};
-pub use cluster::{DirectCluster, ShardCluster, ShardHandle};
+pub use cluster::DirectCluster;
 pub use directory::{
     BinMove, Change, MembershipEpoch, RebalanceKind, ShardDirectory, ShardId,
 };
 pub use engine::{
-    run_concurrent, run_replay, worker_share, BackendKind, ReplayOutcome, ServeConfig,
-    ServeOutcome, SnapshotPath,
+    run_replay, worker_share, BackendKind, ReplayOutcome, ServeConfig, ServeOutcome, SnapshotPath,
 };
 pub use fault::{FaultKind, FaultPlan, FaultStats, FaultyShard, ShardRole};
-pub use hedge::{Hedge, HedgeConfig, HedgeLayer, HedgeStats, HedgeSteer, LatencyHistogram};
+pub use hedge::{Hedge, HedgeConfig, HedgeStats, HedgeSteer, LatencyHistogram};
 pub use limit::{InFlightLimit, InFlightLimitLayer, Permits};
-pub use rate::{RateLimit, RateLimitConfig, RateLimitLayer, RateStats};
+pub use rate::{RateLimit, RateLimitConfig, RateStats};
 pub use resilience::{
     run_resilient, Policy, ResilienceConfig, ResilienceOutcome, ResilienceReport,
 };
-pub use retry::{retryable, Retry, RetryBudget, RetryConfig, RetryLayer, RetryStats};
+pub use retry::{retryable, Retry, RetryBudget, RetryConfig, RetryStats};
 pub use service::{decide, Layer, NoiseMode, Request, Response, ServeError, Service};
-pub use shard::{merge_states, shard_ranges, ShardRequest, ShardResponse, ShardService};
+pub use shard::{merge_states, ShardService};
 pub use shed::{LoadShed, LoadShedLayer, ShedCounter};
 pub use sink::{LoadSink, ServeClock, SnapshotService};
 pub use snapshot::{SnapshotAllocator, Staleness};
-pub use striped::StripedLoads;
-pub use timeout::{Timeout, TimeoutLayer, TimeoutStats};
+pub use timeout::{Timeout, TimeoutStats};

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use balloc_sim::VClock;
 
-use crate::service::{Layer, ServeError, Service};
+use crate::service::{ServeError, Service};
 
 /// Configuration of a [`RateLimit`] layer's token bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,36 +142,6 @@ impl<Req, S: Service<Req>> Service<Req> for RateLimit<S> {
     }
 }
 
-/// [`Layer`] producing [`RateLimit`] services over a shared clock and
-/// counter (each service owns its bucket — see the module docs).
-#[derive(Debug, Clone)]
-pub struct RateLimitLayer {
-    clock: VClock,
-    cfg: RateLimitConfig,
-    stats: RateStats,
-}
-
-impl RateLimitLayer {
-    /// A layer whose services admit per `cfg` on `clock`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid.
-    #[must_use]
-    pub fn new(clock: VClock, cfg: RateLimitConfig, stats: RateStats) -> Self {
-        cfg.validate();
-        Self { clock, cfg, stats }
-    }
-}
-
-impl<S> Layer<S> for RateLimitLayer {
-    type Service = RateLimit<S>;
-
-    fn layer(&self, inner: S) -> Self::Service {
-        RateLimit::new(inner, self.clock.clone(), self.cfg, self.stats.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,7 +166,7 @@ mod tests {
     fn burst_admits_then_empty_bucket_rejects() {
         let clock = VClock::new();
         let stats = RateStats::new();
-        let mut svc = RateLimitLayer::new(clock.clone(), cfg(), stats.clone()).layer(Echo);
+        let mut svc = RateLimit::new(Echo, clock.clone(), cfg(), stats.clone());
         for i in 0..3 {
             assert_eq!(svc.call(i), Ok(i), "burst token {i}");
         }
@@ -255,6 +225,6 @@ mod tests {
             period: 0,
             ..cfg()
         };
-        let _ = RateLimitLayer::new(VClock::new(), bad, RateStats::new());
+        let _ = RateLimit::new(Echo, VClock::new(), bad, RateStats::new());
     }
 }

@@ -142,7 +142,7 @@ impl ResilienceConfig {
     }
 
     fn validate(&self) {
-        validate_shape(self.n, Some(self.shards), self.workers, self.staleness);
+        validate_shape(self.n, self.shards, self.workers, self.staleness);
         self.faults.validate(self.shards);
         self.policy.validate(&self.faults);
     }

@@ -25,7 +25,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::service::{Layer, ServeError, Service};
+use crate::service::{ServeError, Service};
 
 /// Whether an error is worth retrying: transient backend failures only.
 #[must_use]
@@ -210,31 +210,6 @@ impl<Req: Clone, S: Service<Req>> Service<Req> for Retry<S> {
     }
 }
 
-/// [`Layer`] producing [`Retry`] services over a shared budget and
-/// counters.
-#[derive(Debug, Clone)]
-pub struct RetryLayer {
-    cfg: RetryConfig,
-    budget: RetryBudget,
-    stats: RetryStats,
-}
-
-impl RetryLayer {
-    /// A layer whose services share `budget` and record into `stats`.
-    #[must_use]
-    pub fn new(cfg: RetryConfig, budget: RetryBudget, stats: RetryStats) -> Self {
-        Self { cfg, budget, stats }
-    }
-}
-
-impl<S> Layer<S> for RetryLayer {
-    type Service = Retry<S>;
-
-    fn layer(&self, inner: S) -> Self::Service {
-        Retry::new(inner, &self.cfg, self.budget.clone(), self.stats.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,17 +356,13 @@ mod tests {
         };
         let budget = RetryBudget::new(&cfg);
         let stats = RetryStats::new();
-        let layer = RetryLayer::new(cfg, budget.clone(), stats.clone());
-        let mut a = layer.layer(FailsThen {
+        let failing = || FailsThen {
             failures: u32::MAX,
             seen: 0,
             error: ServeError::Faulted,
-        });
-        let mut b = layer.layer(FailsThen {
-            failures: u32::MAX,
-            seen: 0,
-            error: ServeError::Faulted,
-        });
+        };
+        let mut a = Retry::new(failing(), &cfg, budget.clone(), stats.clone());
+        let mut b = Retry::new(failing(), &cfg, budget.clone(), stats.clone());
         let _ = a.call(1);
         let _ = b.call(1);
         assert_eq!(stats.retries(), 1, "one bucket, one paid retry across clones");

@@ -4,30 +4,26 @@
 //! The TCP front-end (`balloc-net`) terminates connections in its own
 //! reactor while dispatching into the *same* leaf — decide against a
 //! per-worker snapshot, apply through a sink, tick the shared clock — so
-//! the seam is public. The in-process engines
-//! ([`run_concurrent`](crate::run_concurrent) /
-//! [`run_replay`](crate::run_replay)) and the socket server are drivers
-//! of one service.
+//! the seam is public. The in-process engines and the socket server are
+//! drivers of one service.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use crate::service::{Request, Response, ServeError, Service};
 use crate::snapshot::SnapshotAllocator;
 
 /// Where decided allocations land and where snapshot refreshes read from:
-/// the authoritative-store side of the serving path. Implementations are
-/// the sharded buffer fan-out ([`ShardHandle`](crate::ShardHandle)), the
-/// direct single-threaded shards ([`DirectCluster`](crate::DirectCluster),
-/// shared as `Rc<RefCell<DirectCluster>>`), and the multicounter sink.
+/// the authoritative-store side of the serving path: the direct
+/// single-threaded shards ([`DirectCluster`](crate::DirectCluster),
+/// shared between per-worker services as `Rc<RefCell<DirectCluster>>`).
 pub trait LoadSink {
     /// Places one ball into (global) bin `bin`.
     ///
     /// # Errors
     ///
-    /// Returns the back-pressure error of the store (e.g.
-    /// [`ServeError::BufferFull`] from a bounded shard buffer). Direct
-    /// sinks never fail.
+    /// Returns the store's rejection, if it has one. The direct store
+    /// never fails.
     fn apply(&mut self, bin: usize) -> Result<(), ServeError>;
 
     /// Overwrites `snapshot` with a current reading of all `n` loads.
@@ -41,9 +37,9 @@ pub trait LoadSink {
 
 /// The engine clock: completed requests across all workers — the "slots"
 /// unit of [`Staleness::Delay`](crate::Staleness::Delay). Cloning shares
-/// the underlying counter.
+/// the underlying counter between the services of one thread.
 #[derive(Debug, Clone, Default)]
-pub struct ServeClock(Arc<AtomicU64>);
+pub struct ServeClock(Rc<Cell<u64>>);
 
 impl ServeClock {
     /// A fresh clock at zero.
@@ -55,12 +51,12 @@ impl ServeClock {
     /// Completed requests so far.
     #[must_use]
     pub fn now(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.get()
     }
 
     /// Records one completed request.
     pub fn tick(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.0.set(self.0.get() + 1);
     }
 }
 
@@ -105,8 +101,7 @@ impl<K: LoadSink> SnapshotService<K> {
     /// requests, calling `emit` once per request in decision order.
     ///
     /// Decisions are **bit-identical** to `count` successive
-    /// [`call`](Service::call)s when no other worker interleaves (the
-    /// single-threaded reactor regime): refresh checks happen at exactly
+    /// [`call`](Service::call)s when no other worker interleaves: refresh checks happen at exactly
     /// the same clock points, and
     /// [`SnapshotAllocator::decide_run`] pins the RNG stream. The win is
     /// structural — one refresh check per run instead of per request, all
@@ -114,9 +109,9 @@ impl<K: LoadSink> SnapshotService<K> {
     /// traversal — which is what lets request pipelining feed the PR 4/8
     /// hot path full blocks instead of single balls.
     ///
-    /// A sink rejection (bounded buffer full) is reported for the request
-    /// it struck and serving continues with the next request, mirroring
-    /// the per-request stack's shed-and-continue behavior.
+    /// A sink rejection is reported for the request it struck and serving
+    /// continues with the next request, mirroring the per-request stack's
+    /// shed-and-continue behavior.
     pub fn call_block(
         &mut self,
         req: &Request,

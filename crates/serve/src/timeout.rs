@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use balloc_sim::VClock;
 
-use crate::service::{Layer, ServeError, Service};
+use crate::service::{ServeError, Service};
 
 /// Shared counter of requests that timed out under a [`Timeout`] layer's
 /// own deadline (cloned into every worker's stack).
@@ -102,40 +102,6 @@ impl<Req, S: Service<Req>> Service<Req> for Timeout<S> {
     }
 }
 
-/// [`Layer`] producing [`Timeout`] services over a shared clock and
-/// counter.
-#[derive(Debug, Clone)]
-pub struct TimeoutLayer {
-    clock: VClock,
-    budget: u64,
-    stats: TimeoutStats,
-}
-
-impl TimeoutLayer {
-    /// A layer whose services bound calls to `budget` ticks on `clock`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget == 0`.
-    #[must_use]
-    pub fn new(clock: VClock, budget: u64, stats: TimeoutStats) -> Self {
-        assert!(budget > 0, "timeout budget must be positive");
-        Self {
-            clock,
-            budget,
-            stats,
-        }
-    }
-}
-
-impl<S> Layer<S> for TimeoutLayer {
-    type Service = Timeout<S>;
-
-    fn layer(&self, inner: S) -> Self::Service {
-        Timeout::new(inner, self.clock.clone(), self.budget, self.stats.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,7 +130,7 @@ mod tests {
             clock: clock.clone(),
             latency: 3,
         };
-        let mut svc = TimeoutLayer::new(clock.clone(), 5, stats.clone()).layer(backend);
+        let mut svc = Timeout::new(backend, clock.clone(), 5, stats.clone());
         for i in 0..10 {
             assert_eq!(svc.call(i), Ok(i));
         }
@@ -225,6 +191,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "budget must be positive")]
     fn zero_budget_rejected() {
-        let _ = TimeoutLayer::new(VClock::new(), 0, TimeoutStats::new());
+        let clock = VClock::new();
+        let backend = SlowEcho {
+            clock: clock.clone(),
+            latency: 1,
+        };
+        let _ = Timeout::new(backend, clock, 0, TimeoutStats::new());
     }
 }

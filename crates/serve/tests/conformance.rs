@@ -27,10 +27,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use balloc_serve::{
-    BreakerConfig, BreakerStats, Buffer, BufferController, CircuitBreaker, Hedge, HedgeConfig,
-    HedgeStats, InFlightLimitLayer, Layer, LoadShed, LoadShedLayer, Permits, RateLimit,
-    RateLimitConfig, RateStats, Retry, RetryBudget, RetryConfig, RetryStats, ServeError, Service,
-    ShedCounter, Timeout, TimeoutStats,
+    BreakerConfig, BreakerStats, CircuitBreaker, Hedge, HedgeConfig, HedgeStats,
+    InFlightLimitLayer, Layer, LoadShed, LoadShedLayer, Permits, RateLimit, RateLimitConfig,
+    RateStats, Retry, RetryBudget, RetryConfig, RetryStats, ServeError, Service, ShedCounter,
+    Timeout, TimeoutStats,
 };
 use balloc_sim::VClock;
 use proptest::prelude::*;
@@ -147,32 +147,22 @@ impl StackStats {
 
 type BoxSvc = Box<dyn Service<u64, Response = u64>>;
 
-/// Assembles a random stack: the scripted backend (optionally behind a
-/// [`Buffer`] worker thread), wrapped by the deduplicated layer codes in
-/// script order (innermost first), under the always-present load shed.
+/// Assembles a random stack: the scripted backend, wrapped by the
+/// deduplicated layer codes in script order (innermost first), under the
+/// always-present load shed.
 fn build_stack(
     codes: &[u8],
-    use_buffer: bool,
     script: Vec<u8>,
     clock: &VClock,
     counters: &Counters,
     stats: &StackStats,
-) -> (
-    LoadShed<BoxSvc>,
-    Option<BufferController<ScriptedBackend>>,
-) {
-    let backend = ScriptedBackend {
+) -> LoadShed<BoxSvc> {
+    let mut stack: BoxSvc = Box::new(ScriptedBackend {
         clock: clock.clone(),
         script,
         pos: 0,
         counters: counters.clone(),
-    };
-    let (mut stack, controller): (BoxSvc, _) = if use_buffer {
-        let (handle, controller) = Buffer::spawn(backend, 16);
-        (Box::new(handle), Some(controller))
-    } else {
-        (Box::new(backend), None)
-    };
+    });
     let mut seen = [false; 6];
     for &raw in codes {
         let code = (raw % 6) as usize;
@@ -214,7 +204,7 @@ fn build_stack(
             _ => Box::new(InFlightLimitLayer::new(Permits::new(2)).layer(stack)),
         };
     }
-    (LoadShedLayer::new(stats.shed.clone()).layer(stack), controller)
+    LoadShedLayer::new(stats.shed.clone()).layer(stack)
 }
 
 /// The four terminal tallies of one driven run.
@@ -262,21 +252,15 @@ proptest! {
     fn random_stacks_conserve_every_request(
         script in proptest::collection::vec(any::<u8>(), 1..64usize),
         codes in proptest::collection::vec(any::<u8>(), 0..8usize),
-        use_buffer in any::<bool>(),
     ) {
         let clock = VClock::new();
         let counters = Counters::default();
         let stats = StackStats::new();
-        let (mut stack, controller) =
-            build_stack(&codes, use_buffer, script, &clock, &counters, &stats);
+        let mut stack = build_stack(&codes, script, &clock, &counters, &stats);
         let n = 200u64;
         let out = drive(&mut stack, &clock, n);
-        // Idempotent drop/drain: releasing the stack (and joining the
-        // buffer worker, if any) must not invent or lose completions.
+        // Releasing the stack must not invent or lose completions.
         drop(stack);
-        if let Some(controller) = controller {
-            let _ = controller.join();
-        }
 
         // 1. Every request ends exactly once.
         prop_assert_eq!(out.total(), n);
@@ -311,8 +295,7 @@ proptest! {
         let clock = VClock::new();
         let counters = Counters::default();
         let stats = StackStats::new();
-        let (mut stack, _none) =
-            build_stack(&[4], false, script, &clock, &counters, &stats);
+        let mut stack = build_stack(&[4], script, &clock, &counters, &stats);
         let n = 150u64;
         let out = drive(&mut stack, &clock, n);
         prop_assert_eq!(out.total(), n);
@@ -334,8 +317,7 @@ proptest! {
             let clock = VClock::new();
             let counters = Counters::default();
             let stats = StackStats::new();
-            let (mut stack, _none) =
-                build_stack(codes, false, script, &clock, &counters, &stats);
+            let mut stack = build_stack(codes, script, &clock, &counters, &stats);
             let out = drive(&mut stack, &clock, 120);
             (
                 out.allocated,

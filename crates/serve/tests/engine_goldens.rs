@@ -18,7 +18,7 @@
 
 use balloc_noise::CorruptKind;
 use balloc_serve::{
-    run_churn, run_replay, run_resilient, AutoscaleConfig, BackendKind, BreakerConfig, ChurnConfig,
+    run_churn, run_replay, run_resilient, AutoscaleConfig, BreakerConfig, ChurnConfig,
     FaultKind, FaultPlan, HedgeConfig, NoiseMode, PlannedChange, Policy, Request, ResilienceConfig,
     ResilienceOutcome, RetryConfig, ServeConfig, Staleness,
 };
@@ -28,8 +28,8 @@ fn replay_batch() -> ServeConfig {
     ServeConfig::demo(64, 4, 2022)
 }
 
-/// Multicounter store, τ-Delay, three workers over an uneven request
-/// count, 3-choice requests.
+/// One shard, τ-Delay, three workers over an uneven request count,
+/// 3-choice requests.
 fn replay_delay() -> ServeConfig {
     ServeConfig {
         workers: 3,
@@ -39,7 +39,6 @@ fn replay_delay() -> ServeConfig {
             noise: NoiseMode::Snapshot,
         },
         staleness: Staleness::Delay { tau: 100 },
-        backend: BackendKind::Multicounter,
         ..ServeConfig::demo(256, 1, 2023)
     }
 }

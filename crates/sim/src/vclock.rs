@@ -26,9 +26,8 @@
 //!
 //! A clock and all its clones are driven by one thread at a time. Clones
 //! may cross threads, but only through a synchronizing handoff: a thread
-//! spawn or join, a channel round trip (the serve crate's `Buffer` worker
-//! answers each call over a channel before the caller touches the clock
-//! again), or a lock. Two threads advancing one clock at the same moment
+//! spawn or join, a channel round trip (a worker that answers each call
+//! over a channel before the caller touches the clock again), or a lock. Two threads advancing one clock at the same moment
 //! is outside the contract: the result would not be a function of the
 //! seed, whatever the clock did internally.
 //!
@@ -102,8 +101,8 @@ pub struct VClock {
     regs: Arc<Registers>,
 }
 
-// A clock may be handed to a worker thread (a `Buffer` backend); keep
-// that possible without a lock.
+// A clock may be handed to a worker thread; keep that possible without a
+// lock.
 const _: () = {
     const fn send_sync<T: Send + Sync>() {}
     send_sync::<VClock>();
