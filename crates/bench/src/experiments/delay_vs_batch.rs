@@ -50,8 +50,8 @@ impl Experiment for DelayVsBatch {
             .filter(|&t| t >= 1 && t <= args.m())
             .collect();
 
-        // Each arm schedules its full τ × runs grid as one task set on the
-        // work-stealing pool; arm base seeds only need to differ (point_seed
+        // Each arm schedules its full τ × runs grid as one task set through
+        // sweep; arm base seeds only need to differ (point_seed
         // decorrelates even adjacent bases).
         let tau_params: Vec<f64> = taus.iter().map(|&t| t as f64).collect();
         let base = RunConfig::new(

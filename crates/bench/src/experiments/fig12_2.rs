@@ -59,8 +59,8 @@ impl Experiment for Fig12_2 {
             return Ok(sink.take_report());
         }
 
-        // Both arms flatten their full b × runs grid onto the work-stealing
-        // pool, so small-b points don't serialize behind big-b ones.
+        // Both arms flatten their full b × runs grid into one task set, so
+        // small-b points don't serialize behind big-b ones.
         let batched = sweep(
             &batch_sizes.iter().map(|&b| b as f64).collect::<Vec<_>>(),
             |b| Batched::new(b as u64),

@@ -151,7 +151,7 @@ impl Experiment for Table11_1 {
             move || Box::new(Batched::new(n)),
         ));
 
-        // Every row's runs go onto one flattened work-stealing task set; row k
+        // Every row's runs go into one flattened repeat_grid task set; row k
         // gets the decorrelated master seed point_seed(tagged_base, k), where
         // tagged_base folds this experiment's tag into --seed.
         let configs: Vec<RunConfig> = rows

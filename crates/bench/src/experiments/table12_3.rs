@@ -66,7 +66,7 @@ impl Experiment for Table12_3 {
         let labels = ["g-Bounded", "g-Myopic-Comp", "sigma-Noisy-Load"];
 
         // All 18 table cells (3 processes × 6 parameters) × runs flatten into
-        // one task set on the work-stealing pool; cell c is (process c / |P|,
+        // one task set through repeat_grid; cell c is (process c / |P|,
         // parameter c mod |P|), with a point_seed-derived master per cell.
         let configs: Vec<RunConfig> = (0..labels.len() * params.len())
             .map(|c| {

@@ -51,7 +51,7 @@ impl Experiment for Table12_4 {
             return Ok(sink.take_report());
         }
 
-        // b-Batch arm: one flattened b × runs grid on the work-stealing pool.
+        // b-Batch arm: one flattened b × runs grid, scheduled by sweep.
         let batched_dists: Vec<GapDistribution> = sweep(
             &batch_sizes.iter().map(|&b| b as f64).collect::<Vec<_>>(),
             |b| Batched::new(b as u64),

@@ -27,6 +27,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use balloc_sim::{OutputMode, OutputSink};
@@ -132,9 +133,8 @@ pub struct CommonArgs {
     pub balls_per_bin: u64,
     /// Repetitions per configuration.
     pub runs: usize,
-    /// Worker threads for the `workpool` work-stealing pool that backs
-    /// `balloc_sim::{repeat, repeat_grid, sweep}`. `--threads 0` resolves
-    /// to all available cores.
+    /// Worker threads for `balloc_sim::{repeat, repeat_grid, sweep}`.
+    /// `--threads 0` resolves to all available cores.
     pub threads: usize,
     /// Master seed.
     pub seed: u64,
@@ -156,7 +156,7 @@ impl Default for CommonArgs {
             n: 10_000,
             balls_per_bin: 200,
             runs: 25,
-            threads: workpool::Pool::with_available_parallelism().threads(),
+            threads: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             seed: 2022,
             full: false,
             smoke: false,
@@ -436,7 +436,7 @@ fn help_text(description: &str, extra: &[FlagSpec]) -> String {
          --n <bins>             number of bins (default {})\n  \
          --balls-per-bin <k>    m = k*n (default {})\n  \
          --runs <r>             repetitions (default {})\n  \
-         --threads <t>          work-stealing pool workers (default/0: all cores)\n  \
+         --threads <t>          simulation worker threads (default/0: all cores)\n  \
          --seed <s>             master seed (default {})\n  \
          --full                 paper-scale parameters (m = 1000n, 100 runs)\n  \
          --smoke                tiny CI parameters (n = 128, m = 10n, 2 runs)\n  \

@@ -42,13 +42,27 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use balloc_core::Rng;
-use crossbeam::utils::CachePadded;
+
+/// One counter cell, aligned to 128 bytes so adjacent cells never share a
+/// cache line: x86-64 prefetches lines in pairs, and Apple/ARM big cores
+/// use 128-byte lines. Without it, threads bumping neighbouring cells
+/// would contend on one line.
+#[derive(Debug)]
+#[repr(align(128))]
+struct PaddedCell(AtomicU64);
+
+impl std::ops::Deref for PaddedCell {
+    type Target = AtomicU64;
+    fn deref(&self) -> &AtomicU64 {
+        &self.0
+    }
+}
 
 /// A counter striped over `w` cache-padded atomic cells, incremented with
 /// the power of two choices.
 #[derive(Debug)]
 pub struct MultiCounter {
-    cells: Box<[CachePadded<AtomicU64>]>,
+    cells: Box<[PaddedCell]>,
 }
 
 impl MultiCounter {
@@ -61,7 +75,7 @@ impl MultiCounter {
     pub fn new(width: usize) -> Self {
         assert!(width > 0, "width must be positive");
         let cells = (0..width)
-            .map(|_| CachePadded::new(AtomicU64::new(0)))
+            .map(|_| PaddedCell(AtomicU64::new(0)))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         Self { cells }

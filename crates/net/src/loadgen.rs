@@ -328,8 +328,24 @@ fn drain_replies(
                         bin,
                         epoch: _,
                     } => {
-                        let sent_at = conn.in_flight.pop_front().expect("reply without request");
-                        assert_eq!(req_id, conn.replies + 1, "server must reply in order");
+                        // Both checks guard against peer input: a reply
+                        // with nothing in flight, or out of order, is a
+                        // protocol error, not a panic.
+                        let Some(sent_at) = conn.in_flight.pop_front() else {
+                            return Err(io::Error::new(
+                                io::ErrorKind::InvalidData,
+                                format!("reply {req_id} without a request in flight"),
+                            ));
+                        };
+                        if req_id != conn.replies + 1 {
+                            return Err(io::Error::new(
+                                io::ErrorKind::InvalidData,
+                                format!(
+                                    "out-of-order reply: got req_id {req_id}, expected {}",
+                                    conn.replies + 1
+                                ),
+                            ));
+                        }
                         // balloc-lint: allow(L002): latency measurement.
                         let us = u64::try_from(sent_at.elapsed().as_micros())
                             .unwrap_or(u64::MAX);

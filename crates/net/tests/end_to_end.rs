@@ -396,3 +396,53 @@ fn pipelined_inline_equals_unpipelined_decisions() {
     };
     assert_eq!(run(1), run(64));
 }
+
+#[test]
+fn out_of_order_reply_is_an_error_not_a_load_generator_panic() {
+    // A bare listener plays a misbehaving server: it reads the HELLO and
+    // the one ALLOC, then answers with a req_id the client never sent.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let mut decoder = FrameDecoder::new();
+        let mut seen = 0;
+        let mut buf = [0u8; 256];
+        while seen < 2 {
+            let k = stream.read(&mut buf).expect("read request");
+            assert!(k > 0, "client closed before sending its request");
+            decoder.extend(&buf[..k]);
+            while decoder.next_frame().expect("client frames").is_some() {
+                seen += 1;
+            }
+        }
+        let mut out = Vec::new();
+        encode(
+            &Frame::RespBin {
+                req_id: 7,
+                bin: 0,
+                epoch: 0,
+            },
+            &mut out,
+        );
+        stream.write_all(&out).expect("write reply");
+        // Hold the connection until the client hangs up, so the reply is
+        // judged on its content rather than on an early EOF.
+        while matches!(stream.read(&mut buf), Ok(k) if k > 0) {}
+    });
+    let result = run_loadgen(&LoadGenConfig {
+        addr,
+        connections: 1,
+        pipeline: 1,
+        requests: 1,
+        request: Request::two_choice(),
+        seed: 1,
+        collect_bins: false,
+    });
+    let err = result.expect_err("an out-of-order reply must fail the run");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    peer.join().expect("peer thread");
+}

@@ -11,7 +11,7 @@
 //! * [`repeat`] — parallel repetitions with derived per-run seeds
 //!   (sequential ≡ parallel, always);
 //! * [`repeat_grid`] — many configurations × many repetitions flattened
-//!   into one task set on the vendored `workpool` work-stealing pool;
+//!   into one task set on scoped worker threads;
 //! * [`sweep`] — one experiment per parameter value (the paper's figure
 //!   series), scheduled through [`repeat_grid`];
 //! * [`GapDistribution`] — the `gap : percent%` histograms of Tables
@@ -40,8 +40,8 @@
 //!   j)`, then derives run seeds as above — so two sweeps with *nearby*
 //!   base seeds (even `s` and `s + 1`) share **no** run seeds, and the two
 //!   derivation layers can never alias each other (distinct domain tags).
-//! * Scheduling is seed-free: thread count and work stealing only choose
-//!   *where* a task runs. Results are byte-identical to `threads = 1` for
+//! * Scheduling is seed-free: the thread count only chooses *where* a
+//!   task runs. Results are byte-identical to `threads = 1` for
 //!   every thread count.
 //!
 //! # Example: a miniature Fig. 12.1 point

@@ -14,12 +14,13 @@
 //! bookkeeping — while gap tracing ([`GapTrace`]) only pauses the batched
 //! engine at its checkpoints.
 //!
-//! Execution is delegated to the vendored [`workpool`] work-stealing pool:
-//! [`repeat`]/[`repeat_traced`] are thin wrappers over
-//! [`workpool::par_map_indexed`], and [`repeat_grid`] schedules a whole
-//! `configs × runs` grid as **one** flattened task set, so multi-point
-//! experiments saturate every core even when single points have few
-//! repetitions.
+//! Execution: [`repeat`]/[`repeat_traced`] are thin wrappers over
+//! [`repeat_grid`], which schedules a whole `configs × runs` grid as
+//! **one** flattened task set on scoped worker threads that claim task
+//! indices from a shared counter, so multi-point experiments keep every
+//! worker busy even when single points have few repetitions.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use balloc_core::rng::{run_seed, LaneRng};
 use balloc_core::{LaneProcess, LoadState, Process, Rng};
@@ -317,11 +318,11 @@ where
 }
 
 /// Runs `runs` repetitions of **every** configuration in `configs` as a
-/// single flattened task set on the work-stealing pool, returning one
+/// single flattened task set on `threads` workers, returning one
 /// result block per configuration (in configuration order).
 ///
 /// This is the scheduling primitive behind [`crate::sweep`]: a 10-point ×
-/// 100-repetition figure becomes 1 000 independent tasks stolen across all
+/// 100-repetition figure becomes 1 000 independent tasks claimed by all
 /// workers, instead of 10 sequential 100-task regions. `factory(k)` builds
 /// a fresh process for configuration `k`; repetition `i` of configuration
 /// `k` runs with seed `run_seed(configs[k].seed, i)`. Results are
@@ -378,7 +379,7 @@ where
     assert!(runs > 0, "need at least one run");
     assert!(threads > 0, "need at least one thread");
     let total = configs.len() * runs;
-    let results = workpool::par_map_indexed(threads.min(total), total, |task| {
+    let results = par_map_indexed(threads, total, |task| {
         let k = task / runs;
         let i = (task % runs) as u64;
         let config = configs[k];
@@ -392,6 +393,58 @@ where
     let mut results = results.into_iter();
     (0..configs.len())
         .map(|_| results.by_ref().take(runs).collect())
+        .collect()
+}
+
+/// Maps `0..count` through `f` on up to `threads` scoped workers, returning
+/// the results in index order — element for element the sequential map, so
+/// the thread count only decides *where* a task runs, never what it
+/// computes.
+///
+/// Each worker claims the next unclaimed index from one shared counter and
+/// keeps its `(index, value)` pairs locally; the pairs are written into
+/// pre-sized slots after the join. A panic in `f` ends only its own
+/// worker; the others drain the counter, and the panic is re-raised on the
+/// calling thread.
+fn par_map_indexed<T, F>(threads: usize, count: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let threads = threads.min(count);
+    if threads <= 1 {
+        return (0..count).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut local = Vec::new();
+        loop {
+            // Relaxed suffices: the counter only hands out distinct
+            // indices, and the join publishes every result.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                return local;
+            }
+            local.push((i, f(i)));
+        }
+    };
+    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        for handle in workers {
+            match handle.join() {
+                Ok(local) => {
+                    for (i, value) in local {
+                        slots[i] = Some(value);
+                    }
+                }
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index is claimed exactly once"))
         .collect()
 }
 
@@ -486,6 +539,7 @@ pub fn run_on_state<P: Process>(
 mod tests {
     use super::*;
     use balloc_core::TwoChoice;
+    use proptest::prelude::*;
 
     #[test]
     fn run_allocates_m_balls() {
@@ -651,6 +705,68 @@ mod tests {
     #[should_panic(expected = "at least one configuration")]
     fn empty_grid_rejected() {
         let _ = repeat_grid(&[], |_: usize| TwoChoice::classic(), 1, 1);
+    }
+
+    #[test]
+    fn par_map_indexed_matches_sequential_map() {
+        // The grid includes zero tasks and more threads than tasks.
+        for threads in [1usize, 2, 3, 8] {
+            for count in [0usize, 1, 2, 7, 64, 257] {
+                let par = par_map_indexed(threads, count, |i| i * 3 + 1);
+                let seq: Vec<usize> = (0..count).map(|i| i * 3 + 1).collect();
+                assert_eq!(par, seq, "threads = {threads}, count = {count}");
+            }
+        }
+    }
+
+    #[test]
+    fn par_map_indexed_runs_every_task_exactly_once() {
+        let runs: Vec<AtomicUsize> = (0..1_000).map(|_| AtomicUsize::new(0)).collect();
+        let out = par_map_indexed(4, runs.len(), |i| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
+            i
+        });
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+        assert_eq!(out, (0..1_000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn par_map_indexed_handles_uneven_task_costs() {
+        // Front-loaded cost: the first 16 tasks are ~100× the rest.
+        let task = |i: usize| {
+            let spins = if i < 16 { 200_000 } else { 2_000 };
+            (0..spins).fold(i as u64, |acc, _| {
+                acc.wrapping_mul(6_364_136_223_846_793_005)
+            })
+        };
+        let seq: Vec<u64> = (0..64).map(task).collect();
+        assert_eq!(par_map_indexed(4, 64, task), seq);
+    }
+
+    #[test]
+    #[should_panic(expected = "boom at 37")]
+    fn par_map_indexed_task_panic_propagates_instead_of_hanging() {
+        let _ = par_map_indexed(4, 100, |i| {
+            assert!(i != 37, "boom at {i}");
+            i
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The pool's core contract: `par_map_indexed` equals the
+        /// sequential map for arbitrary task and thread counts.
+        #[test]
+        fn par_map_indexed_equals_sequential_map(
+            count in 0usize..200,
+            threads in 1usize..12,
+            salt in any::<u64>(),
+        ) {
+            let task = |i: usize| salt.wrapping_mul(i as u64 + 1).rotate_left((i % 64) as u32);
+            let seq: Vec<u64> = (0..count).map(task).collect();
+            prop_assert_eq!(par_map_indexed(threads, count, task), seq);
+        }
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! returns one [`SweepPoint`] per value.
 //!
 //! Scheduling: the whole `params × runs` grid is flattened into **one**
-//! task set on the work-stealing pool (via
-//! [`repeat_grid_traced`](crate::repeat_grid_traced)), so a 10-point ×
-//! 100-repetition figure keeps every core busy until the last task, instead
-//! of parallelizing only within one point at a time.
+//! task set (via [`repeat_grid_traced`](crate::repeat_grid_traced)), so a
+//! 10-point × 100-repetition figure keeps every worker busy until the last
+//! task, instead of parallelizing only within one point at a time.
 
 use balloc_core::rng::point_seed;
 use balloc_core::stats::Summary;
@@ -70,8 +69,8 @@ impl SweepPoint {
 /// [`repeat`](crate::repeat) — everything is reproducible and independent
 /// of `threads`, and sweeps run with nearby base seeds share no run seeds.
 ///
-/// The full `params × runs` grid is scheduled as one flattened task set on
-/// the work-stealing pool.
+/// The full `params × runs` grid is scheduled as one flattened task set
+/// through [`repeat_grid`](crate::repeat_grid).
 ///
 /// # Panics
 ///

@@ -1,4 +1,4 @@
-//! Property-based tests for the work-stealing execution layer and the
+//! Property-based tests for thread-count invariance and the
 //! seed-derivation contract, plus regressions for the scheduling bugfixes.
 
 use std::collections::HashSet;
@@ -13,23 +13,6 @@ use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The pool's core contract: `par_map_indexed` equals the sequential
-    /// map for arbitrary task and thread counts.
-    #[test]
-    fn par_map_indexed_equals_sequential_map(
-        count in 0usize..200,
-        threads in 1usize..12,
-        salt in any::<u64>(),
-    ) {
-        let par = workpool::par_map_indexed(threads, count, |i| {
-            salt.wrapping_mul(i as u64 + 1).rotate_left((i % 64) as u32)
-        });
-        let seq: Vec<u64> = (0..count)
-            .map(|i| salt.wrapping_mul(i as u64 + 1).rotate_left((i % 64) as u32))
-            .collect();
-        prop_assert_eq!(par, seq);
-    }
 
     /// Derived seeds never collide across a realistic sweep grid: every
     /// (point, run) pair of a sweep gets a distinct run seed, the point
