@@ -2,7 +2,7 @@
 //! `(configuration, seed)`, independent of thread count, and round-trip
 //! through serialization.
 
-use noisy_balance::core::{Rng, TwoChoice};
+use noisy_balance::core::{LoadState, Process, Rng, TwoChoice};
 use noisy_balance::noise::{Batched, DelayStrategy, Delayed, GBounded, GMyopic, SigmaNoisyLoad};
 use noisy_balance::sim::{repeat, run, sweep, Checkpoints, GapDistribution, RunConfig};
 
@@ -101,15 +101,44 @@ fn rng_streams_are_platform_stable() {
     );
 }
 
+/// FNV-1a over the little-endian bytes of a load vector.
+fn load_digest(loads: &[u64]) -> u64 {
+    loads.iter().fold(0xcbf2_9ce4_8422_2325, |h, &x| {
+        x.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// Runs `process` for `m` balls on `n` empty bins at `seed` through the
+/// batched engine; returns the final max load and load-vector digest.
+fn golden<P: Process>(mut process: P, n: usize, m: u64, seed: u64) -> (u64, u64) {
+    let mut state = LoadState::new(n);
+    let mut rng = Rng::from_seed(seed);
+    process.run(&mut state, m, &mut rng);
+    let result = run(&mut process, RunConfig::new(n, m, seed));
+    assert_eq!(result.max_load, state.max_load());
+    assert_eq!(result.max_load as i64 - (m / n as u64) as i64, result.integer_gap.unwrap());
+    (state.max_load(), load_digest(state.loads()))
+}
+
 #[test]
 fn golden_run_pins_end_to_end_behavior() {
-    // A golden test: if any part of the pipeline (RNG, process, load
-    // bookkeeping) changes behavior, this fails loudly.
-    let result = run(&mut GBounded::new(2), RunConfig::new(100, 10_000, 4242));
-    let expected = run(&mut GBounded::new(2), RunConfig::new(100, 10_000, 4242));
-    assert_eq!(result, expected);
-    assert_eq!(result.max_load as i64 - 100, result.integer_gap.unwrap());
-    // Pin the concrete values (update deliberately if the RNG or process
-    // semantics ever change).
-    assert!(result.integer_gap.unwrap() >= 2 && result.integer_gap.unwrap() <= 12);
+    // Golden values: if any part of the pipeline (RNG, process, load
+    // bookkeeping, batched kernel) changes behavior, this fails loudly.
+    // Update them deliberately, with the reason, if the RNG or process
+    // semantics ever change. Every run has m ⩾ n, so each takes its
+    // process's batched fast path.
+    assert_eq!(
+        golden(GBounded::new(2), 100, 10_000, 4242),
+        (104, 0xa106_0c4d_7ace_1c67)
+    );
+    assert_eq!(
+        golden(GMyopic::new(2), 100, 10_000, 4242),
+        (103, 0xd1e1_cae8_70af_eb9d)
+    );
+    assert_eq!(
+        golden(Batched::new(100), 100, 10_000, 4242),
+        (103, 0x3fef_5d09_c019_eb05)
+    );
 }
