@@ -558,8 +558,24 @@ impl LoadBatch<'_> {
         self.state.loads[i] = old_load + 1;
     }
 
-    /// Settles the ball counter for `count` prior
-    /// [`place_with_uncounted`](Self::place_with_uncounted) calls.
+    /// Places one ball into bin `i` like [`place`](Self::place) but
+    /// **without** advancing the ball counter; settle the count with
+    /// [`credit_balls`](Self::credit_balls), as for
+    /// [`place_with_uncounted`](Self::place_with_uncounted). For kernels
+    /// that decide on loads other than the live ones (a `b-Batch`
+    /// snapshot) and so hold no current load to hand back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= n`.
+    #[inline]
+    pub fn place_uncounted(&mut self, i: usize) {
+        self.state.loads[i] += 1;
+    }
+
+    /// Settles the ball counter for `count` prior uncounted placements
+    /// ([`place_uncounted`](Self::place_uncounted),
+    /// [`place_with_uncounted`](Self::place_with_uncounted)).
     #[inline]
     pub fn credit_balls(&mut self, count: u64) {
         self.state.balls += count;

@@ -4,7 +4,7 @@
 use balloc_core::{Decider, DecisionProbability, LoadState, Process, Rng, TwoChoice};
 
 use crate::strategies::{
-    CompStrategy, CompStrategyProbability, ReverseAll, UniformRandom,
+    CompStrategy, CompStrategyProbability, FixedRule, ReverseAll, UniformRandom,
 };
 
 /// The `g-Adv-Comp` decision rule: when the two sampled bins' loads differ
@@ -60,6 +60,16 @@ impl<S: CompStrategy> Decider for AdvComp<S> {
     fn decide(&mut self, state: &LoadState, i1: usize, i2: usize, rng: &mut Rng) -> usize {
         let (x1, x2) = (state.load(i1), state.load(i2));
         let delta = x1.abs_diff(x2);
+        if let Some(rule) = self.strategy.fixed_rule() {
+            // Both the window test and the comparison are ~50/50 on real
+            // load distributions, so the three-way branch below costs
+            // mispredicts; a fixed rule folds into one forced-branchless
+            // predicate. Outside the window the loads differ, so "ties to
+            // i1" only matters inside it.
+            let reverse = (rule == FixedRule::Heavier) & (delta <= self.g);
+            let second = std::hint::select_unpredictable(reverse, x2 > x1, x2 < x1);
+            return std::hint::select_unpredictable(second, i2, i1);
+        }
         if delta <= self.g {
             self.strategy.choose(state, i1, i2, rng)
         } else if x1 < x2 {
@@ -78,6 +88,12 @@ impl<S: CompStrategy> Decider for AdvComp<S> {
         // The window test reads only the two loads; eligibility for the
         // batched fast path is the in-window strategy's promise.
         self.strategy.batchable()
+    }
+
+    #[inline]
+    fn totals_free(&self) -> bool {
+        // A fixed rule reads the two loads and nothing else.
+        self.strategy.fixed_rule().is_some()
     }
 }
 

@@ -153,8 +153,15 @@ impl Process for Batched {
     /// and no external modification can occur (this process is the only
     /// allocator inside the call), so the per-ball resync/boundary checks
     /// are hoisted to the batch boundaries and the inner loop compares
-    /// snapshot loads directly. Comparisons never read the live aggregates,
-    /// so long runs also defer aggregate maintenance.
+    /// snapshot loads directly. Comparisons never read the live loads or
+    /// aggregates, so long runs defer aggregate maintenance and count the
+    /// balls once per segment, which keeps `balls` exact at every boundary
+    /// check.
+    ///
+    /// Only the first boundary of a call compares the refreshed snapshot
+    /// with the loads: it adopts any balanced external change made before
+    /// the call. After it, every load change is this call's own and is in
+    /// the touched-bin log, so later boundaries match by construction.
     fn run_batch(&mut self, state: &mut LoadState, steps: u64, rng: &mut Rng) {
         let n = state.n();
         let bound = n as u64;
@@ -166,6 +173,7 @@ impl Process for Batched {
         }
         let mut batch = state.batch();
         let mut remaining = steps;
+        let mut first_boundary = true;
         while remaining > 0 {
             let externally_modified = self.initialized
                 && batch.view().balls() != self.snapshot_balls + self.since_snapshot.len() as u64;
@@ -177,25 +185,29 @@ impl Process for Batched {
             } else if self.since_snapshot.len() as u64 >= self.b {
                 self.refresh_snapshot();
                 self.snapshot_balls = batch.view().balls();
-                if self.snapshot != batch.view().loads() {
+                if first_boundary && self.snapshot != batch.view().loads() {
                     self.snapshot.copy_from_slice(batch.view().loads());
                 }
+                first_boundary = false;
             }
             let segment = remaining.min(self.b - self.since_snapshot.len() as u64);
+            let snapshot = &self.snapshot;
             for _ in 0..segment {
                 let i1 = rng.below(bound) as usize;
                 let i2 = rng.below(bound) as usize;
-                let (s1, s2) = (self.snapshot[i1], self.snapshot[i2]);
-                let chosen = if s1 < s2 {
-                    i1
-                } else if s2 < s1 {
-                    i2
-                } else {
+                let (s1, s2) = (snapshot[i1], snapshot[i2]);
+                // Unequal reports are a ~50/50 comparison, so the select is
+                // forced branchless; a random tie-break draws its coin, so
+                // the tie stays a branch.
+                let chosen = if s1 == s2 {
                     self.tie.resolve(i1, i2, rng)
+                } else {
+                    std::hint::select_unpredictable(s2 < s1, i2, i1)
                 };
-                batch.place(chosen);
+                batch.place_uncounted(chosen);
                 self.since_snapshot.push(chosen);
             }
+            batch.credit_balls(segment);
             remaining -= segment;
         }
     }
@@ -323,6 +335,41 @@ mod tests {
         for (i, &expected) in loads_after_batch.iter().enumerate() {
             assert_eq!(process.reported_load(i), expected);
         }
+    }
+
+    #[test]
+    fn balanced_external_change_between_calls_is_adopted() {
+        // The batched engine compares the snapshot with the loads only at
+        // the first batch boundary of a call. A balanced external change
+        // made mid-batch between two calls (one ball removed, one added)
+        // keeps the ball count, so only that compare can adopt it, exactly
+        // as per-ball allocation does at its next boundary.
+        let n = 16;
+        let b = 24u64;
+        let drive = |batched: bool| {
+            let mut process = Batched::new(b);
+            let mut state = LoadState::new(n);
+            let mut rng = Rng::from_seed(31);
+            let mut place = |state: &mut LoadState, rng: &mut Rng, steps: u64| {
+                if batched {
+                    process.run_batch(state, steps, rng);
+                } else {
+                    for _ in 0..steps {
+                        process.allocate(state, rng);
+                    }
+                }
+            };
+            // 69 balls end the first call 21 balls into its third batch.
+            place(&mut state, &mut rng, 4 * n as u64 + 5);
+            let loads = state.loads();
+            let heaviest = (0..n).max_by_key(|&i| loads[i]).expect("n > 0");
+            let lightest = (0..n).min_by_key(|&i| loads[i]).expect("n > 0");
+            state.deallocate(heaviest);
+            state.allocate(lightest);
+            place(&mut state, &mut rng, 4 * n as u64);
+            (state, rng)
+        };
+        assert_eq!(drive(true), drive(false));
     }
 
     #[test]

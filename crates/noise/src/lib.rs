@@ -60,7 +60,7 @@ pub use noisy_comp::{GaussianLoadDecider, NoisyComp, SigmaNoisyLoad};
 pub use query::QueryComp;
 pub use rho::{BoundedRho, ConstantRho, GaussianRho, MyopicRho, RhoFunction};
 pub use strategies::{
-    CompStrategy, CompStrategyProbability, CorrectAll, OverloadSeeking, ReverseAll,
+    CompStrategy, CompStrategyProbability, CorrectAll, FixedRule, OverloadSeeking, ReverseAll,
     ReverseWithProbability, UniformRandom,
 };
 pub use thinning_noise::{NoisyMeanThinning, ThresholdNoise};

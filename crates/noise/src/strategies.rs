@@ -29,6 +29,30 @@ pub trait CompStrategy {
     fn batchable(&self) -> bool {
         false
     }
+
+    /// The fixed in-window rule this strategy follows, if any.
+    ///
+    /// Returning `Some(rule)` is a **promise** that `choose` draws nothing
+    /// from the `Rng`, reads only the two sampled loads, and always picks
+    /// the bin `rule` names, with ties to `i1`. [`AdvComp`](crate::AdvComp)
+    /// then decides without branching on the window or the comparison, and
+    /// forwards the promise as
+    /// [`Decider::totals_free`](balloc_core::Decider::totals_free), so the
+    /// batched kernels stop counting balls one at a time. Defaults to
+    /// `None` (always safe).
+    fn fixed_rule(&self) -> Option<FixedRule> {
+        None
+    }
+}
+
+/// A fixed in-window rule declared by [`CompStrategy::fixed_rule`]: which
+/// of the two sampled bins receives the ball. Ties go to the first sample.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FixedRule {
+    /// The strictly lighter bin: the comparison is answered correctly.
+    Lighter,
+    /// The strictly heavier bin: the comparison is reversed.
+    Heavier,
 }
 
 /// A [`CompStrategy`] whose one-step decision distribution is known exactly
@@ -57,6 +81,11 @@ impl CompStrategy for ReverseAll {
     #[inline]
     fn batchable(&self) -> bool {
         true
+    }
+
+    #[inline]
+    fn fixed_rule(&self) -> Option<FixedRule> {
+        Some(FixedRule::Heavier)
     }
 }
 
@@ -114,6 +143,11 @@ impl CompStrategy for CorrectAll {
     #[inline]
     fn batchable(&self) -> bool {
         true
+    }
+
+    #[inline]
+    fn fixed_rule(&self) -> Option<FixedRule> {
+        Some(FixedRule::Lighter)
     }
 }
 

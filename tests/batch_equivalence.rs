@@ -17,7 +17,7 @@ use balloc_core::{
     LoadState, PerfectDecider, Process, Rng, TieBreak, TwoChoice,
 };
 use balloc_noise::{
-    AdvComp, AdvLoad, Batched, DelayStrategy, Delayed, GBounded, GMyopic, GaussianLoadDecider,
+    AdvComp, AdvLoad, Batched, CorrectAll, DelayStrategy, Delayed, GBounded, GMyopic, GaussianLoadDecider,
     NoisyMeanThinning, OverloadSeeking, PerturbStrategy, QueryComp, ReverseAll,
     ReverseWithProbability, SigmaNoisyLoad, ThresholdNoise, UniformRandom,
 };
@@ -79,10 +79,15 @@ fn registry() -> Vec<Entry> {
         ("two_thinning_0", |n| (n, Box::new(TwoThinning::new(0.0)))),
         ("two_thinning_1.5", |n| (n, Box::new(TwoThinning::new(1.5)))),
         ("two_thinning_neg2", |n| (n, Box::new(TwoThinning::new(-2.0)))),
+        ("g_bounded_0", |n| (n, Box::new(GBounded::new(0)))),
         ("g_bounded_3", |n| (n, Box::new(GBounded::new(3)))),
+        ("g_bounded_16", |n| (n, Box::new(GBounded::new(16)))),
         ("g_myopic_3", |n| (n, Box::new(GMyopic::new(3)))),
         ("adv_comp_overload_seeking", |n| {
             (n, Box::new(TwoChoice::new(AdvComp::new(3, OverloadSeeking))))
+        }),
+        ("adv_comp_correct_all", |n| {
+            (n, Box::new(TwoChoice::new(AdvComp::new(2, CorrectAll))))
         }),
         ("adv_comp_reverse_p0", |n| {
             (
@@ -293,7 +298,15 @@ proptest! {
         seed in any::<u64>(),
         steps in 4_000u64..9_000,
     ) {
-        for name in ["two_choice_first", "one_choice", "d_choice_4", "g_bounded_3", "batched_5"] {
+        for name in [
+            "two_choice_first",
+            "one_choice",
+            "d_choice_4",
+            "g_bounded_0",
+            "g_bounded_3",
+            "batched_5",
+            "batched_n",
+        ] {
             let (_, factory) = registry()
                 .into_iter()
                 .find(|(k, _)| *k == name)

@@ -6,7 +6,8 @@
 //! vector (including all maintained aggregates) and the same final state of
 //! **every** lane of the interleaved generator. This suite runs every
 //! lane-enabled process — each tie rule of `TwoChoice` (batchable and the
-//! `Random`-tie fallback), `DChoice` across tournament widths, `OneChoice` —
+//! `Random`-tie fallback), `TwoChoice` under the fixed-rule `g-Adv-Comp`
+//! adversaries, `DChoice` across tournament widths, `OneChoice` —
 //! at lane widths K ∈ {1, 4, 8, 16}, splitting runs at arbitrary chunk
 //! boundaries (K-aligned and not), and compares both end states.
 //!
@@ -23,6 +24,7 @@ use balloc_core::rng::{LaneRng, SeedScheme};
 use balloc_core::{
     run_lanes_reference, LaneProcess, LoadState, PerfectDecider, Process, Rng, TieBreak, TwoChoice,
 };
+use balloc_noise::{AdvComp, CorrectAll, ReverseAll};
 use balloc_processes::{DChoice, OneChoice};
 use proptest::prelude::*;
 
@@ -128,6 +130,27 @@ fn check_all_processes<const K: usize>(
             splits,
         )?;
     }
+    // Fixed-rule adversaries: branchless decide, deferred ball counting.
+    for (name, g) in [("g_bounded_0", 0u64), ("g_bounded_16", 16)] {
+        assert_lane_equivalent::<K, _>(
+            name,
+            TwoChoice::new(AdvComp::new(g, ReverseAll)),
+            TwoChoice::new(AdvComp::new(g, ReverseAll)),
+            n,
+            steps,
+            seed,
+            splits,
+        )?;
+    }
+    assert_lane_equivalent::<K, _>(
+        "adv_comp_correct_all",
+        TwoChoice::new(AdvComp::new(2, CorrectAll)),
+        TwoChoice::new(AdvComp::new(2, CorrectAll)),
+        n,
+        steps,
+        seed,
+        splits,
+    )?;
     assert_lane_equivalent::<K, _>(
         "one_choice",
         OneChoice::new(),
