@@ -15,6 +15,12 @@ use crate::strategies::{
 /// For `g = 0` the adversary only controls exact ties, recovering
 /// `Two-Choice` without noise (the paper's convention).
 ///
+/// A strategy that declares a [`fixed_rule`](CompStrategy::fixed_rule)
+/// (`ReverseAll`, `CorrectAll`) is decided without branches, and `AdvComp`
+/// forwards that declaration as [`Decider::totals_free`], so the batched
+/// kernels defer their ball counting exactly as for noise-free
+/// `Two-Choice`.
+///
 /// # Examples
 ///
 /// ```
@@ -244,6 +250,7 @@ impl Process for GMyopic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategies::CorrectAll;
     use balloc_core::probability::{bin_probabilities, is_probability_vector};
     use balloc_core::{PerfectDecider, TieBreak};
 
@@ -256,6 +263,49 @@ mod tests {
         assert_eq!(d.decide(&state, 1, 0, &mut rng), 0);
         // |4 − 0| = 4 > g → forced correct.
         assert_eq!(d.decide(&state, 1, 2, &mut rng), 2);
+    }
+
+    #[test]
+    fn fixed_rules_decide_like_the_window_branch() {
+        // The branchless fixed-rule decide must agree with the generic
+        // window branch (strategy inside the window, lighter bin outside)
+        // on every load pair, window and sample order.
+        fn branch<S: CompStrategy>(
+            s: &mut S,
+            g: u64,
+            state: &LoadState,
+            i1: usize,
+            i2: usize,
+        ) -> usize {
+            let (x1, x2) = (state.load(i1), state.load(i2));
+            if x1.abs_diff(x2) <= g {
+                s.choose(state, i1, i2, &mut Rng::from_seed(0))
+            } else if x1 < x2 {
+                i1
+            } else {
+                i2
+            }
+        }
+        let state = LoadState::from_loads((0..8).collect());
+        let mut rng = Rng::from_seed(0);
+        for g in 0..9 {
+            let (mut reverse, mut correct) =
+                (AdvComp::new(g, ReverseAll), AdvComp::new(g, CorrectAll));
+            for i1 in 0..8 {
+                for i2 in 0..8 {
+                    assert_eq!(
+                        reverse.decide(&state, i1, i2, &mut rng),
+                        branch(&mut ReverseAll, g, &state, i1, i2),
+                        "ReverseAll g = {g}, ({i1}, {i2})"
+                    );
+                    assert_eq!(
+                        correct.decide(&state, i1, i2, &mut rng),
+                        branch(&mut CorrectAll, g, &state, i1, i2),
+                        "CorrectAll g = {g}, ({i1}, {i2})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,9 +17,9 @@ use balloc_core::{
     LoadState, PerfectDecider, Process, Rng, TieBreak, TwoChoice,
 };
 use balloc_noise::{
-    AdvComp, AdvLoad, Batched, CorrectAll, DelayStrategy, Delayed, GBounded, GMyopic, GaussianLoadDecider,
-    NoisyMeanThinning, OverloadSeeking, PerturbStrategy, QueryComp, ReverseAll,
-    ReverseWithProbability, SigmaNoisyLoad, ThresholdNoise, UniformRandom,
+    AdvComp, AdvLoad, Batched, CorrectAll, DelayStrategy, Delayed, GBounded, GMyopic,
+    GaussianLoadDecider, NoisyMeanThinning, OverloadSeeking, PerturbStrategy, QueryComp,
+    ReverseAll, ReverseWithProbability, SigmaNoisyLoad, ThresholdNoise, UniformRandom,
 };
 use balloc_processes::{
     AlwaysFirst, AlwaysHeavier, DChoice, GraphicalTwoChoice, MeanThinning, NonUniformTwoChoice,

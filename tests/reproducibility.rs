@@ -118,7 +118,8 @@ fn golden<P: Process>(mut process: P, n: usize, m: u64, seed: u64) -> (u64, u64)
     process.run(&mut state, m, &mut rng);
     let result = run(&mut process, RunConfig::new(n, m, seed));
     assert_eq!(result.max_load, state.max_load());
-    assert_eq!(result.max_load as i64 - (m / n as u64) as i64, result.integer_gap.unwrap());
+    let mean = (m / n as u64) as i64;
+    assert_eq!(result.max_load as i64 - mean, result.integer_gap.unwrap());
     (state.max_load(), load_digest(state.loads()))
 }
 

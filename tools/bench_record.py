@@ -1,0 +1,189 @@
+#!/usr/bin/env python3
+"""Pairs perfbench results of two builds by seed and records the comparison.
+
+    python3 tools/bench_record.py PARENT_TARGET CHANGE_TARGET [--trace 0|1] [--label TEXT]
+    python3 tools/bench_record.py PARENT_TARGET CHANGE_TARGET [--trace 0|1] --compare
+
+PARENT_TARGET and CHANGE_TARGET are the `$CARGO_TARGET_DIR`s that
+`perfbench/run.py` ran with for the parent and the change build. Every
+passing run left `<target>/perfbench/result-<workload>-<seed>-trace<t>.json`
+there. Runs of one workload at one trace level are paired by seed; seeds
+present on one side only are skipped with a warning.
+
+Without `--compare`, one entry is appended to the `entries` list of the
+repository's `BENCH_baseline.json`:
+the host record, the protocol of each workload (seconds, seeds, run order)
+and one row per metric:
+
+    {workload, metric, unit, parent {median, q1, q3},
+     change {median, q1, q3}, pairs_won}
+
+`pairs_won` counts the pairs in which the change is strictly better, in the
+direction `BENCHMARK.json` gives for the metric (null when it gives none).
+The run order of a pair is read from the result files' modification times.
+Quartiles are inclusive-method (linear interpolation between order
+statistics).
+
+With `--compare`, nothing is written. Every row whose change median falls
+outside the parent's [q1, q3] is printed as flagged, and the exit code is 1
+if any row is flagged. Comparing a target dir with itself flags nothing.
+"""
+
+import argparse
+import datetime
+import json
+import os
+import re
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RESULT = re.compile(r"^result-(?P<workload>.+)-(?P<seed>\d+)-trace(?P<trace>[01])\.json$")
+
+
+def load_results(target, trace):
+    """{(workload, seed): (record, mtime)} for one trace level of a target dir."""
+    directory = os.path.join(target, "perfbench")
+    if not os.path.isdir(directory):
+        sys.exit(f"bench_record: no perfbench results under {target}")
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        match = RESULT.match(name)
+        if not match or int(match["trace"]) != trace:
+            continue
+        path = os.path.join(directory, name)
+        with open(path) as f:
+            record = json.load(f)
+        out[(match["workload"], int(match["seed"]))] = (record, os.path.getmtime(path))
+    return out
+
+
+def directions():
+    """{metric: "higher" | "lower"} from the repository's BENCHMARK.json."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    return {
+        m["name"]: m["better"]
+        for key in ("end_to_end", "per_layer")
+        for m in bench.get(key, [])
+    }
+
+
+def quantile(sorted_values, p):
+    """Inclusive-method quantile of an ascending list."""
+    pos = (len(sorted_values) - 1) * p
+    lo = int(pos)
+    hi = min(lo + 1, len(sorted_values) - 1)
+    return sorted_values[lo] + (sorted_values[hi] - sorted_values[lo]) * (pos - lo)
+
+
+def summary(values):
+    values = sorted(values)
+    return {
+        "median": quantile(values, 0.5),
+        "q1": quantile(values, 0.25),
+        "q3": quantile(values, 0.75),
+    }
+
+
+def build_entry(parent, change, better, trace, label):
+    keys = sorted(k for k in parent if k in change)
+    for side, results, other in (("parent", parent, change), ("change", change, parent)):
+        for key in sorted(set(results) - set(other)):
+            print(f"bench_record: {key[0]} seed {key[1]} has no {side} pair; skipped",
+                  file=sys.stderr)
+    if not keys:
+        sys.exit("bench_record: no runs pair up by workload and seed")
+
+    hosts = []
+    protocol = []
+    rows = []
+    for workload in sorted({w for w, _ in keys}):
+        seeds = [s for w, s in keys if w == workload]
+        pairs = [(parent[(workload, s)], change[(workload, s)]) for s in seeds]
+        for (p, _), (c, _) in pairs:
+            for host in (p["host"], c["host"]):
+                if host not in hosts:
+                    hosts.append(host)
+        protocol.append({
+            "workload": workload,
+            "trace": trace,
+            "seconds": sorted({r["args"]["seconds"] for pair in pairs for r, _ in pair}),
+            "seeds": seeds,
+            "run_order": ["parent first" if pt <= ct else "change first"
+                          for (_, pt), (_, ct) in pairs],
+        })
+        metrics = pairs[0][0][0]["result"]["metrics"]
+        for metric, first in metrics.items():
+            p_vals = [p["result"]["metrics"][metric]["value"] for (p, _), _ in pairs]
+            c_vals = [c["result"]["metrics"].get(metric, {}).get("value") for _, (c, _) in pairs]
+            if any(v is None for v in c_vals):
+                print(f"bench_record: {workload} {metric} missing from a change run; skipped",
+                      file=sys.stderr)
+                continue
+            direction = better.get(metric)
+            won = None
+            if direction is not None:
+                sign = 1 if direction == "higher" else -1
+                won = sum(1 for p, c in zip(p_vals, c_vals) if sign * (c - p) > 0)
+            rows.append({
+                "workload": workload,
+                "metric": metric,
+                "unit": first["unit"],
+                "parent": summary(p_vals),
+                "change": summary(c_vals),
+                "pairs_won": won,
+            })
+    entry = {
+        "recorded": datetime.date.today().isoformat(),
+        "host": hosts[0] if len(hosts) == 1 else hosts,
+        "protocol": protocol,
+        "rows": rows,
+    }
+    if label:
+        entry = {"label": label, **entry}
+    return entry
+
+
+def flagged(rows):
+    return [r for r in rows
+            if not r["parent"]["q1"] <= r["change"]["median"] <= r["parent"]["q3"]]
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_target")
+    parser.add_argument("change_target")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--label", default="", help="free text stored with the entry")
+    parser.add_argument("--compare", action="store_true",
+                        help="write nothing; flag rows whose change median is "
+                             "outside the parent's quartiles, exit 1 if any")
+    args = parser.parse_args()
+
+    parent = load_results(args.parent_target, args.trace)
+    change = load_results(args.change_target, args.trace)
+    entry = build_entry(parent, change, directions(), args.trace, args.label)
+
+    if args.compare:
+        bad = flagged(entry["rows"])
+        for r in entry["rows"]:
+            mark = "FLAG" if r in bad else "ok"
+            p, c = r["parent"], r["change"]
+            print(f"{mark:4} {r['workload']:15} {r['metric']:28} parent {p['median']:.6g} "
+                  f"[{p['q1']:.6g}, {p['q3']:.6g}]  change {c['median']:.6g}  "
+                  f"won {r['pairs_won']}")
+        print(f"bench_record: {len(bad)} of {len(entry['rows'])} rows flagged")
+        return 1 if bad else 0
+
+    path = os.path.join(ROOT, "BENCH_baseline.json")
+    with open(path) as f:
+        baseline = json.load(f)
+    baseline["entries"].append(entry)
+    with open(path, "w") as f:
+        json.dump(baseline, f, indent=1)
+    print(f"bench_record: appended {len(entry['rows'])} rows to {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
