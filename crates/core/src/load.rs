@@ -9,7 +9,10 @@
 //! The amortized cost of [`LoadState::allocate`] is O(1): the maximum can
 //! only move up when the allocated bin passes it, and the minimum level is
 //! tracked with a count of bins at the minimum, re-scanning only when that
-//! level empties (which happens at most `m/n` times over `m` allocations).
+//! level empties (which happens at most `m/n` times over `m` allocations
+//! from the empty state). That bound holds for runs of allocations alone;
+//! interleaved with [`LoadState::deallocate`], every call can cost O(n)
+//! (see both methods).
 
 use std::collections::BTreeMap;
 
@@ -230,6 +233,16 @@ impl LoadState {
 
     /// Places one ball into bin `i`.
     ///
+    /// The minimum level is re-scanned (O(n)) only when it empties, and
+    /// each re-scan raises the minimum by one. A run of `m` allocations
+    /// with no deallocation therefore re-scans at most
+    /// `m/n + (t/n − min)` times, the second term being how far the
+    /// minimum sits below the average when the run starts: amortized O(1)
+    /// per call from the empty state. Under interleaving the bound fails:
+    /// if [`deallocate`](Self::deallocate) keeps returning the one bin at
+    /// the minimum level to it and `allocate` keeps lifting it off, every
+    /// `allocate` re-scans all `n` bins.
+    ///
     /// # Panics
     ///
     /// Panics if `i >= n`.
@@ -364,8 +377,14 @@ impl LoadState {
     /// deletion-tolerant settings cited in the paper's introduction
     /// \[10, 16, 19\]).
     ///
-    /// Amortized O(1) by the same counting argument as
-    /// [`allocate`](Self::allocate).
+    /// The maximum level is re-scanned (O(n)) only when it empties, and
+    /// each re-scan lowers the maximum by one. A run of `r` deallocations
+    /// with no allocation therefore re-scans at most `r/n + Gap` times,
+    /// `Gap = max − t/n` taken when the run starts: amortized O(1) per
+    /// call while the gap is small next to `r/n`. Under interleaving the
+    /// bound fails: if [`allocate`](Self::allocate) keeps lifting the one
+    /// bin at the maximum level back to it and `deallocate` keeps lowering
+    /// it, every `deallocate` re-scans all `n` bins.
     ///
     /// # Panics
     ///

@@ -25,6 +25,7 @@
 //! through [`ShardDirectory::slot_of`] / [`ShardDirectory::ranges`] —
 //! machine-enforced by lint L008 `raw-shard-index`.
 
+use std::cell::OnceCell;
 use std::ops::Range;
 
 use balloc_core::rng::Fnv1a;
@@ -92,6 +93,11 @@ pub struct ShardDirectory {
     members: Vec<ShardId>,
     /// Bin → slot index into `members`. Empty until the first insert.
     owner_slot: Vec<u32>,
+    /// The owned-bins index of `owner_slot`. Built by the first
+    /// [`retarget`](Self::retarget) after a change and dropped by every
+    /// change, so it always agrees with `owner_slot`, and a directory
+    /// that never retargets never builds it.
+    owned: OnceCell<OwnedIndex>,
     /// The ordered change log: `(virtual tick, change)`.
     log: Vec<(u64, Change)>,
     next_id: u64,
@@ -113,6 +119,7 @@ impl ShardDirectory {
             epoch: MembershipEpoch(0),
             members: Vec::new(),
             owner_slot: Vec::new(),
+            owned: OnceCell::new(),
             log: Vec::new(),
             next_id: 0,
         }
@@ -240,6 +247,7 @@ impl ShardDirectory {
             }
         }
         self.owner_slot = self.compute_owners();
+        self.owned.take();
         self.epoch.0 += 1;
         self.log.push((now, change));
 
@@ -315,10 +323,17 @@ impl ShardDirectory {
     ///
     /// Returns `bin` unchanged if it is not owned by `avoid`.
     ///
+    /// O(1) and allocation-free, except that the first call after a
+    /// change builds the owned-bins index in O(n). The owned set is a
+    /// slice of that index, ascending within the slot, so it is the set a
+    /// scan of all `n` owner slots would collect.
+    ///
     /// # Panics
     ///
     /// Panics with fewer than two members (there is no other shard to
-    /// retarget onto) or if `avoid` is not a live slot.
+    /// retarget onto), if `avoid` is not a live slot, or if the target
+    /// slot owns no bins (possible only under
+    /// [`RebalanceKind::HashSlot`] with few bins per member).
     #[must_use]
     pub fn retarget(&self, bin: usize, avoid: usize) -> usize {
         let m = self.members.len();
@@ -328,9 +343,11 @@ impl ShardDirectory {
             return bin;
         }
         let target = (avoid + 1) % m;
-        let owned: Vec<usize> = (0..self.n)
-            .filter(|&b| self.owner_slot[b] as usize == target)
-            .collect();
+        let owned = self
+            .owned
+            .get_or_init(|| OwnedIndex::build(&self.owner_slot, m))
+            .bins_of(target);
+        assert!(!owned.is_empty(), "retarget slot {target} owns no bins");
         owned[bin % owned.len()]
     }
 
@@ -389,9 +406,120 @@ impl ShardDirectory {
     }
 }
 
+/// Every bin, grouped by owner slot and ascending within a slot: slot
+/// `s` owns `by_slot[slot_start[s]..slot_start[s + 1]]`.
+#[derive(Debug, Clone)]
+struct OwnedIndex {
+    by_slot: Vec<usize>,
+    /// `M + 1` offsets into `by_slot`.
+    slot_start: Vec<usize>,
+}
+
+impl OwnedIndex {
+    /// Groups the bins of a bin → slot map over `m` slots with one
+    /// counting pass: O(n + m).
+    fn build(owner_slot: &[u32], m: usize) -> Self {
+        let mut slot_start = vec![0usize; m + 1];
+        for &slot in owner_slot {
+            slot_start[slot as usize + 1] += 1;
+        }
+        for s in 1..=m {
+            slot_start[s] += slot_start[s - 1];
+        }
+        let mut next = slot_start.clone();
+        let mut by_slot = vec![0; owner_slot.len()];
+        for (bin, &slot) in owner_slot.iter().enumerate() {
+            let at = &mut next[slot as usize];
+            by_slot[*at] = bin;
+            *at += 1;
+        }
+        Self {
+            by_slot,
+            slot_start,
+        }
+    }
+
+    /// The bins slot `slot` owns, ascending.
+    fn bins_of(&self, slot: usize) -> &[usize] {
+        &self.by_slot[self.slot_start[slot]..self.slot_start[slot + 1]]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `retarget` as it was before the owned-bins index: scan all `n`
+    /// owner slots, collect the target slot's bins, index one.
+    fn retarget_reference(dir: &ShardDirectory, bin: usize, avoid: usize) -> usize {
+        let m = dir.members.len();
+        assert!(m >= 2, "retargeting needs at least two members");
+        assert!(avoid < m, "avoid slot {avoid} out of range (members: {m})");
+        if dir.owner_slot[bin] as usize != avoid {
+            return bin;
+        }
+        let target = (avoid + 1) % m;
+        let owned: Vec<usize> = (0..dir.n)
+            .filter(|&b| dir.owner_slot[b] as usize == target)
+            .collect();
+        owned[bin % owned.len()]
+    }
+
+    /// Asserts `retarget == retarget_reference` for every bin, both with
+    /// its owner as `avoid` (the retargeting case) and with the next slot
+    /// (the pass-through case). Owners whose successor slot owns no bins
+    /// are skipped: both versions panic there.
+    fn assert_retarget_matches_reference(dir: &ShardDirectory) -> Result<(), TestCaseError> {
+        let m = dir.len();
+        if m < 2 {
+            return Ok(());
+        }
+        let mut owned = vec![0usize; m];
+        for bin in 0..dir.n() {
+            owned[dir.slot_of(bin)] += 1;
+        }
+        for bin in 0..dir.n() {
+            let owner = dir.slot_of(bin);
+            let next = (owner + 1) % m;
+            if owned[next] > 0 {
+                prop_assert_eq!(
+                    dir.retarget(bin, owner),
+                    retarget_reference(dir, bin, owner)
+                );
+            }
+            prop_assert_eq!(dir.retarget(bin, next), retarget_reference(dir, bin, next));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn retarget_equals_the_full_scan_under_any_history(
+            n in 2usize..=300,
+            hash_slot in any::<bool>(),
+            specs in proptest::collection::vec(any::<u64>(), 1..12),
+        ) {
+            let rebalance = if hash_slot {
+                RebalanceKind::HashSlot
+            } else {
+                RebalanceKind::Proportional
+            };
+            let mut dir = ShardDirectory::new(n, rebalance);
+            let _ = dir.insert(0);
+            for (t, &spec) in specs.iter().enumerate() {
+                // Inserts outnumber removals two to one, so memberships
+                // grow, while removals from any slot shift the survivors.
+                if spec % 3 != 0 && dir.len() < n.min(24) {
+                    let _ = dir.insert(t as u64);
+                } else if dir.len() > 1 {
+                    let victim = dir.members()[(spec >> 8) as usize % dir.len()];
+                    let _ = dir.remove(victim, t as u64);
+                }
+                assert_retarget_matches_reference(&dir)?;
+            }
+        }
+    }
 
     #[test]
     fn uniform_reproduces_the_block_partition() {

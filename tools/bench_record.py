@@ -2,7 +2,7 @@
 """Pairs perfbench results of two builds by seed and records the comparison.
 
     python3 tools/bench_record.py PARENT_TARGET CHANGE_TARGET [--trace 0|1] [--label TEXT]
-    python3 tools/bench_record.py PARENT_TARGET CHANGE_TARGET [--trace 0|1] --compare
+    python3 tools/bench_record.py PARENT_TARGET CHANGE_TARGET [--trace 0|1] --compare [--bounds]
 
 PARENT_TARGET and CHANGE_TARGET are the `$CARGO_TARGET_DIR`s that
 `perfbench/run.py` ran with for the parent and the change build. Every
@@ -27,6 +27,12 @@ statistics).
 With `--compare`, nothing is written. Every row whose change median falls
 outside the parent's [q1, q3] is printed as flagged, and the exit code is 1
 if any row is flagged. Comparing a target dir with itself flags nothing.
+
+`--compare --bounds` applies the benchmark's own regression rule to the
+end-to-end metrics: such a row is flagged only when the change median is
+worse than the parent median by more than the metric's relative `bound` in
+`BENCHMARK.json`, in the metric's `better` direction. Rows of metrics
+without a bound keep the quartile rule.
 """
 
 import argparse
@@ -57,15 +63,14 @@ def load_results(target, trace):
     return out
 
 
-def directions():
-    """{metric: "higher" | "lower"} from the repository's BENCHMARK.json."""
+def benchmark_metrics():
+    """({metric: "higher" | "lower"}, {metric: bound}) from BENCHMARK.json."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    return {
-        m["name"]: m["better"]
-        for key in ("end_to_end", "per_layer")
-        for m in bench.get(key, [])
-    }
+    metrics = [m for key in ("end_to_end", "per_layer") for m in bench.get(key, [])]
+    better = {m["name"]: m["better"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
+    return better, bounds
 
 
 def quantile(sorted_values, p):
@@ -144,9 +149,22 @@ def build_entry(parent, change, better, trace, label):
     return entry
 
 
-def flagged(rows):
+def outside_quartiles(row):
+    return not row["parent"]["q1"] <= row["change"]["median"] <= row["parent"]["q3"]
+
+
+def beyond_bound(row, better, bound):
+    """Whether the change median is worse than the parent's by more than `bound`."""
+    p, c = row["parent"]["median"], row["change"]["median"]
+    worse_by = p - c if better[row["metric"]] == "higher" else c - p
+    return worse_by > bound * abs(p)
+
+
+def flagged(rows, better, bounds):
+    """The rows to flag: by bound where `bounds` has the metric, else by quartiles."""
     return [r for r in rows
-            if not r["parent"]["q1"] <= r["change"]["median"] <= r["parent"]["q3"]]
+            if (beyond_bound(r, better, bounds[r["metric"]]) if r["metric"] in bounds
+                else outside_quartiles(r))]
 
 
 def main():
@@ -158,20 +176,28 @@ def main():
     parser.add_argument("--compare", action="store_true",
                         help="write nothing; flag rows whose change median is "
                              "outside the parent's quartiles, exit 1 if any")
+    parser.add_argument("--bounds", action="store_true",
+                        help="with --compare: flag end-to-end rows only when worse "
+                             "than the parent median by more than their BENCHMARK.json bound")
     args = parser.parse_args()
+    if args.bounds and not args.compare:
+        parser.error("--bounds needs --compare")
 
     parent = load_results(args.parent_target, args.trace)
     change = load_results(args.change_target, args.trace)
-    entry = build_entry(parent, change, directions(), args.trace, args.label)
+    better, bounds = benchmark_metrics()
+    entry = build_entry(parent, change, better, args.trace, args.label)
 
     if args.compare:
-        bad = flagged(entry["rows"])
+        rule = bounds if args.bounds else {}
+        bad = flagged(entry["rows"], better, rule)
         for r in entry["rows"]:
             mark = "FLAG" if r in bad else "ok"
             p, c = r["parent"], r["change"]
+            how = f"bound {rule[r['metric']]:g}" if r["metric"] in rule else "quartiles"
             print(f"{mark:4} {r['workload']:15} {r['metric']:28} parent {p['median']:.6g} "
                   f"[{p['q1']:.6g}, {p['q3']:.6g}]  change {c['median']:.6g}  "
-                  f"won {r['pairs_won']}")
+                  f"won {r['pairs_won']}  ({how})")
         print(f"bench_record: {len(bad)} of {len(entry['rows'])} rows flagged")
         return 1 if bad else 0
 
