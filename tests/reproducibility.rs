@@ -4,6 +4,7 @@
 
 use noisy_balance::core::{LoadState, Process, Rng, TwoChoice};
 use noisy_balance::noise::{Batched, DelayStrategy, Delayed, GBounded, GMyopic, SigmaNoisyLoad};
+use noisy_balance::processes::{DChoice, OneChoice};
 use noisy_balance::sim::{repeat, run, sweep, Checkpoints, GapDistribution, RunConfig};
 
 #[test]
@@ -141,5 +142,17 @@ fn golden_run_pins_end_to_end_behavior() {
     assert_eq!(
         golden(Batched::new(100), 100, 10_000, 4242),
         (103, 0x3fef_5d09_c019_eb05)
+    );
+    assert_eq!(
+        golden(TwoChoice::classic(), 100, 10_000, 4242),
+        (102, 0x5449_7cf8_7996_5d83)
+    );
+    assert_eq!(
+        golden(DChoice::classic(4), 100, 10_000, 4242),
+        (101, 0x63f1_1549_7595_ac03)
+    );
+    assert_eq!(
+        golden(OneChoice::new(), 100, 10_000, 4242),
+        (126, 0x91a6_6142_68a8_b397)
     );
 }
