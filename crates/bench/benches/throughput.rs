@@ -14,8 +14,7 @@
 //! `tests/batch_equivalence.rs`); the ratio `per_ball / batched` is the
 //! speedup recorded in `BENCH_baseline.json`.
 
-use balloc_core::rng::{LaneRng, SeedScheme};
-use balloc_core::{LaneProcess, LoadState, Process, Rng, TwoChoice};
+use balloc_core::{LoadState, Process, Rng, TwoChoice};
 use balloc_noise::{
     Batched, DelayStrategy, Delayed, GBounded, GMyopic, GaussianLoadDecider, SigmaNoisyLoad,
 };
@@ -53,27 +52,6 @@ fn bench_process<P: Process>(c: &mut Criterion, name: &str, mut factory: impl Fn
     });
 }
 
-/// The lane engine at width `K` under `SeedScheme::V2`: same work as the
-/// scalar benches (m balls, full run), drawn through interleaved lanes.
-/// `per_ball` divides out as above; the scalar twin is `run_lanes_reference`
-/// at the same width, so `<name>/lanes<K>` vs `<name>` isolates the kernel.
-fn bench_lanes<const K: usize, P: LaneProcess<K>>(
-    c: &mut Criterion,
-    name: &str,
-    mut factory: impl FnMut() -> P,
-) {
-    let m = BALLS_PER_BIN * N as u64;
-    c.bench_function(&format!("{name}/lanes{K}"), |b| {
-        b.iter(|| {
-            let mut process = factory();
-            let mut state = LoadState::new(N);
-            let mut lanes = LaneRng::<K>::new(SeedScheme::V2, 1);
-            process.run_lanes(&mut state, m, &mut lanes);
-            black_box(state.gap())
-        });
-    });
-}
-
 fn throughput(c: &mut Criterion) {
     bench_process(c, "one_choice", OneChoice::new);
     bench_process(c, "two_choice", TwoChoice::classic);
@@ -103,16 +81,6 @@ fn throughput(c: &mut Criterion) {
         let weights: Vec<f64> = (0..N).map(|i| 1.0 + (i % 3) as f64 * 0.2).collect();
         NonUniformTwoChoice::classic(&weights)
     });
-
-    // The lane-parallel kernels (SeedScheme::V2), at the widths recorded
-    // in docs/PERFORMANCE.md. Compare against the scalar `<name>` rows.
-    bench_lanes::<4, _>(c, "one_choice", OneChoice::new);
-    bench_lanes::<8, _>(c, "one_choice", OneChoice::new);
-    bench_lanes::<4, _>(c, "two_choice", TwoChoice::classic);
-    bench_lanes::<8, _>(c, "two_choice", TwoChoice::classic);
-    bench_lanes::<16, _>(c, "two_choice", TwoChoice::classic);
-    bench_lanes::<4, _>(c, "d_choice_4", || DChoice::classic(4));
-    bench_lanes::<8, _>(c, "d_choice_4", || DChoice::classic(4));
 }
 
 criterion_group! {

@@ -565,7 +565,7 @@ impl LoadBatch<'_> {
     /// ~5 cycles/ball that dominates the two-sample hot loops (measured in
     /// docs/PERFORMANCE.md). Kernels driving deciders that promise never
     /// to read the totals ([`Decider::totals_free`](crate::Decider::totals_free))
-    /// place uncounted and credit once per lane block instead.
+    /// place uncounted and credit in bulk instead.
     ///
     /// # Panics
     ///
@@ -598,27 +598,6 @@ impl LoadBatch<'_> {
     #[inline]
     pub fn credit_balls(&mut self, count: u64) {
         self.state.balls += count;
-    }
-
-    /// Places one ball into each of `bins` (repeats allowed), deferring
-    /// aggregate maintenance — the lane engine's group absorb.
-    ///
-    /// Equivalent to `bins.len()` successive [`place`](Self::place) calls,
-    /// but the increments carry no loop-carried dependency through the
-    /// `balls` counter and vectorize/overlap freely, which matters for
-    /// kernels (e.g. `One-Choice`) whose placements within a lane group are
-    /// load-independent.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if any bin index is out of range; release
-    /// builds panic via the slice index.
-    #[inline]
-    pub fn place_group(&mut self, bins: &[usize]) {
-        for &i in bins {
-            self.state.loads[i] += 1;
-        }
-        self.state.balls += bins.len() as u64;
     }
 }
 

@@ -31,7 +31,7 @@
 //! ```
 
 use crate::load::LoadState;
-use crate::rng::{LaneRng, Rng};
+use crate::rng::Rng;
 
 /// How load comparisons resolve ties (the paper allows "breaking ties
 /// arbitrarily"; `b-Batch` specifically breaks ties *randomly*).
@@ -130,12 +130,12 @@ pub trait Decider {
     /// only per-bin loads and `n`. Batched kernels then defer the per-ball
     /// `balls += 1` — a loop-carried read-modify-write of one memory cell
     /// that is the measured critical path of the two-sample hot loops (see
-    /// docs/PERFORMANCE.md) — and settle the counter once per block via
+    /// docs/PERFORMANCE.md) — and settle the counter in bulk via
     /// [`LoadBatch::credit_balls`](crate::load::LoadBatch::credit_balls).
     /// The final state is bit-identical; only intermediate `balls` values
     /// (which the decider has promised not to observe) differ. The default
     /// is `false`, which is always safe; violations are caught by the
-    /// batch/lane equivalence property suites.
+    /// batch-equivalence property suite.
     fn totals_free(&self) -> bool {
         false
     }
@@ -192,59 +192,6 @@ pub trait Process {
             self.allocate(state, rng);
         }
     }
-}
-
-/// The canonical scalar reference for lane-parallel execution: ball `t`
-/// allocates through lane `t mod K` of the interleaved generator, per-ball.
-///
-/// This defines **what a lane kernel must compute**. A
-/// [`LaneProcess::run_lanes`] implementation is free to batch its raw draws
-/// across lanes (that is the whole point — the per-lane streams are
-/// independent, so draw interleaving across lanes cannot change any lane's
-/// values), but its final `LoadState` *and* final per-lane generator states
-/// must be bit-identical to this loop at every seed and every `K`. The
-/// workspace's lane-equivalence property suite asserts exactly that.
-///
-/// It is also the safe fallback: kernels route non-[`batchable`]
-/// (`Decider::batchable`) configurations here, which makes the equivalence
-/// trivial on that path.
-///
-/// [`batchable`]: Decider::batchable
-pub fn run_lanes_reference<const K: usize, P: Process + ?Sized>(
-    process: &mut P,
-    state: &mut LoadState,
-    steps: u64,
-    lanes: &mut LaneRng<K>,
-) {
-    for t in 0..steps {
-        let k = (t % K as u64) as usize;
-        lanes.with_lane(k, |rng| {
-            process.allocate(state, rng);
-        });
-    }
-}
-
-/// An allocation process with a lane-parallel batched engine over `K`
-/// interleaved RNG streams.
-///
-/// This is deliberately a *separate* trait from [`Process`] (whose object
-/// safety `Box<dyn Process>` relies on — a const-generic method would break
-/// it): processes opt in per lane width. The scalar engine's frozen-stream
-/// story does not carry over verbatim — `K` independent streams are not one
-/// serial stream — so lane execution is governed by the *versioned* seeding
-/// contract of [`SeedScheme`](crate::rng::SeedScheme) instead:
-///
-/// * under `V2`, `run_lanes` must be bit-identical to
-///   [`run_lanes_reference`] (same loads, same final lane states);
-/// * under `V1` (`K = 1`, the frozen stream), the reference loop degenerates
-///   to per-ball allocation from the serial generator, so `run_lanes` is
-///   bit-identical to [`Process::run`] with `Rng::from_seed(master)`.
-pub trait LaneProcess<const K: usize>: Process {
-    /// Allocates `steps` balls through the lane-parallel engine.
-    ///
-    /// Must be bit-identical to [`run_lanes_reference`] — same final
-    /// `LoadState`, same final state of every lane of `lanes`.
-    fn run_lanes(&mut self, state: &mut LoadState, steps: u64, lanes: &mut LaneRng<K>);
 }
 
 impl<P: Process + ?Sized> Process for &mut P {
@@ -318,9 +265,8 @@ impl Decider for PerfectDecider {
         // the whole decision is a single predicate, and the select is
         // forced branchless: the comparison is a ~50/50 coin flip on real
         // load distributions, and LLVM's if-conversion is not reliable
-        // across engines (the lane kernels got branch-over-mov hammocks —
-        // two mispredicts per ball — where the scalar engine got `cmov`
-        // from identical source).
+        // (it has emitted branch-over-mov hammocks — two mispredicts per
+        // ball — for this source in some inlining contexts).
         match self.tie {
             TieBreak::FirstSample => std::hint::select_unpredictable(x2 < x1, i2, i1),
             TieBreak::LowestIndex => {
@@ -496,138 +442,6 @@ impl<D: Decider> Process for TwoChoice<D> {
     }
 }
 
-/// One block's decide/place pass of the lane-parallel two-sample kernel:
-/// `rows` is the interleaved draw buffer (row `2g` = group `g`'s first
-/// samples, row `2g+1` its second), consumed strictly in ball order so
-/// every decision sees the placements of earlier balls.
-#[inline]
-fn decide_block<const K: usize, D: Decider>(
-    decider: &mut D,
-    batch: &mut crate::load::LoadBatch<'_>,
-    inert: &mut Rng,
-    rows: &[[u64; K]],
-    deferred: bool,
-) {
-    for pair in rows.chunks_exact(2) {
-        for (&d1, &d2) in pair[0].iter().zip(&pair[1]) {
-            let (i1, i2) = (d1 as usize, d2 as usize);
-            let view = batch.view();
-            let (x1, x2) = (view.load(i1), view.load(i2));
-            let chosen = decider.decide(view, i1, i2, inert);
-            debug_assert!(chosen == i1 || chosen == i2, "decider must pick a sample");
-            let x = std::hint::select_unpredictable(chosen == i1, x1, x2);
-            if deferred {
-                batch.place_with_uncounted(chosen, x);
-            } else {
-                batch.place_with(chosen, x);
-            }
-        }
-    }
-    if deferred {
-        batch.credit_balls(rows.len() as u64 / 2 * K as u64);
-    }
-}
-
-impl<const K: usize, D: Decider> LaneProcess<K> for TwoChoice<D> {
-    /// Lane-parallel two-sample kernel.
-    ///
-    /// Per lane group of `K` balls, both candidate draws happen through two
-    /// lockstep [`below_lanes`](LaneRng::below_lanes) sweeps — `2K` bounded
-    /// draws with no serial dependency chain, where the scalar engine's
-    /// draws each wait on the previous xoshiro step. The decide/place pass
-    /// stays sequential in lane order within the group: decisions must see
-    /// the placements of earlier balls in the same group (the draws
-    /// themselves are load-independent, so hoisting them is
-    /// observation-equivalent), which keeps the kernel bit-identical to
-    /// [`run_lanes_reference`].
-    fn run_lanes(&mut self, state: &mut LoadState, steps: u64, lanes: &mut LaneRng<K>) {
-        let bound = state.n() as u64;
-        if !self.decider.batchable() || steps < bound {
-            // Deciders that draw from the generator fix a per-ball draw
-            // interleaving no cross-lane hoist can reproduce; short runs do
-            // not amortize the end-of-batch repair scan.
-            run_lanes_reference(self, state, steps, lanes);
-            return;
-        }
-        let groups = steps / K as u64;
-        let tail = (steps % K as u64) as usize;
-        // A batchable decider never draws (its promise #1), so any
-        // generator satisfies the signature; a detached lane copy avoids
-        // inventing a literal seed in library code.
-        let mut inert = lanes.lane(0);
-        let mut batch = state.batch();
-        // Draws are staged BLOCK groups ahead of the decide/place pass.
-        // Two reasons, both measured (docs/PERFORMANCE.md): the fill loop
-        // keeps the lane state live across 2·BLOCK lockstep steps instead
-        // of reloading it per group, and the decide pass reads each index
-        // long after its (vector) store has retired — reading a lane
-        // scalar-width right after a K-wide store forwards poorly. The
-        // i1/i2 fills stay interleaved per group, so each lane's stream is
-        // consumed in reference order and bit-identity is untouched.
-        // Totals-free deciders additionally let the kernel defer the
-        // per-ball `balls += 1` (same-cell store-forward chain, the
-        // decide pass's critical path — docs/PERFORMANCE.md) and settle
-        // the counter once per block. Loop-invariant, so LLVM unswitches.
-        let deferred = self.decider.totals_free();
-        const BLOCK: usize = 16;
-        // Interleaved draw buffers: row 2g holds group g's first samples,
-        // row 2g+1 its second — the same per-lane draw order as the
-        // per-group loop, filled by one optimistic block sweep
-        // (see `LaneRng::fill_below_lanes`). Two buffers, software-
-        // pipelined one block apart: the (vector-heavy) fill of block
-        // `b+1` issues before the (load-heavy) decide pass of block `b`,
-        // so the two phases overlap in the out-of-order window instead of
-        // strictly alternating. Draws are load-independent, so hoisting
-        // them a block early is observation-equivalent.
-        let mut bufs = [[[0u64; K]; 2 * BLOCK]; 2];
-        let (front, back) = bufs.split_at_mut(1);
-        let (mut cur, mut nxt) = (&mut front[0], &mut back[0]);
-        let full_blocks = groups / BLOCK as u64;
-        let spill_groups = (groups % BLOCK as u64) as usize;
-        if full_blocks > 0 {
-            lanes.fill_below_lanes(bound, cur);
-            for _ in 1..full_blocks {
-                lanes.fill_below_lanes(bound, nxt);
-                decide_block::<K, D>(&mut self.decider, &mut batch, &mut inert, cur, deferred);
-                std::mem::swap(&mut cur, &mut nxt);
-            }
-            decide_block::<K, D>(&mut self.decider, &mut batch, &mut inert, cur, deferred);
-        }
-        for _ in 0..spill_groups {
-            let i1s = lanes.below_lanes(bound);
-            let i2s = lanes.below_lanes(bound);
-            for k in 0..K {
-                let (i1, i2) = (i1s[k] as usize, i2s[k] as usize);
-                let view = batch.view();
-                let (x1, x2) = (view.load(i1), view.load(i2));
-                let chosen = self.decider.decide(view, i1, i2, &mut inert);
-                debug_assert!(chosen == i1 || chosen == i2, "decider must pick a sample");
-                let x = std::hint::select_unpredictable(chosen == i1, x1, x2);
-                if deferred {
-                    batch.place_with_uncounted(chosen, x);
-                } else {
-                    batch.place_with(chosen, x);
-                }
-            }
-            if deferred {
-                batch.credit_balls(K as u64);
-            }
-        }
-        // Tail balls (steps not a multiple of K) continue the reference's
-        // lane rotation: ball `groups·K + k` draws from lane `k`.
-        for k in 0..tail {
-            let i1 = lanes.below_lane(k, bound) as usize;
-            let i2 = lanes.below_lane(k, bound) as usize;
-            let view = batch.view();
-            let (x1, x2) = (view.load(i1), view.load(i2));
-            let chosen = self.decider.decide(view, i1, i2, &mut inert);
-            debug_assert!(chosen == i1 || chosen == i2, "decider must pick a sample");
-            let x = std::hint::select_unpredictable(chosen == i1, x1, x2);
-            batch.place_with(chosen, x);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -765,59 +579,6 @@ mod tests {
         boxed.run(&mut state, 10, &mut rng);
         boxed.reset();
         assert_eq!(state.balls(), 20);
-    }
-
-    fn lane_kernel_matches_reference<const K: usize>(tie: TieBreak, n: usize, steps: u64) {
-        use crate::rng::{LaneRng, SeedScheme};
-        let mut kernel_state = LoadState::new(n);
-        let mut reference_state = LoadState::new(n);
-        let mut kernel_lanes = LaneRng::<K>::new(SeedScheme::V2, 77);
-        let mut reference_lanes = LaneRng::<K>::new(SeedScheme::V2, 77);
-        let mut kernel = TwoChoice::new(PerfectDecider::new(tie));
-        let mut reference = TwoChoice::new(PerfectDecider::new(tie));
-        kernel.run_lanes(&mut kernel_state, steps, &mut kernel_lanes);
-        run_lanes_reference(&mut reference, &mut reference_state, steps, &mut reference_lanes);
-        assert_eq!(
-            kernel_state, reference_state,
-            "states diverged: tie {tie:?}, K {K}, n {n}, steps {steps}"
-        );
-        assert_eq!(
-            kernel_lanes, reference_lanes,
-            "lane states diverged: tie {tie:?}, K {K}, n {n}, steps {steps}"
-        );
-    }
-
-    #[test]
-    fn two_choice_lane_kernel_is_bit_identical_to_reference() {
-        for tie in [TieBreak::FirstSample, TieBreak::LowestIndex, TieBreak::Random] {
-            // Covers the kernel path (steps ≥ n, batchable), the per-ball
-            // fallback (short runs, Random ties), and K-misaligned tails.
-            for steps in [10u64, 64, 2_000, 2_005] {
-                lane_kernel_matches_reference::<1>(tie, 64, steps);
-                lane_kernel_matches_reference::<4>(tie, 64, steps);
-                lane_kernel_matches_reference::<8>(tie, 64, steps);
-            }
-        }
-    }
-
-    #[test]
-    fn v1_lane_engine_matches_frozen_scalar_engine() {
-        use crate::rng::{LaneRng, SeedScheme};
-        // Under the frozen scheme the lane engine (K = 1) must reproduce
-        // the scalar batched engine exactly: same loads, same generator
-        // state — the "V1 is byte-identical" half of the versioned
-        // seeding contract.
-        let (n, steps, seed) = (64usize, 4_099u64, 2022u64);
-        let mut lane_state = LoadState::new(n);
-        let mut lanes = LaneRng::<1>::new(SeedScheme::V1, seed);
-        TwoChoice::classic().run_lanes(&mut lane_state, steps, &mut lanes);
-
-        let mut scalar_state = LoadState::new(n);
-        let mut rng = Rng::from_seed(seed);
-        TwoChoice::classic().run_batch(&mut scalar_state, steps, &mut rng);
-
-        assert_eq!(lane_state, scalar_state);
-        assert_eq!(lanes.lane(0), rng);
     }
 
     #[test]

@@ -287,7 +287,7 @@ mod tests {
     fn list_names_every_lint() {
         let (code, out, _) = run_vec(&["--list"]);
         assert_eq!(code, EXIT_OK);
-        for code_name in ["L000", "L001", "L002", "L003", "L004", "L005", "L006", "L007"] {
+        for code_name in ["L000", "L001", "L002", "L003", "L004", "L005", "L007"] {
             assert!(out.contains(code_name), "missing {code_name} in: {out}");
         }
     }

@@ -18,7 +18,6 @@
 //! | L003 | nondet-iteration-in-digest | digest paths never iterate hash collections |
 //! | L004 | unseeded-rng-construction | no literal seeds in library/binary code |
 //! | L005 | println-in-library | libraries emit through `OutputSink`, not `println!` |
-//! | L006 | unversioned-seed-scheme | `LaneRng` construction names a literal `SeedScheme::` variant |
 //!
 //! Findings can be suppressed per line with a trailing or preceding
 //! comment — `// balloc-lint: allow(L001): <justification>` — or per file

@@ -9,7 +9,6 @@ mod l002_wallclock_in_sim;
 mod l003_nondet_iteration;
 mod l004_unseeded_rng;
 mod l005_println_in_library;
-mod l006_unversioned_seed_scheme;
 mod l007_blocking_in_reactor;
 mod l008_raw_shard_index;
 
@@ -55,7 +54,6 @@ pub fn registry() -> &'static [&'static dyn Lint] {
         &l003_nondet_iteration::NondetIteration,
         &l004_unseeded_rng::UnseededRng,
         &l005_println_in_library::PrintlnInLibrary,
-        &l006_unversioned_seed_scheme::UnversionedSeedScheme,
         &l007_blocking_in_reactor::BlockingInReactor,
         &l008_raw_shard_index::RawShardIndex,
     ];

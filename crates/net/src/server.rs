@@ -424,8 +424,11 @@ impl Reactor {
             }
             match entry.conn.decoder().next_frame() {
                 Ok(Some(frame)) => match frame {
-                    Frame::Alloc { req_id, .. } => {
-                        let req = frame.request().expect("ALLOC has a request");
+                    Frame::Alloc { req_id, d, noise } => {
+                        let req = Request {
+                            d: usize::from(d),
+                            noise,
+                        };
                         self.dispatch_alloc(entry, req_id, req, &mut template);
                     }
                     Frame::Hello { client_id, epoch } => {

@@ -124,19 +124,6 @@ impl Frame {
             noise: req.noise,
         }
     }
-
-    /// The serve-layer request template of an `ALLOC` frame, `None` for
-    /// other frames.
-    #[must_use]
-    pub fn request(&self) -> Option<Request> {
-        match self {
-            Self::Alloc { d, noise, .. } => Some(Request {
-                d: usize::from(*d),
-                noise: *noise,
-            }),
-            _ => None,
-        }
-    }
 }
 
 /// Why a request was rejected, as carried on the wire. Codes `1..=8` are

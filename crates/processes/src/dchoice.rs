@@ -1,9 +1,6 @@
 //! The `d-Choice` process, optionally with a noisy pairwise tournament.
 
-use balloc_core::rng::LaneRng;
-use balloc_core::{
-    run_lanes_reference, Decider, LaneProcess, LoadState, PerfectDecider, Process, Rng, TieBreak,
-};
+use balloc_core::{Decider, LoadState, PerfectDecider, Process, Rng, TieBreak};
 
 /// `d-Choice` (Azar, Broder, Karlin, Upfal): sample `d` bins uniformly with
 /// replacement and place the ball according to a pairwise comparison
@@ -131,115 +128,6 @@ impl<D: Decider> Process for DChoice<D> {
     }
 }
 
-impl<const K: usize, D: Decider> LaneProcess<K> for DChoice<D> {
-    /// Lane-parallel tournament kernel.
-    ///
-    /// The `d` sample rounds of a lane group run as `d` lockstep draw
-    /// sweeps — `d·K` bounded draws with no serial dependency chain —
-    /// filled a block of groups at a time via
-    /// [`fill_below_lanes`](LaneRng::fill_below_lanes); then each ball's
-    /// tournament reduces sequentially in lane order, threading the
-    /// winner's load through the comparisons exactly like the scalar
-    /// batched engine.
-    /// Per-lane draw order is unchanged (lane `k` receives its `d` draws in
-    /// round order), so the kernel stays bit-identical to
-    /// [`run_lanes_reference`].
-    fn run_lanes(&mut self, state: &mut LoadState, steps: u64, lanes: &mut LaneRng<K>) {
-        let bound = state.n() as u64;
-        if !self.decider.batchable() || steps < bound {
-            run_lanes_reference(self, state, steps, lanes);
-            return;
-        }
-        let d = self.d as usize;
-        let groups = steps / K as u64;
-        let tail = (steps % K as u64) as usize;
-        // Batchable deciders never draw; see TwoChoice's lane kernel.
-        let mut inert = lanes.lane(0);
-        let mut batch = state.batch();
-        let deferred = self.decider.totals_free();
-        // Draws are filled a whole block of groups at a time through the
-        // optimistic [`LaneRng::fill_below_lanes`] primitive so the lane
-        // state stays register-resident across `d * BLOCK` sweeps; row
-        // `g * d + r` holds group `g`'s round-`r` draws, which preserves
-        // per-lane draw order. `d` is a runtime value, so the row buffer
-        // lives on the heap (one allocation per run, reused per block).
-        const BLOCK: usize = 16;
-        let full_blocks = groups / BLOCK as u64;
-        let spill_groups = (groups % BLOCK as u64) as usize;
-        let mut rows: Vec<[u64; K]> = vec![[0u64; K]; d * BLOCK];
-        for _ in 0..full_blocks {
-            lanes.fill_below_lanes(bound, &mut rows);
-            for group in rows.chunks_exact(d) {
-                for k in 0..K {
-                    let mut winner = group[0][k] as usize;
-                    let mut winner_load = batch.view().load(winner);
-                    for round in &group[1..] {
-                        let challenger = round[k] as usize;
-                        let view = batch.view();
-                        let challenger_load = view.load(challenger);
-                        let next = self.decider.decide(view, winner, challenger, &mut inert);
-                        winner_load = std::hint::select_unpredictable(
-                            next == winner,
-                            winner_load,
-                            challenger_load,
-                        );
-                        winner = next;
-                    }
-                    if deferred {
-                        batch.place_with_uncounted(winner, winner_load);
-                    } else {
-                        batch.place_with(winner, winner_load);
-                    }
-                }
-            }
-            if deferred {
-                batch.credit_balls((BLOCK * K) as u64);
-            }
-        }
-        for _ in 0..spill_groups {
-            lanes.fill_below_lanes(bound, &mut rows[..d]);
-            for k in 0..K {
-                let mut winner = rows[0][k] as usize;
-                let mut winner_load = batch.view().load(winner);
-                for round in &rows[1..d] {
-                    let challenger = round[k] as usize;
-                    let view = batch.view();
-                    let challenger_load = view.load(challenger);
-                    let next = self.decider.decide(view, winner, challenger, &mut inert);
-                    winner_load = std::hint::select_unpredictable(
-                        next == winner,
-                        winner_load,
-                        challenger_load,
-                    );
-                    winner = next;
-                }
-                if deferred {
-                    batch.place_with_uncounted(winner, winner_load);
-                } else {
-                    batch.place_with(winner, winner_load);
-                }
-            }
-            if deferred {
-                batch.credit_balls(K as u64);
-            }
-        }
-        for k in 0..tail {
-            let mut winner = lanes.below_lane(k, bound) as usize;
-            let mut winner_load = batch.view().load(winner);
-            for _ in 1..d {
-                let challenger = lanes.below_lane(k, bound) as usize;
-                let view = batch.view();
-                let challenger_load = view.load(challenger);
-                let next = self.decider.decide(view, winner, challenger, &mut inert);
-                winner_load =
-                    std::hint::select_unpredictable(next == winner, winner_load, challenger_load);
-                winner = next;
-            }
-            batch.place_with(winner, winner_load);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,33 +168,6 @@ mod tests {
         }
         assert!(gaps[1] < gaps[0], "d=2 should beat d=1: {gaps:?}");
         assert!(gaps[3] <= gaps[1] + 1.0, "d=8 should not lose to d=2: {gaps:?}");
-    }
-
-    #[test]
-    fn lane_kernel_is_bit_identical_to_reference() {
-        use balloc_core::rng::{LaneRng, SeedScheme};
-        fn check<const K: usize>(d: u32, n: usize, steps: u64) {
-            let mut kernel_state = LoadState::new(n);
-            let mut reference_state = LoadState::new(n);
-            let mut kernel_lanes = LaneRng::<K>::new(SeedScheme::V2, 404);
-            let mut reference_lanes = LaneRng::<K>::new(SeedScheme::V2, 404);
-            DChoice::classic(d).run_lanes(&mut kernel_state, steps, &mut kernel_lanes);
-            balloc_core::run_lanes_reference(
-                &mut DChoice::classic(d),
-                &mut reference_state,
-                steps,
-                &mut reference_lanes,
-            );
-            assert_eq!(kernel_state, reference_state, "d {d}, K {K}, steps {steps}");
-            assert_eq!(kernel_lanes, reference_lanes, "d {d}, K {K}, steps {steps}");
-        }
-        for d in [1u32, 2, 3, 5] {
-            for steps in [10u64, 64, 1_500, 1_507] {
-                check::<1>(d, 64, steps);
-                check::<4>(d, 64, steps);
-                check::<8>(d, 64, steps);
-            }
-        }
     }
 
     #[test]

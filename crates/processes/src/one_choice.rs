@@ -1,7 +1,6 @@
 //! The `One-Choice` process.
 
-use balloc_core::rng::LaneRng;
-use balloc_core::{run_lanes_reference, LaneProcess, LoadState, Process, Rng};
+use balloc_core::{LoadState, Process, Rng};
 
 /// `One-Choice`: each ball is placed in a single bin chosen independently
 /// and uniformly at random.
@@ -57,50 +56,6 @@ impl Process for OneChoice {
     }
 }
 
-impl<const K: usize> LaneProcess<K> for OneChoice {
-    /// Lane-parallel kernel: draws fill a whole block of groups at a time
-    /// through the optimistic
-    /// [`fill_below_lanes`](LaneRng::fill_below_lanes) primitive (keeping
-    /// the lane state register-resident across the block), then each row is
-    /// absorbed through [`place_group`](balloc_core::LoadBatch::place_group).
-    /// `One-Choice` never reads the state, so the whole block is
-    /// load-independent — both the draws and the placements batch freely.
-    fn run_lanes(&mut self, state: &mut LoadState, steps: u64, lanes: &mut LaneRng<K>) {
-        let bound = state.n() as u64;
-        if steps < bound {
-            run_lanes_reference(self, state, steps, lanes);
-            return;
-        }
-        const BLOCK: usize = 16;
-        let groups = steps / K as u64;
-        let tail = (steps % K as u64) as usize;
-        let full_blocks = groups / BLOCK as u64;
-        let spill_groups = (groups % BLOCK as u64) as usize;
-        let mut batch = state.batch();
-        let mut rows = [[0u64; K]; BLOCK];
-        let mut bins = [0usize; K];
-        for _ in 0..full_blocks {
-            lanes.fill_below_lanes(bound, &mut rows);
-            for row in &rows {
-                for k in 0..K {
-                    bins[k] = row[k] as usize;
-                }
-                batch.place_group(&bins);
-            }
-        }
-        for _ in 0..spill_groups {
-            let is = lanes.below_lanes(bound);
-            for k in 0..K {
-                bins[k] = is[k] as usize;
-            }
-            batch.place_group(&bins);
-        }
-        for k in 0..tail {
-            batch.place(lanes.below_lane(k, bound) as usize);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,31 +91,6 @@ mod tests {
         OneChoice::new().run(&mut state, n as u64, &mut rng);
         let max = state.max_load();
         assert!((3..=12).contains(&max), "max load {max} outside range");
-    }
-
-    #[test]
-    fn lane_kernel_is_bit_identical_to_reference() {
-        use balloc_core::rng::{LaneRng, SeedScheme};
-        fn check<const K: usize>(n: usize, steps: u64) {
-            let mut kernel_state = LoadState::new(n);
-            let mut reference_state = LoadState::new(n);
-            let mut kernel_lanes = LaneRng::<K>::new(SeedScheme::V2, 90210);
-            let mut reference_lanes = LaneRng::<K>::new(SeedScheme::V2, 90210);
-            OneChoice::new().run_lanes(&mut kernel_state, steps, &mut kernel_lanes);
-            balloc_core::run_lanes_reference(
-                &mut OneChoice::new(),
-                &mut reference_state,
-                steps,
-                &mut reference_lanes,
-            );
-            assert_eq!(kernel_state, reference_state, "K {K}, steps {steps}");
-            assert_eq!(kernel_lanes, reference_lanes, "K {K}, steps {steps}");
-        }
-        for steps in [10u64, 64, 3_000, 3_001] {
-            check::<1>(64, steps);
-            check::<4>(64, steps);
-            check::<16>(64, steps);
-        }
     }
 
     #[test]

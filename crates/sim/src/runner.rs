@@ -22,8 +22,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use balloc_core::rng::{run_seed, LaneRng};
-use balloc_core::{LaneProcess, LoadState, Process, Rng};
+use balloc_core::rng::run_seed;
+use balloc_core::{LoadState, Process, Rng};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{Checkpoints, RunConfig};
@@ -448,47 +448,6 @@ where
         .collect()
 }
 
-/// Runs `process` on a fresh [`LoadState`] through its lane-parallel
-/// engine ([`LaneProcess::run_lanes`]), consuming `config.m` balls from the
-/// `K` interleaved streams of `lanes`.
-///
-/// The caller constructs the generator — and therefore names its
-/// [`SeedScheme`](balloc_core::SeedScheme) explicitly at the call site (the
-/// `L006 unversioned-seed-scheme` contract); `config.seed` is expected to
-/// be the master seed `lanes` was built from, and is recorded in the
-/// result as usual. The generator is left advanced, so consecutive calls
-/// continue the streams.
-///
-/// # Examples
-///
-/// ```
-/// use balloc_core::rng::{LaneRng, SeedScheme};
-/// use balloc_core::TwoChoice;
-/// use balloc_sim::{run_lanes, RunConfig};
-///
-/// let config = RunConfig::new(100, 10_000, 7);
-/// let mut lanes = LaneRng::<8>::new(SeedScheme::V2, config.seed);
-/// let result = run_lanes(&mut TwoChoice::classic(), config, &mut lanes);
-/// assert!(result.gap >= 0.0);
-/// ```
-pub fn run_lanes<const K: usize, P: LaneProcess<K>>(
-    process: &mut P,
-    config: RunConfig,
-    lanes: &mut LaneRng<K>,
-) -> RunResult {
-    process.reset();
-    let mut state = LoadState::new(config.n);
-    process.run_lanes(&mut state, config.m, lanes);
-    RunResult {
-        config,
-        gap: state.gap(),
-        integer_gap: state.integer_gap(),
-        max_load: state.max_load(),
-        min_load: state.min_load(),
-        trace: Vec::new(),
-    }
-}
-
 /// Extracts the final gaps from a batch of results.
 #[must_use]
 pub fn gaps(results: &[RunResult]) -> Vec<f64> {
@@ -788,28 +747,6 @@ mod tests {
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_rejected() {
         let _ = repeat(TwoChoice::classic, RunConfig::new(4, 4, 0), 1, 0);
-    }
-
-    #[test]
-    fn run_lanes_matches_reference_engine() {
-        use balloc_core::rng::{LaneRng, SeedScheme};
-        use balloc_core::run_lanes_reference;
-        let config = RunConfig::new(64, 2_005, 13);
-        let mut lanes = LaneRng::<8>::new(SeedScheme::V2, config.seed);
-        let by_kernel = run_lanes(&mut TwoChoice::classic(), config, &mut lanes);
-
-        let mut reference_lanes = LaneRng::<8>::new(SeedScheme::V2, config.seed);
-        let mut state = LoadState::new(config.n);
-        run_lanes_reference(
-            &mut TwoChoice::classic(),
-            &mut state,
-            config.m,
-            &mut reference_lanes,
-        );
-        assert_eq!(by_kernel.gap, state.gap());
-        assert_eq!(by_kernel.max_load, state.max_load());
-        assert_eq!(by_kernel.min_load, state.min_load());
-        assert_eq!(lanes, reference_lanes);
     }
 
     #[test]

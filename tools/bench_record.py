@@ -8,7 +8,8 @@ PARENT_TARGET and CHANGE_TARGET are the `$CARGO_TARGET_DIR`s that
 `perfbench/run.py` ran with for the parent and the change build. Every
 passing run left `<target>/perfbench/result-<workload>-<seed>-trace<t>.json`
 there. Runs of one workload at one trace level are paired by seed; seeds
-present on one side only are skipped with a warning.
+present on one side only, and metrics missing from a run on either side,
+are skipped with a warning.
 
 Without `--compare`, one entry is appended to the `entries` list of the
 repository's `BENCH_baseline.json`:
@@ -117,12 +118,18 @@ def build_entry(parent, change, better, trace, label):
             "run_order": ["parent first" if pt <= ct else "change first"
                           for (_, pt), (_, ct) in pairs],
         })
-        metrics = pairs[0][0][0]["result"]["metrics"]
-        for metric, first in metrics.items():
-            p_vals = [p["result"]["metrics"][metric]["value"] for (p, _), _ in pairs]
+        units = {}
+        for pair in pairs:
+            for record, _ in pair:
+                for metric, info in record["result"]["metrics"].items():
+                    units.setdefault(metric, info["unit"])
+        for metric, unit in units.items():
+            p_vals = [p["result"]["metrics"].get(metric, {}).get("value") for (p, _), _ in pairs]
             c_vals = [c["result"]["metrics"].get(metric, {}).get("value") for _, (c, _) in pairs]
-            if any(v is None for v in c_vals):
-                print(f"bench_record: {workload} {metric} missing from a change run; skipped",
+            gaps = [side for side, vals in (("parent", p_vals), ("change", c_vals))
+                    if None in vals]
+            if gaps:
+                print(f"bench_record: {workload} {metric} missing from a {gaps[0]} run; skipped",
                       file=sys.stderr)
                 continue
             direction = better.get(metric)
@@ -133,7 +140,7 @@ def build_entry(parent, change, better, trace, label):
             rows.append({
                 "workload": workload,
                 "metric": metric,
-                "unit": first["unit"],
+                "unit": unit,
                 "parent": summary(p_vals),
                 "change": summary(c_vals),
                 "pairs_won": won,
