@@ -5,7 +5,9 @@
 //! two layers at a time; the resilience golden here runs the full
 //! `d2_full` stack (retry, hedge, timeout, breaker) against all four
 //! faults at once, so the hedge soft deadline nests around the timeout
-//! deadline and the clock's overrun register feeds hedge regret. Each
+//! deadline and the clock's overrun register feeds hedge regret; the
+//! all-layers golden adds a rate limit and a small retry budget, so the
+//! shed, exhaustion and timeout counters are pinned nonzero. Each
 //! engine's output is a pure function of `(config, seed)`, so
 //! the constants below fix the whole decision stream (the digest), the
 //! refresh schedule and every ledger count. A refactor of the engines
@@ -20,7 +22,7 @@ use balloc_noise::CorruptKind;
 use balloc_serve::{
     run_churn, run_replay, run_resilient, AutoscaleConfig, BreakerConfig, ChurnConfig,
     FaultKind, FaultPlan, HedgeConfig, NoiseMode, PlannedChange, Policy, Request, ResilienceConfig,
-    ResilienceOutcome, RetryConfig, ServeConfig, Staleness,
+    RateLimitConfig, ResilienceOutcome, RetryConfig, ServeConfig, Staleness,
 };
 
 /// Sharded store, b-Batch, two workers that split the requests evenly.
@@ -235,6 +237,66 @@ fn resilient_golden() {
         (r.digest, &r.outcome),
         (0x0bb0_dd83_ba52_7a72_u64, &golden),
         "d2_full: run_resilient drifted; got digest {:#018x}",
+        r.digest
+    );
+}
+
+/// All five layers on against `d2_full`'s four faults, with a rate limit
+/// tight enough to shed, a retry budget small enough to run dry and a
+/// timeout below the warm hedge delay, so the counters `d2_full` leaves
+/// at zero — `shed`, `shed_rate_limited`, `shed_faulted`,
+/// `retries_exhausted` and `timed_out` — are pinned too.
+fn resilient_all_layers() -> ResilienceConfig {
+    let mut cfg = resilient_d2_full();
+    cfg.policy.retry = Some(RetryConfig {
+        max_retries: 2,
+        budget_cap: 200,
+        budget_deposit: 5,
+        budget_withdraw: 100,
+    });
+    cfg.policy.rate = Some(RateLimitConfig {
+        permits: 1,
+        period: 12,
+        burst: 2,
+    });
+    cfg.policy.timeout = Some(12);
+    cfg
+}
+
+#[test]
+fn resilient_all_layers_golden() {
+    let r = run_resilient(&resilient_all_layers());
+    let golden = ResilienceOutcome {
+        requests: 512,
+        allocated: 291,
+        shed: 98,
+        timed_out: 14,
+        broken: 109,
+        shed_rate_limited: 86,
+        shed_faulted: 12,
+        retries: 22,
+        retries_exhausted: 26,
+        hedged: 60,
+        hedge_rescued: 41,
+        hedge_regret: 2,
+        hedge_retargeted: 18,
+        breaker_trips: 21,
+        breaker_rejections: 109,
+        faults_slowed: 97,
+        faults_stalled: 11,
+        faults_errored: 24,
+        refreshes: 8,
+        gap: 6.453_125,
+        max_load: 11,
+        latency_p50: 1,
+        latency_p99: 17,
+        latency_max: 23,
+        ticks: 1596,
+    };
+    assert_eq!(
+        (r.digest, &r.outcome),
+        (0xa865_9647_e515_51ee_u64, &golden),
+        "all layers: run_resilient drifted; got digest {:#018x}",
         r.digest
     );
 }
