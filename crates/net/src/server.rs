@@ -472,25 +472,26 @@ impl Reactor {
         req: Request,
         template: &mut Option<Request>,
     ) {
-        match &mut entry.driver {
-            Driver::AwaitingHello => {
-                entry.conn.queue(&Frame::RespErr {
-                    req_id,
-                    code: ErrorCode::BadHello,
-                });
-                self.protocol_errors += 1;
-                entry.close_after_flush = true;
-            }
-            Driver::Inline(_) => {
+        match (&entry.driver, self.replay.as_mut()) {
+            (Driver::Inline(_), _) => {
                 if *template != Some(req) {
                     self.flush_run(entry, template);
                     *template = Some(req);
                 }
                 self.run_ids.push(req_id);
             }
-            Driver::Replay { client } => {
-                let replay = self.replay.as_mut().expect("replay mode has state");
+            (Driver::Replay { client }, Some(replay)) => {
                 replay.pending[*client].push_back((req_id, req));
+            }
+            // Not identified yet, or (unreachable by construction) a
+            // replay driver without replay state: refuse the stream.
+            (Driver::AwaitingHello | Driver::Replay { .. }, _) => {
+                entry.conn.queue(&Frame::RespErr {
+                    req_id,
+                    code: ErrorCode::BadHello,
+                });
+                self.protocol_errors += 1;
+                entry.close_after_flush = true;
             }
         }
     }
@@ -595,16 +596,23 @@ impl Reactor {
             let Some((req_id, req)) = replay.pending[w].pop_front() else {
                 break;
             };
-            let bin = replay.stacks[w]
-                .call(req)
-                .expect("direct sinks cannot reject")
-                .bin;
-            self.digest.write_u64(bin as u64);
-            self.served += 1;
-            let reply = Frame::RespBin {
-                req_id,
-                bin: bin as u64,
-                epoch: self.epoch,
+            let reply = match replay.stacks[w].call(req) {
+                Ok(resp) => {
+                    self.digest.write_u64(resp.bin as u64);
+                    self.served += 1;
+                    Frame::RespBin {
+                        req_id,
+                        bin: resp.bin as u64,
+                        epoch: self.epoch,
+                    }
+                }
+                Err(e) => {
+                    self.rejected += 1;
+                    Frame::RespErr {
+                        req_id,
+                        code: e.into(),
+                    }
+                }
             };
             queue_on(&mut self.conns, replay.conn_of[w], &reply);
         }

@@ -127,17 +127,20 @@ impl Frame {
 }
 
 /// Why a request was rejected, as carried on the wire. Codes `1..=8` are
-/// the [`ServeError`] variants; codes `≥ 100` are protocol-level.
+/// the [`ServeError`] variants, `1` and `4` reserved for retired ones;
+/// codes `≥ 100` are protocol-level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ErrorCode {
-    /// [`ServeError::BufferFull`].
+    /// Reserved: a retired bounded-buffer rejection. No server sends it;
+    /// it still decodes.
     BufferFull = 1,
     /// [`ServeError::AtCapacity`].
     AtCapacity = 2,
     /// [`ServeError::Shed`].
     Shed = 3,
-    /// [`ServeError::Closed`].
+    /// Reserved: a retired worker-gone rejection. No server sends it; it
+    /// still decodes.
     Closed = 4,
     /// [`ServeError::TimedOut`].
     TimedOut = 5,
@@ -188,10 +191,8 @@ impl ErrorCode {
 impl From<ServeError> for ErrorCode {
     fn from(e: ServeError) -> Self {
         match e {
-            ServeError::BufferFull => Self::BufferFull,
             ServeError::AtCapacity => Self::AtCapacity,
             ServeError::Shed => Self::Shed,
-            ServeError::Closed => Self::Closed,
             ServeError::TimedOut => Self::TimedOut,
             ServeError::Broken => Self::Broken,
             ServeError::RateLimited => Self::RateLimited,
@@ -622,7 +623,7 @@ mod tests {
     #[test]
     fn serve_errors_map_onto_wire_codes() {
         assert_eq!(ErrorCode::from(ServeError::Shed), ErrorCode::Shed);
-        assert_eq!(ErrorCode::from(ServeError::BufferFull), ErrorCode::BufferFull);
+        assert_eq!(ErrorCode::from(ServeError::RateLimited), ErrorCode::RateLimited);
         assert_eq!(ErrorCode::from(ServeError::AtCapacity), ErrorCode::AtCapacity);
     }
 

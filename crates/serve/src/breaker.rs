@@ -11,23 +11,23 @@
 //! cooldown. Failures are the transient backend class
 //! ([`ServeError::Faulted`], [`ServeError::TimedOut`]) plus [`Broken`]
 //! bubbling up from a nested breaker; pressure rejections
-//! (buffer-full/at-capacity/rate-limited) are the *caller's* overload,
+//! (at-capacity/rate-limited) are the *caller's* overload,
 //! not evidence the backend is unhealthy, and don't count.
 //!
 //! Every request still ends exactly once: it either reaches the backend
 //! (and resolves however the backend resolves) or is rejected `Broken` —
 //! a first-class terminal outcome in the engine's conservation
-//! accounting, counted by [`BreakerStats::broken`].
+//! accounting, counted in [`LayerStats::broken`].
 //!
 //! [`Broken`]: ServeError::Broken
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use balloc_sim::VClock;
 
 use crate::service::{ServeError, Service};
+use crate::stats::{bump, LayerStats};
 
 /// Configuration of a [`CircuitBreaker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,40 +91,6 @@ impl std::fmt::Display for BreakerState {
     }
 }
 
-/// Shared breaker observability counters.
-#[derive(Debug, Clone, Default)]
-pub struct BreakerStats {
-    broken: Arc<AtomicU64>,
-    opened: Arc<AtomicU64>,
-    reclosed: Arc<AtomicU64>,
-}
-
-impl BreakerStats {
-    /// Fresh counters at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests rejected by an open breaker.
-    #[must_use]
-    pub fn broken(&self) -> u64 {
-        self.broken.load(Ordering::Relaxed)
-    }
-
-    /// Transitions into the open state (trips and failed probes).
-    #[must_use]
-    pub fn opened(&self) -> u64 {
-        self.opened.load(Ordering::Relaxed)
-    }
-
-    /// Successful half-open probes (transitions back to closed).
-    #[must_use]
-    pub fn reclosed(&self) -> u64 {
-        self.reclosed.load(Ordering::Relaxed)
-    }
-}
-
 /// Internal state: `Open` remembers when the cooldown ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -143,7 +109,7 @@ pub struct CircuitBreaker<S> {
     /// Rolling window of inner outcomes (`true` = failure), newest last.
     window: VecDeque<bool>,
     failures: usize,
-    stats: BreakerStats,
+    stats: Rc<LayerStats>,
 }
 
 impl<S> CircuitBreaker<S> {
@@ -153,7 +119,7 @@ impl<S> CircuitBreaker<S> {
     ///
     /// Panics if `cfg` is invalid (see [`BreakerConfig::validate`]).
     #[must_use]
-    pub fn new(inner: S, clock: VClock, cfg: BreakerConfig, stats: BreakerStats) -> Self {
+    pub fn new(inner: S, clock: VClock, cfg: BreakerConfig, stats: Rc<LayerStats>) -> Self {
         cfg.validate();
         Self {
             inner,
@@ -189,7 +155,7 @@ impl<S> CircuitBreaker<S> {
         };
         self.window.clear();
         self.failures = 0;
-        self.stats.opened.fetch_add(1, Ordering::Relaxed);
+        bump(&self.stats.breaker_opened);
     }
 
     fn record_closed_outcome(&mut self, failed: bool) {
@@ -220,7 +186,7 @@ impl<Req, S: Service<Req>> Service<Req> for CircuitBreaker<S> {
     fn call(&mut self, req: Req) -> Result<Self::Response, ServeError> {
         if let State::Open { until } = self.state {
             if self.clock.now() < until {
-                self.stats.broken.fetch_add(1, Ordering::Relaxed);
+                bump(&self.stats.broken);
                 return Err(ServeError::Broken);
             }
             self.state = State::HalfOpen;
@@ -235,7 +201,7 @@ impl<Req, S: Service<Req>> Service<Req> for CircuitBreaker<S> {
                     self.state = State::Closed;
                     self.window.clear();
                     self.failures = 0;
-                    self.stats.reclosed.fetch_add(1, Ordering::Relaxed);
+                    bump(&self.stats.breaker_reclosed);
                 }
             }
             State::Closed => self.record_closed_outcome(failed),
@@ -317,7 +283,7 @@ mod tests {
             },
             clock.clone(),
             cfg(),
-            BreakerStats::new(),
+            LayerStats::new(),
         );
         for i in 0..8 {
             let _ = b.call(i);
@@ -326,14 +292,14 @@ mod tests {
 
         // 2: the threshold failure trips it open.
         let clock = VClock::new();
-        let stats = BreakerStats::new();
+        let stats = LayerStats::new();
         let mut b =
             CircuitBreaker::new(always_failing(error), clock.clone(), cfg(), stats.clone());
         assert_eq!(b.call(0), Err(error), "first failure surfaces as itself");
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(b.call(1), Err(error), "second failure still reaches the backend");
         assert_eq!(b.state(), BreakerState::Open, "threshold of 2 trips the breaker");
-        assert_eq!(stats.opened(), 1);
+        assert_eq!(stats.breaker_opened.get(), 1);
 
         // 3: failures older than the window roll out and don't trip.
         let clock = VClock::new();
@@ -348,7 +314,7 @@ mod tests {
             },
             clock.clone(),
             cfg(),
-            BreakerStats::new(),
+            LayerStats::new(),
         );
         for i in 0..20 {
             let _ = b.call(i);
@@ -357,7 +323,7 @@ mod tests {
 
         // 4: open rejects without calling the backend until the cooldown.
         let clock = VClock::new();
-        let stats = BreakerStats::new();
+        let stats = LayerStats::new();
         let mut b =
             CircuitBreaker::new(always_failing(error), clock.clone(), cfg(), stats.clone());
         let _ = b.call(0);
@@ -367,7 +333,7 @@ mod tests {
         assert_eq!(b.call(2), Err(ServeError::Broken));
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.inner.calls, backend_calls, "open never touches the backend");
-        assert_eq!(stats.broken(), 1);
+        assert_eq!(stats.broken.get(), 1);
 
         // 5: the elapsed cooldown resolves to half-open.
         clock.advance(1).unwrap();
@@ -376,12 +342,12 @@ mod tests {
         // 7 (same breaker): the probe fails → open again, new cooldown.
         assert_eq!(b.call(3), Err(error), "the probe reaches the backend");
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(stats.opened(), 2);
-        assert_eq!(stats.broken(), 1, "the probe itself is not a Broken rejection");
+        assert_eq!(stats.breaker_opened.get(), 2);
+        assert_eq!(stats.broken.get(), 1, "the probe itself is not a Broken rejection");
 
         // 6: a successful probe closes the breaker and resets the window.
         let clock = VClock::new();
-        let stats = BreakerStats::new();
+        let stats = LayerStats::new();
         let mut b = CircuitBreaker::new(
             // Two failures trip it; after the cooldown everything succeeds.
             ScriptedFaults {
@@ -400,25 +366,23 @@ mod tests {
         clock.advance(10).unwrap();
         assert_eq!(b.call(2), Ok(2), "successful probe");
         assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(stats.reclosed(), 1);
+        assert_eq!(stats.breaker_reclosed.get(), 1);
         assert_eq!(b.window.len(), 0, "re-closing resets the window");
     }
 
     #[test]
     fn pressure_errors_are_not_failures() {
         for error in [
-            ServeError::BufferFull,
             ServeError::AtCapacity,
             ServeError::RateLimited,
             ServeError::Shed,
-            ServeError::Closed,
         ] {
             let clock = VClock::new();
             let mut b = CircuitBreaker::new(
                 always_failing(error),
                 clock.clone(),
                 cfg(),
-                BreakerStats::new(),
+                LayerStats::new(),
             );
             for i in 0..16 {
                 assert_eq!(b.call(i), Err(error));
@@ -435,7 +399,7 @@ mod tests {
                 always_failing(error),
                 clock.clone(),
                 cfg(),
-                BreakerStats::new(),
+                LayerStats::new(),
             );
             let _ = b.call(0);
             let _ = b.call(1);
@@ -450,7 +414,7 @@ mod tests {
         // rejections. (The conformance proptest does this for random
         // stacks; this pins the breaker alone.)
         let clock = VClock::new();
-        let stats = BreakerStats::new();
+        let stats = LayerStats::new();
         let mut b = CircuitBreaker::new(
             ScriptedFaults {
                 script: vec![true, true, false, true, false, false, true],
@@ -473,12 +437,12 @@ mod tests {
         }
         assert_eq!(outcomes, requests, "every request resolved exactly once");
         assert_eq!(
-            b.inner.calls + stats.broken(),
+            b.inner.calls + stats.broken.get(),
             requests,
             "each request either reached the backend or was rejected Broken"
         );
-        assert!(stats.opened() > 0, "the script must have tripped it");
-        assert!(stats.reclosed() > 0, "and recovered at least once");
+        assert!(stats.breaker_opened.get() > 0, "the script must have tripped it");
+        assert!(stats.breaker_reclosed.get() > 0, "and recovered at least once");
     }
 
     #[test]
@@ -487,7 +451,7 @@ mod tests {
             always_failing(ServeError::Faulted),
             VClock::new(),
             cfg(),
-            BreakerStats::new(),
+            LayerStats::new(),
         );
         let mut inner = b.into_inner();
         assert_eq!(inner.call(1), Err(ServeError::Faulted));
@@ -513,7 +477,7 @@ mod tests {
             always_failing(ServeError::Faulted),
             VClock::new(),
             bad,
-            BreakerStats::new(),
+            LayerStats::new(),
         );
     }
 }

@@ -167,8 +167,8 @@ mod tests {
     use crate::service::Service;
     use crate::shed::LoadShed;
 
-    /// Replays a fixed script: `Some(bin)` places a ball, `None` meets a
-    /// full buffer.
+    /// Replays a fixed script: `Some(bin)` places a ball, `None` meets an
+    /// empty rate-limit bucket.
     struct Scripted(std::vec::IntoIter<Option<usize>>);
 
     impl Service<Request> for Scripted {
@@ -177,7 +177,7 @@ mod tests {
         fn call(&mut self, _req: Request) -> Result<Response, ServeError> {
             match self.0.next().expect("script exhausted") {
                 Some(bin) => Ok(Response { bin }),
-                None => Err(ServeError::BufferFull),
+                None => Err(ServeError::RateLimited),
             }
         }
     }

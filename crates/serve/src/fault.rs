@@ -25,9 +25,6 @@
 
 use balloc_noise::CorruptKind;
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 /// How one shard misbehaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -191,66 +188,6 @@ pub struct ShardRole {
     pub error_per_mille: u32,
     /// Load-report corruption, if any.
     pub corrupt: Option<(u64, CorruptKind)>,
-}
-
-/// Shared counters of injected faults, for observability and the
-/// conformance ledger (every stall must reappear as a timeout, every
-/// clean error as a retry, shed, or surfaced failure).
-#[derive(Debug, Clone, Default)]
-pub struct FaultStats {
-    slowed: Arc<AtomicU64>,
-    stalled: Arc<AtomicU64>,
-    errored: Arc<AtomicU64>,
-    refreshes: Arc<AtomicU64>,
-}
-
-impl FaultStats {
-    /// Fresh counters at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests that drew extra latency from a slow shard.
-    #[must_use]
-    pub fn slowed(&self) -> u64 {
-        self.slowed.load(Ordering::Relaxed)
-    }
-
-    /// Requests that stalled (terminated only by a deadline).
-    #[must_use]
-    pub fn stalled(&self) -> u64 {
-        self.stalled.load(Ordering::Relaxed)
-    }
-
-    /// Requests that failed cleanly with `Faulted`.
-    #[must_use]
-    pub fn errored(&self) -> u64 {
-        self.errored.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot refreshes performed by the faulty backend (each one an
-    /// opportunity for load corruption).
-    #[must_use]
-    pub fn refreshes(&self) -> u64 {
-        self.refreshes.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn note_slowed(&self) {
-        self.slowed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_stalled(&self) {
-        self.stalled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_errored(&self) {
-        self.errored.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_refresh(&self) {
-        self.refreshes.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]

@@ -23,12 +23,13 @@
 //! hedge *regret* — duplicates that finished later than simply waiting
 //! would have.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use balloc_sim::VClock;
 
 use crate::service::{ServeError, Service};
+use crate::stats::{bump, LayerStats};
 
 /// A log₂-bucketed latency histogram (64 buckets cover all of `u64`),
 /// used by [`Hedge`] to track its observed completion latencies and read
@@ -145,44 +146,6 @@ impl HedgeConfig {
     }
 }
 
-/// Shared hedge observability counters.
-#[derive(Debug, Clone, Default)]
-pub struct HedgeStats {
-    hedged: Arc<AtomicU64>,
-    rescued: Arc<AtomicU64>,
-    regret: Arc<AtomicU64>,
-}
-
-impl HedgeStats {
-    /// Fresh counters at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Duplicates issued (first attempts cut off at the hedge delay).
-    #[must_use]
-    pub fn hedged(&self) -> u64 {
-        self.hedged.load(Ordering::Relaxed)
-    }
-
-    /// Hedged requests whose duplicate succeeded.
-    #[must_use]
-    pub fn rescued(&self) -> u64 {
-        self.rescued.load(Ordering::Relaxed)
-    }
-
-    /// Hedged requests that finished *later* than the aborted first
-    /// attempt would have — the cost side of the hedging ledger.
-    #[must_use]
-    pub fn regret(&self) -> u64 {
-        self.regret.load(Ordering::Relaxed)
-    }
-}
-
-/// Sentinel slot meaning "no shard recorded".
-const NO_SLOT: u64 = u64::MAX;
-
 /// A shard-diversity channel between a [`Hedge`] layer and the leaf
 /// service beneath it: the leaf records which shard slot each attempt
 /// lands on, and while a hedge duplicate is in flight the channel names
@@ -191,57 +154,36 @@ const NO_SLOT: u64 = u64::MAX;
 /// simply ignores the hint (the single-shard fallback).
 #[derive(Debug, Clone, Default)]
 pub struct HedgeSteer {
-    last: Arc<AtomicU64>,
-    avoid: Arc<AtomicU64>,
-    retargeted: Arc<AtomicU64>,
+    last: Rc<Cell<Option<usize>>>,
+    avoid: Rc<Cell<Option<usize>>>,
 }
 
 impl HedgeSteer {
     /// A fresh channel with nothing recorded.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            last: Arc::new(AtomicU64::new(NO_SLOT)),
-            avoid: Arc::new(AtomicU64::new(NO_SLOT)),
-            retargeted: Arc::new(AtomicU64::new(0)),
-        }
+        Self::default()
     }
 
     /// The leaf reports the shard slot its latest attempt targeted.
     pub fn note_attempt(&self, slot: usize) {
-        self.last.store(slot as u64, Ordering::Relaxed);
+        self.last.set(Some(slot));
     }
 
     /// The slot a hedge duplicate should avoid, if one is in flight.
     #[must_use]
     pub fn avoid(&self) -> Option<usize> {
-        match self.avoid.load(Ordering::Relaxed) {
-            NO_SLOT => None,
-            #[allow(clippy::cast_possible_truncation)]
-            slot => Some(slot as usize),
-        }
-    }
-
-    /// The leaf reports it moved a decision off the avoided slot.
-    pub fn note_retarget(&self) {
-        self.retargeted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Decisions moved off the avoided slot so far.
-    #[must_use]
-    pub fn retargeted(&self) -> u64 {
-        self.retargeted.load(Ordering::Relaxed)
+        self.avoid.get()
     }
 
     /// Marks a duplicate in flight: avoid whatever the first attempt hit.
     fn begin_hedge(&self) {
-        self.avoid
-            .store(self.last.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.avoid.set(self.last.get());
     }
 
     /// Clears the in-flight marker.
     fn end_hedge(&self) {
-        self.avoid.store(NO_SLOT, Ordering::Relaxed);
+        self.avoid.set(None);
     }
 }
 
@@ -253,7 +195,7 @@ pub struct Hedge<S> {
     clock: VClock,
     cfg: HedgeConfig,
     hist: LatencyHistogram,
-    stats: HedgeStats,
+    stats: Rc<LayerStats>,
     steer: Option<HedgeSteer>,
 }
 
@@ -264,7 +206,7 @@ impl<S> Hedge<S> {
     ///
     /// Panics if `cfg` is invalid (see [`HedgeConfig::validate`]).
     #[must_use]
-    pub fn new(inner: S, clock: VClock, cfg: HedgeConfig, stats: HedgeStats) -> Self {
+    pub fn new(inner: S, clock: VClock, cfg: HedgeConfig, stats: Rc<LayerStats>) -> Self {
         cfg.validate();
         Self {
             inner,
@@ -329,7 +271,7 @@ impl<Req: Clone, S: Service<Req>> Service<Req> for Hedge<S> {
             // hedging trigger, and passes through below.
             Err(ServeError::TimedOut) if self.clock.now() >= soft_deadline => {
                 let first_would_finish = self.clock.last_overrun();
-                self.stats.hedged.fetch_add(1, Ordering::Relaxed);
+                bump(&self.stats.hedged);
                 if let Some(steer) = &self.steer {
                     steer.begin_hedge();
                 }
@@ -339,11 +281,11 @@ impl<Req: Clone, S: Service<Req>> Service<Req> for Hedge<S> {
                 }
                 let end = self.clock.now();
                 if second.is_ok() {
-                    self.stats.rescued.fetch_add(1, Ordering::Relaxed);
+                    bump(&self.stats.hedge_rescued);
                     self.hist.record(end - start);
                 }
                 if first_would_finish.is_some_and(|t| t < end) {
-                    self.stats.regret.fetch_add(1, Ordering::Relaxed);
+                    bump(&self.stats.hedge_regret);
                 }
                 second
             }
@@ -407,7 +349,7 @@ mod tests {
     #[test]
     fn fast_calls_never_hedge() {
         let clock = VClock::new();
-        let stats = HedgeStats::new();
+        let stats = LayerStats::new();
         let backend = Scripted {
             clock: clock.clone(),
             script: vec![1, 2, 3],
@@ -418,14 +360,14 @@ mod tests {
         for i in 0..30 {
             assert_eq!(svc.call(i), Ok(i));
         }
-        assert_eq!(stats.hedged(), 0);
+        assert_eq!(stats.hedged.get(), 0);
         assert_eq!(svc.histogram().count(), 30);
     }
 
     #[test]
     fn slow_first_attempt_is_hedged_and_rescued() {
         let clock = VClock::new();
-        let stats = HedgeStats::new();
+        let stats = LayerStats::new();
         // First call stalls (100 ticks ≫ the 5-tick hedge delay), the
         // duplicate is fast.
         let backend = Scripted {
@@ -436,12 +378,12 @@ mod tests {
         };
         let mut svc = Hedge::new(backend, clock.clone(), cfg(5), stats.clone());
         assert_eq!(svc.call(7), Ok(7));
-        assert_eq!(stats.hedged(), 1);
-        assert_eq!(stats.rescued(), 1);
+        assert_eq!(stats.hedged.get(), 1);
+        assert_eq!(stats.hedge_rescued.get(), 1);
         // Waited 5 ticks for the first, then 2 for the duplicate.
         assert_eq!(clock.now(), 7);
         assert_eq!(
-            stats.regret(),
+            stats.hedge_regret.get(),
             0,
             "7 < 100: duplicating beat waiting, no regret"
         );
@@ -450,7 +392,7 @@ mod tests {
     #[test]
     fn pointless_hedges_are_regretted() {
         let clock = VClock::new();
-        let stats = HedgeStats::new();
+        let stats = LayerStats::new();
         // The first attempt would have finished at 6, one tick past the
         // 5-tick delay; the duplicate takes until 15. Hedging lost.
         let backend = Scripted {
@@ -461,14 +403,14 @@ mod tests {
         };
         let mut svc = Hedge::new(backend, clock.clone(), cfg(5), stats.clone());
         assert_eq!(svc.call(1), Ok(1));
-        assert_eq!(stats.hedged(), 1);
-        assert_eq!(stats.regret(), 1, "finished at 15, waiting would have been 6");
+        assert_eq!(stats.hedged.get(), 1);
+        assert_eq!(stats.hedge_regret.get(), 1, "finished at 15, waiting would have been 6");
     }
 
     #[test]
     fn hedge_delay_adapts_to_observed_latencies() {
         let clock = VClock::new();
-        let stats = HedgeStats::new();
+        let stats = LayerStats::new();
         let backend = Scripted {
             clock: clock.clone(),
             script: vec![20],
@@ -489,34 +431,34 @@ mod tests {
         for i in 0..4 {
             assert_eq!(svc.call(i), Ok(i), "warm-up duplicates still complete");
         }
-        assert_eq!(stats.hedged(), 4, "every cold call hedged: 20-tick backend, 5-tick delay");
+        assert_eq!(stats.hedged.get(), 4, "every cold call hedged: 20-tick backend, 5-tick delay");
         // Hedged completions took 5 + 20 = 25 ticks → p90 rounds up to
         // the [16, 32) bucket bound.
         assert_eq!(svc.delay(), 31, "warm: quantile of observed latencies");
-        let before = stats.hedged();
+        let before = stats.hedged.get();
         for i in 0..10 {
             assert_eq!(svc.call(i), Ok(i));
         }
-        assert_eq!(stats.hedged(), before, "the adapted delay covers the backend");
+        assert_eq!(stats.hedged.get(), before, "the adapted delay covers the backend");
     }
 
     #[test]
     fn inner_deadline_expiry_passes_through_unhedged() {
         // An outer Timeout tighter than the hedge delay fires first; the
         // hedge layer must not claim it (and must not duplicate).
-        use crate::timeout::{Timeout, TimeoutStats};
+        use crate::timeout::Timeout;
         let clock = VClock::new();
-        let stats = HedgeStats::new();
+        let stats = LayerStats::new();
         let backend = Scripted {
             clock: clock.clone(),
             script: vec![100],
             pos: 0,
             completions: 0,
         };
-        let timed = Timeout::new(backend, clock.clone(), 3, TimeoutStats::new());
+        let timed = Timeout::new(backend, clock.clone(), 3, LayerStats::new());
         let mut svc = Hedge::new(timed, clock.clone(), cfg(10), stats.clone());
         assert_eq!(svc.call(1), Err(ServeError::TimedOut));
-        assert_eq!(stats.hedged(), 0, "the inner timeout fired, not our delay");
+        assert_eq!(stats.hedged.get(), 0, "the inner timeout fired, not our delay");
         assert_eq!(clock.now(), 3);
     }
 
@@ -529,7 +471,7 @@ mod tests {
             pos: 0,
             completions: 0,
         };
-        let svc = Hedge::new(backend, clock.clone(), cfg(5), HedgeStats::new());
+        let svc = Hedge::new(backend, clock.clone(), cfg(5), LayerStats::new());
         let mut backend = svc.into_inner();
         assert_eq!(backend.call(2), Ok(2));
         assert_eq!(backend.completions, 1);
@@ -552,7 +494,7 @@ mod tests {
                 quantile: 1.0,
                 ..HedgeConfig::default()
             },
-            HedgeStats::new(),
+            LayerStats::new(),
         );
     }
 }

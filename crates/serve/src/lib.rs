@@ -54,6 +54,9 @@
 //! * [`RateLimit`] — clock-driven token-bucket admission control;
 //! * [`CircuitBreaker`] — closed/open/half-open over a rolling failure
 //!   window;
+//! * [`LayerStats`] — the suite's one counter block: every layer of every
+//!   worker's stack counts into one shared `Rc<LayerStats>` of plain
+//!   cells (every engine serves on one thread);
 //! * [`FaultPlan`]/[`FaultKind`] — the adversaries: slow, stalled, and
 //!   erroring shards, plus `g`-Adv-Comp load corruption via
 //!   [`LoadCorruptor`](balloc_noise::LoadCorruptor);
@@ -107,10 +110,11 @@ mod shard;
 mod shed;
 mod sink;
 mod snapshot;
+mod stats;
 mod timeout;
 
 pub use autoscale::{AutoscaleConfig, Autoscaler, ScaleAction};
-pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
+pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use churn::{run_churn, ChurnConfig, ChurnOutcome, ChurnReport, PlannedChange};
 pub use cluster::DirectCluster;
 pub use directory::{
@@ -119,17 +123,18 @@ pub use directory::{
 pub use engine::{
     run_replay, worker_share, BackendKind, ReplayOutcome, ServeConfig, ServeOutcome, SnapshotPath,
 };
-pub use fault::{FaultKind, FaultPlan, FaultStats, FaultyShard, ShardRole};
-pub use hedge::{Hedge, HedgeConfig, HedgeStats, HedgeSteer, LatencyHistogram};
+pub use fault::{FaultKind, FaultPlan, FaultyShard, ShardRole};
+pub use hedge::{Hedge, HedgeConfig, HedgeSteer, LatencyHistogram};
 pub use limit::{InFlightLimit, InFlightLimitLayer, Permits};
-pub use rate::{RateLimit, RateLimitConfig, RateStats};
+pub use rate::{RateLimit, RateLimitConfig};
 pub use resilience::{
     run_resilient, Policy, ResilienceConfig, ResilienceOutcome, ResilienceReport,
 };
-pub use retry::{retryable, Retry, RetryBudget, RetryConfig, RetryStats};
+pub use retry::{retryable, Retry, RetryBudget, RetryConfig};
 pub use service::{decide, Layer, NoiseMode, Request, Response, ServeError, Service};
 pub use shard::{merge_states, ShardService};
 pub use shed::{LoadShed, LoadShedLayer, ShedCounter};
 pub use sink::{LoadSink, ServeClock, SnapshotService};
 pub use snapshot::{SnapshotAllocator, Staleness};
-pub use timeout::{Timeout, TimeoutStats};
+pub use stats::LayerStats;
+pub use timeout::Timeout;

@@ -9,20 +9,18 @@
 //! which keeps rate-limited runs inside the replay determinism contract.
 //!
 //! Each service owns its bucket state (tokens, refill anchor) but shares
-//! the clock and the [`RateStats`] counter with the rest of the stack;
-//! a fleet-wide limit is expressed by giving each of `w` workers
-//! `permits / w` (the engine's convention), the same way
-//! [`Permits`](crate::Permits) splits nothing and shares everything —
-//! two valid designs; the bucket picks per-worker state because tokens,
-//! unlike permits, are *consumed* and cross-worker contention on a single
-//! atomic bucket would couple every worker's admission to scheduling.
+//! the clock and the [`LayerStats`] block with the rest of the stack. A
+//! fleet-wide limit is expressed by giving each of `w` workers
+//! `permits / w`. One bucket shared by the fleet would let one worker's
+//! burst spend the others' tokens; a bucket per worker keeps each
+//! worker's admission a function of its own requests and the clock.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use balloc_sim::VClock;
 
 use crate::service::{ServeError, Service};
+use crate::stats::{bump, LayerStats};
 
 /// Configuration of a [`RateLimit`] layer's token bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,26 +46,6 @@ impl RateLimitConfig {
     }
 }
 
-/// Shared counter of rate-limit rejections.
-#[derive(Debug, Clone, Default)]
-pub struct RateStats {
-    limited: Arc<AtomicU64>,
-}
-
-impl RateStats {
-    /// A fresh counter at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests rejected with an empty bucket.
-    #[must_use]
-    pub fn limited(&self) -> u64 {
-        self.limited.load(Ordering::Relaxed)
-    }
-}
-
 /// A [`Service`] admitting requests through a clock-driven token bucket.
 #[derive(Debug, Clone)]
 pub struct RateLimit<S> {
@@ -77,7 +55,7 @@ pub struct RateLimit<S> {
     tokens: u64,
     /// Tick the last whole-period refill happened at.
     anchor: u64,
-    stats: RateStats,
+    stats: Rc<LayerStats>,
 }
 
 impl<S> RateLimit<S> {
@@ -88,7 +66,7 @@ impl<S> RateLimit<S> {
     ///
     /// Panics if `cfg` is invalid (see [`RateLimitConfig::validate`]).
     #[must_use]
-    pub fn new(inner: S, clock: VClock, cfg: RateLimitConfig, stats: RateStats) -> Self {
+    pub fn new(inner: S, clock: VClock, cfg: RateLimitConfig, stats: Rc<LayerStats>) -> Self {
         cfg.validate();
         let anchor = clock.now();
         Self {
@@ -134,7 +112,7 @@ impl<Req, S: Service<Req>> Service<Req> for RateLimit<S> {
     fn call(&mut self, req: Req) -> Result<Self::Response, ServeError> {
         self.refill();
         if self.tokens == 0 {
-            self.stats.limited.fetch_add(1, Ordering::Relaxed);
+            bump(&self.stats.rate_limited);
             return Err(ServeError::RateLimited);
         }
         self.tokens -= 1;
@@ -165,20 +143,20 @@ mod tests {
     #[test]
     fn burst_admits_then_empty_bucket_rejects() {
         let clock = VClock::new();
-        let stats = RateStats::new();
+        let stats = LayerStats::new();
         let mut svc = RateLimit::new(Echo, clock.clone(), cfg(), stats.clone());
         for i in 0..3 {
             assert_eq!(svc.call(i), Ok(i), "burst token {i}");
         }
         assert_eq!(svc.call(9), Err(ServeError::RateLimited));
         assert_eq!(svc.call(9), Err(ServeError::RateLimited));
-        assert_eq!(stats.limited(), 2);
+        assert_eq!(stats.rate_limited.get(), 2);
     }
 
     #[test]
     fn elapsed_periods_refill_the_bucket() {
         let clock = VClock::new();
-        let stats = RateStats::new();
+        let stats = LayerStats::new();
         let mut svc = RateLimit::new(Echo, clock.clone(), cfg(), stats.clone());
         for i in 0..3 {
             assert_eq!(svc.call(i), Ok(i));
@@ -199,7 +177,7 @@ mod tests {
     #[test]
     fn refill_anchor_tracks_whole_periods_only() {
         let clock = VClock::new();
-        let mut svc = RateLimit::new(Echo, clock.clone(), cfg(), RateStats::new());
+        let mut svc = RateLimit::new(Echo, clock.clone(), cfg(), LayerStats::new());
         for i in 0..3 {
             let _ = svc.call(i);
         }
@@ -213,7 +191,7 @@ mod tests {
 
     #[test]
     fn into_inner_round_trips() {
-        let svc = RateLimit::new(Echo, VClock::new(), cfg(), RateStats::new());
+        let svc = RateLimit::new(Echo, VClock::new(), cfg(), LayerStats::new());
         let mut inner = svc.into_inner();
         assert_eq!(inner.call(8), Ok(8));
     }
@@ -225,6 +203,6 @@ mod tests {
             period: 0,
             ..cfg()
         };
-        let _ = RateLimit::new(Echo, VClock::new(), bad, RateStats::new());
+        let _ = RateLimit::new(Echo, VClock::new(), bad, LayerStats::new());
     }
 }

@@ -28,7 +28,7 @@
 //! `(config, seed)`. Latency percentiles are in virtual ticks; no
 //! wall-clock value appears anywhere in the output.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -37,17 +37,19 @@ use balloc_core::Rng;
 use balloc_noise::LoadCorruptor;
 use balloc_sim::VClock;
 
-use crate::breaker::{BreakerConfig, BreakerStats, CircuitBreaker};
+use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::cluster::DirectCluster;
 use crate::drive::{drive, validate_shape};
-use crate::fault::{FaultPlan, FaultStats, ShardRole};
-use crate::hedge::{Hedge, HedgeConfig, HedgeStats, HedgeSteer};
-use crate::rate::{RateLimit, RateLimitConfig, RateStats};
-use crate::retry::{Retry, RetryBudget, RetryConfig, RetryStats};
+use crate::fault::{FaultPlan, ShardRole};
+use crate::hedge::{Hedge, HedgeConfig, HedgeSteer};
+use crate::rate::{RateLimit, RateLimitConfig};
+use crate::retry::{Retry, RetryBudget, RetryConfig};
 use crate::service::{Layer, Request, Response, ServeError, Service};
-use crate::shed::{LoadShedLayer, ShedCounter};
-use crate::sink::LoadSink;
+use crate::shed::{LoadShed, LoadShedLayer, ShedCounter};
+use crate::sink::{LoadSink, ServeClock};
 use crate::snapshot::{SnapshotAllocator, Staleness};
+use crate::stats::{bump, LayerStats};
+use crate::timeout::Timeout;
 
 /// Distinguishes the fault-draw RNG domain from the decision streams.
 const FAULT_STREAM: u64 = 0xFA17;
@@ -233,9 +235,9 @@ struct FaultyAlloc {
     backend: Rc<Backend>,
     clock: VClock,
     /// Completed requests across workers: the staleness clock.
-    completed: Rc<Cell<u64>>,
+    completed: ServeClock,
     fault_rng: Rng,
-    stats: FaultStats,
+    stats: Rc<LayerStats>,
     /// Per-leaf refresh counter: the corruption epoch.
     refresh_epoch: u64,
     /// Hedge→leaf shard-diversity channel: duplicates avoid the first
@@ -247,7 +249,7 @@ impl Service<Request> for FaultyAlloc {
     type Response = Response;
 
     fn call(&mut self, req: Request) -> Result<Response, ServeError> {
-        let now = self.completed.get();
+        let now = self.completed.now();
         if self.alloc.needs_refresh(now) {
             let snapshot = self.alloc.snapshot_mut();
             let mut store = self.backend.store.borrow_mut();
@@ -258,7 +260,7 @@ impl Service<Request> for FaultyAlloc {
             for (range, c) in &self.backend.corruptors {
                 c.corrupt(&mut snapshot[range.clone()], self.refresh_epoch);
             }
-            self.stats.note_refresh();
+            bump(&self.stats.refreshes);
             self.alloc.note_refresh(now);
         }
         let mut bin = self.alloc.decide(&req);
@@ -271,7 +273,7 @@ impl Service<Request> for FaultyAlloc {
             if let Some(avoid) = self.steer.avoid() {
                 if directory.len() >= 2 && directory.slot_of(bin) == avoid {
                     bin = directory.retarget(bin, avoid);
-                    self.steer.note_retarget();
+                    bump(&self.stats.hedge_retargeted);
                 }
             }
             directory.slot_of(bin)
@@ -282,7 +284,7 @@ impl Service<Request> for FaultyAlloc {
         let mut latency = self.backend.base_latency;
         if role.slow_extra > 0 {
             latency = latency.saturating_add(1 + self.fault_rng.below(2 * role.slow_extra));
-            self.stats.note_slowed();
+            bump(&self.stats.faults_slowed);
         }
         // Draw stall and error up front so the RNG stream consumed per
         // request depends only on the shard's role, never on the outcome.
@@ -294,7 +296,7 @@ impl Service<Request> for FaultyAlloc {
         if stalls {
             // The shard never answers: burn time until a deadline ends
             // the wait. Policy validation guarantees one is active.
-            self.stats.note_stalled();
+            bump(&self.stats.faults_stalled);
             let _ = self.clock.advance(u64::MAX);
             return Err(ServeError::TimedOut);
         }
@@ -304,7 +306,7 @@ impl Service<Request> for FaultyAlloc {
             return Err(ServeError::TimedOut);
         }
         if errors {
-            self.stats.note_errored();
+            bump(&self.stats.faults_errored);
             return Err(ServeError::Faulted);
         }
         self.backend
@@ -312,23 +314,13 @@ impl Service<Request> for FaultyAlloc {
             .borrow_mut()
             .apply(bin)
             .expect("direct stores cannot reject");
-        self.completed.set(self.completed.get() + 1);
+        self.completed.tick();
         Ok(Response { bin })
     }
 }
 
 /// A worker's full dynamic stack under the load-shed roof.
 type BoxAlloc = Box<dyn Service<Request, Response = Response>>;
-
-/// All the per-layer counters of one run, shared across workers.
-struct PolicyStats {
-    shed: ShedCounter,
-    retry: RetryStats,
-    rate: RateStats,
-    hedge: HedgeStats,
-    breaker: BreakerStats,
-    fault: FaultStats,
-}
 
 /// Builds worker `w`'s stack per the policy, innermost (leaf) outward.
 #[allow(clippy::too_many_arguments)]
@@ -337,55 +329,39 @@ fn build_stack(
     w: usize,
     backend: &Rc<Backend>,
     clock: &VClock,
-    completed: &Rc<Cell<u64>>,
+    completed: &ServeClock,
     budget: &RetryBudget,
-    stats: &PolicyStats,
-    steer: &HedgeSteer,
-) -> crate::shed::LoadShed<BoxAlloc> {
+    shed: &ShedCounter,
+    stats: &Rc<LayerStats>,
+) -> LoadShed<BoxAlloc> {
+    let steer = HedgeSteer::new();
     let leaf = FaultyAlloc {
         alloc: SnapshotAllocator::for_worker(cfg.n, cfg.staleness, cfg.seed, w),
         backend: Rc::clone(backend),
         clock: clock.clone(),
-        completed: Rc::clone(completed),
+        completed: completed.clone(),
         fault_rng: Rng::from_seed(point_seed(point_seed(cfg.seed, FAULT_STREAM), w as u64)),
-        stats: stats.fault.clone(),
+        stats: Rc::clone(stats),
         refresh_epoch: 0,
         steer: steer.clone(),
     };
     let mut stack: BoxAlloc = Box::new(leaf);
     if let Some(b) = cfg.policy.breaker {
-        stack = Box::new(CircuitBreaker::new(
-            stack,
-            clock.clone(),
-            b,
-            stats.breaker.clone(),
-        ));
+        stack = Box::new(CircuitBreaker::new(stack, clock.clone(), b, Rc::clone(stats)));
     }
     if let Some(budget_ticks) = cfg.policy.timeout {
-        stack = Box::new(crate::timeout::Timeout::new(
-            stack,
-            clock.clone(),
-            budget_ticks,
-            crate::timeout::TimeoutStats::new(),
-        ));
+        stack = Box::new(Timeout::new(stack, clock.clone(), budget_ticks, Rc::clone(stats)));
     }
     if let Some(h) = cfg.policy.hedge {
-        stack = Box::new(
-            Hedge::new(stack, clock.clone(), h, stats.hedge.clone()).with_steer(steer.clone()),
-        );
+        stack = Box::new(Hedge::new(stack, clock.clone(), h, Rc::clone(stats)).with_steer(steer));
     }
     if let Some(r) = cfg.policy.rate {
-        stack = Box::new(RateLimit::new(
-            stack,
-            clock.clone(),
-            r,
-            stats.rate.clone(),
-        ));
+        stack = Box::new(RateLimit::new(stack, clock.clone(), r, Rc::clone(stats)));
     }
     if let Some(r) = cfg.policy.retry {
-        stack = Box::new(Retry::new(stack, &r, budget.clone(), stats.retry.clone()));
+        stack = Box::new(Retry::new(stack, &r, budget.clone(), Rc::clone(stats)));
     }
-    LoadShedLayer::new(stats.shed.clone()).layer(stack)
+    LoadShedLayer::new(shed.clone()).layer(stack)
 }
 
 /// Latency percentile by nearest-rank over a sorted sample vector.
@@ -417,7 +393,7 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 pub fn run_resilient(cfg: &ResilienceConfig) -> ResilienceReport {
     cfg.validate();
     let clock = VClock::new();
-    let completed = Rc::new(Cell::new(0));
+    let completed = ServeClock::new();
     let store = DirectCluster::new(cfg.n, cfg.shards);
     let corrupt_seed = point_seed(cfg.seed, CORRUPT_STREAM);
     let corruptors = store.directory().ranges().into_iter().enumerate();
@@ -435,18 +411,11 @@ pub fn run_resilient(cfg: &ResilienceConfig) -> ResilienceReport {
         store: RefCell::new(store),
         base_latency: cfg.faults.base_latency,
     });
-    let stats = PolicyStats {
-        shed: ShedCounter::new(),
-        retry: RetryStats::new(),
-        rate: RateStats::new(),
-        hedge: HedgeStats::new(),
-        breaker: BreakerStats::new(),
-        fault: FaultStats::new(),
-    };
+    let shed = ShedCounter::new();
+    let stats = LayerStats::new();
     let budget = RetryBudget::new(&cfg.policy.retry.unwrap_or_default());
-    let steers: Vec<HedgeSteer> = (0..cfg.workers).map(|_| HedgeSteer::new()).collect();
     let mut stacks: Vec<_> = (0..cfg.workers)
-        .map(|w| build_stack(cfg, w, &backend, &clock, &completed, &budget, &stats, &steers[w]))
+        .map(|w| build_stack(cfg, w, &backend, &clock, &completed, &budget, &shed, &stats))
         .collect();
 
     let mut digest = Fnv1a::new();
@@ -473,7 +442,7 @@ pub fn run_resilient(cfg: &ResilienceConfig) -> ResilienceReport {
             .expect("no deadline is active between requests");
     });
     let state = backend.store.borrow().state();
-    ledger.check(cfg.requests, state.balls(), &stats.shed);
+    ledger.check(cfg.requests, state.balls(), &shed);
 
     latencies.sort_unstable();
     let outcome = ResilienceOutcome {
@@ -482,20 +451,20 @@ pub fn run_resilient(cfg: &ResilienceConfig) -> ResilienceReport {
         shed: ledger.shed,
         timed_out: ledger.timed_out,
         broken: ledger.broken,
-        shed_rate_limited: stats.shed.rate_limited(),
-        shed_faulted: stats.shed.faulted(),
-        retries: stats.retry.retries(),
-        retries_exhausted: stats.retry.exhausted(),
-        hedged: stats.hedge.hedged(),
-        hedge_rescued: stats.hedge.rescued(),
-        hedge_regret: stats.hedge.regret(),
-        hedge_retargeted: steers.iter().map(HedgeSteer::retargeted).sum(),
-        breaker_trips: stats.breaker.opened(),
-        breaker_rejections: stats.breaker.broken(),
-        faults_slowed: stats.fault.slowed(),
-        faults_stalled: stats.fault.stalled(),
-        faults_errored: stats.fault.errored(),
-        refreshes: stats.fault.refreshes(),
+        shed_rate_limited: shed.rate_limited(),
+        shed_faulted: shed.faulted(),
+        retries: stats.retries.get(),
+        retries_exhausted: stats.retries_exhausted.get(),
+        hedged: stats.hedged.get(),
+        hedge_rescued: stats.hedge_rescued.get(),
+        hedge_regret: stats.hedge_regret.get(),
+        hedge_retargeted: stats.hedge_retargeted.get(),
+        breaker_trips: stats.breaker_opened.get(),
+        breaker_rejections: stats.broken.get(),
+        faults_slowed: stats.faults_slowed.get(),
+        faults_stalled: stats.faults_stalled.get(),
+        faults_errored: stats.faults_errored.get(),
+        refreshes: stats.refreshes.get(),
         gap: state.gap(),
         max_load: state.max_load(),
         latency_p50: percentile(&latencies, 0.50),
@@ -565,7 +534,7 @@ mod tests {
         assert_eq!(
             o.shed_rate_limited + o.shed_faulted,
             o.shed,
-            "every shed here is a rate or fault shed (no buffers/permits in this stack)"
+            "every shed here is a rate or fault shed (no permits in this stack)"
         );
     }
 

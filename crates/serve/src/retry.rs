@@ -11,21 +11,21 @@
 //!
 //! [`Retry`] retries only the transient error class —
 //! [`ServeError::Faulted`] and [`ServeError::TimedOut`] (see
-//! [`retryable`]) — never pressure rejections ([`BufferFull`],
-//! [`AtCapacity`], [`RateLimited`]), which would amplify exactly the
-//! overload that produced them, and never [`Broken`]: an open circuit
-//! breaker is a *decision* not to send traffic, and retrying around it
-//! would defeat the breaker.
+//! [`retryable`]) — never pressure rejections ([`AtCapacity`],
+//! [`RateLimited`]), which would amplify exactly the overload that
+//! produced them, and never [`Broken`]: an open circuit breaker is a
+//! *decision* not to send traffic, and retrying around it would defeat
+//! the breaker.
 //!
-//! [`BufferFull`]: ServeError::BufferFull
 //! [`AtCapacity`]: ServeError::AtCapacity
 //! [`RateLimited`]: ServeError::RateLimited
 //! [`Broken`]: ServeError::Broken
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use crate::service::{ServeError, Service};
+use crate::stats::{bump, LayerStats};
 
 /// Whether an error is worth retrying: transient backend failures only.
 #[must_use]
@@ -82,7 +82,7 @@ impl RetryConfig {
 /// (cloned into every worker's [`Retry`] layer).
 #[derive(Debug, Clone)]
 pub struct RetryBudget {
-    tokens: Arc<AtomicU64>,
+    tokens: Rc<Cell<u64>>,
     cap: u64,
     deposit: u64,
     withdraw: u64,
@@ -99,7 +99,7 @@ impl RetryBudget {
     pub fn new(cfg: &RetryConfig) -> Self {
         cfg.validate();
         Self {
-            tokens: Arc::new(AtomicU64::new(cfg.budget_cap)),
+            tokens: Rc::new(Cell::new(cfg.budget_cap)),
             cap: cfg.budget_cap,
             deposit: cfg.budget_deposit,
             withdraw: cfg.budget_withdraw,
@@ -109,52 +109,21 @@ impl RetryBudget {
     /// Current bucket level, in hundredths of a token.
     #[must_use]
     pub fn tokens(&self) -> u64 {
-        self.tokens.load(Ordering::Relaxed)
+        self.tokens.get()
     }
 
     /// Credits one initial request.
     fn deposit(&self) {
-        let _ = self
-            .tokens
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |t| {
-                Some((t + self.deposit).min(self.cap))
-            });
+        self.tokens.set((self.tokens.get() + self.deposit).min(self.cap));
     }
 
     /// Tries to pay for one retry.
     fn withdraw(&self) -> bool {
-        self.tokens
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |t| {
-                t.checked_sub(self.withdraw)
-            })
-            .is_ok()
-    }
-}
-
-/// Shared retry observability counters.
-#[derive(Debug, Clone, Default)]
-pub struct RetryStats {
-    retries: Arc<AtomicU64>,
-    exhausted: Arc<AtomicU64>,
-}
-
-impl RetryStats {
-    /// Fresh counters at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Retry attempts actually issued.
-    #[must_use]
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    /// Retryable failures given up on because the budget was empty.
-    #[must_use]
-    pub fn exhausted(&self) -> u64 {
-        self.exhausted.load(Ordering::Relaxed)
+        let Some(left) = self.tokens.get().checked_sub(self.withdraw) else {
+            return false;
+        };
+        self.tokens.set(left);
+        true
     }
 }
 
@@ -164,14 +133,14 @@ pub struct Retry<S> {
     inner: S,
     max_retries: u32,
     budget: RetryBudget,
-    stats: RetryStats,
+    stats: Rc<LayerStats>,
 }
 
 impl<S> Retry<S> {
     /// Wraps `inner` with the retry policy of `cfg`, drawing from the
-    /// shared `budget`.
+    /// shared `budget` and counting into `stats`.
     #[must_use]
-    pub fn new(inner: S, cfg: &RetryConfig, budget: RetryBudget, stats: RetryStats) -> Self {
+    pub fn new(inner: S, cfg: &RetryConfig, budget: RetryBudget, stats: Rc<LayerStats>) -> Self {
         Self {
             inner,
             max_retries: cfg.max_retries,
@@ -198,9 +167,9 @@ impl<Req: Clone, S: Service<Req>> Service<Req> for Retry<S> {
                 Err(e) if retryable(e) && attempt < self.max_retries => {
                     if self.budget.withdraw() {
                         attempt += 1;
-                        self.stats.retries.fetch_add(1, Ordering::Relaxed);
+                        bump(&self.stats.retries);
                     } else {
-                        self.stats.exhausted.fetch_add(1, Ordering::Relaxed);
+                        bump(&self.stats.retries_exhausted);
                         return Err(e);
                     }
                 }
@@ -246,7 +215,7 @@ mod tests {
     fn transient_faults_are_retried_to_success() {
         for error in [ServeError::Faulted, ServeError::TimedOut] {
             let cfg = roomy();
-            let stats = RetryStats::new();
+            let stats = LayerStats::new();
             let mut svc = Retry::new(
                 FailsThen {
                     failures: 2,
@@ -258,15 +227,15 @@ mod tests {
                 stats.clone(),
             );
             assert_eq!(svc.call(5), Ok(5), "{error:?}");
-            assert_eq!(stats.retries(), 2);
-            assert_eq!(stats.exhausted(), 0);
+            assert_eq!(stats.retries.get(), 2);
+            assert_eq!(stats.retries_exhausted.get(), 0);
         }
     }
 
     #[test]
     fn max_retries_bounds_attempts() {
         let cfg = roomy();
-        let stats = RetryStats::new();
+        let stats = LayerStats::new();
         let mut svc = Retry::new(
             FailsThen {
                 failures: u32::MAX,
@@ -278,21 +247,19 @@ mod tests {
             stats.clone(),
         );
         assert_eq!(svc.call(1), Err(ServeError::Faulted));
-        assert_eq!(stats.retries(), 3, "max_retries attempts after the first");
+        assert_eq!(stats.retries.get(), 3, "max_retries attempts after the first");
     }
 
     #[test]
     fn non_retryable_errors_pass_straight_through() {
         for error in [
-            ServeError::BufferFull,
             ServeError::AtCapacity,
             ServeError::RateLimited,
             ServeError::Broken,
             ServeError::Shed,
-            ServeError::Closed,
         ] {
             let cfg = roomy();
-            let stats = RetryStats::new();
+            let stats = LayerStats::new();
             let mut svc = Retry::new(
                 FailsThen {
                     failures: 1,
@@ -304,7 +271,7 @@ mod tests {
                 stats.clone(),
             );
             assert_eq!(svc.call(1), Err(error));
-            assert_eq!(stats.retries(), 0, "{error:?} must not be retried");
+            assert_eq!(stats.retries.get(), 0, "{error:?} must not be retried");
         }
     }
 
@@ -319,7 +286,7 @@ mod tests {
             budget_withdraw: 100,
         };
         let budget = RetryBudget::new(&cfg);
-        let stats = RetryStats::new();
+        let stats = LayerStats::new();
         let mut svc = Retry::new(
             FailsThen {
                 failures: u32::MAX,
@@ -331,19 +298,19 @@ mod tests {
             stats.clone(),
         );
         assert_eq!(svc.call(1), Err(ServeError::Faulted));
-        assert_eq!(stats.retries(), 1, "the full bucket paid for one retry");
-        assert_eq!(stats.exhausted(), 1);
-        let before = stats.retries();
+        assert_eq!(stats.retries.get(), 1, "the full bucket paid for one retry");
+        assert_eq!(stats.retries_exhausted.get(), 1);
+        let before = stats.retries.get();
         for i in 0..50 {
             assert_eq!(svc.call(i), Err(ServeError::Faulted));
         }
         // 50 deposits at 1 refill half a withdrawal — no retry yet...
-        assert_eq!(stats.retries(), before, "deposits have not covered a retry");
+        assert_eq!(stats.retries.get(), before, "deposits have not covered a retry");
         for i in 0..60 {
             assert_eq!(svc.call(i), Err(ServeError::Faulted));
         }
         // ...but ~110 deposits cover one more.
-        assert!(stats.retries() > before, "deposits must eventually re-arm retries");
+        assert!(stats.retries.get() > before, "deposits must eventually re-arm retries");
     }
 
     #[test]
@@ -355,7 +322,7 @@ mod tests {
             budget_withdraw: 100,
         };
         let budget = RetryBudget::new(&cfg);
-        let stats = RetryStats::new();
+        let stats = LayerStats::new();
         let failing = || FailsThen {
             failures: u32::MAX,
             seen: 0,
@@ -365,7 +332,7 @@ mod tests {
         let mut b = Retry::new(failing(), &cfg, budget.clone(), stats.clone());
         let _ = a.call(1);
         let _ = b.call(1);
-        assert_eq!(stats.retries(), 1, "one bucket, one paid retry across clones");
+        assert_eq!(stats.retries.get(), 1, "one bucket, one paid retry across clones");
         assert_eq!(budget.tokens(), 0);
     }
 
@@ -380,7 +347,7 @@ mod tests {
             },
             &cfg,
             RetryBudget::new(&cfg),
-            RetryStats::new(),
+            LayerStats::new(),
         );
         let mut inner = svc.into_inner();
         assert_eq!(inner.call(4), Ok(4));

@@ -63,16 +63,11 @@ pub struct Response {
 /// variant maps to a counter in the serve engine's outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeError {
-    /// A bounded request buffer was full (back-pressure).
-    BufferFull,
     /// The in-flight limit was reached.
     AtCapacity,
     /// A load-shed layer dropped the request after a lower layer reported
     /// pressure.
     Shed,
-    /// The backing worker is gone (its channel closed) — only reachable
-    /// during shutdown.
-    Closed,
     /// The request's deadline expired before the backend completed (the
     /// timeout layer's terminal outcome; the backend applied no side
     /// effect — see `balloc_sim::VClock`).
@@ -81,7 +76,7 @@ pub enum ServeError {
     /// the backend.
     Broken,
     /// A rate-limit layer's token bucket was empty (pressure, like
-    /// [`BufferFull`](Self::BufferFull): the load-shed layer converts it
+    /// [`AtCapacity`](Self::AtCapacity): the load-shed layer converts it
     /// into a counted shed).
     RateLimited,
     /// A fault-injected backend failed transiently after doing no work —
@@ -92,10 +87,8 @@ pub enum ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            Self::BufferFull => "bounded buffer full",
             Self::AtCapacity => "in-flight limit reached",
             Self::Shed => "request shed under load",
-            Self::Closed => "service worker closed",
             Self::TimedOut => "request deadline expired",
             Self::Broken => "circuit breaker open",
             Self::RateLimited => "rate limit exceeded",
@@ -116,8 +109,8 @@ pub trait Service<Req> {
     ///
     /// # Errors
     ///
-    /// Returns a [`ServeError`] when the request is rejected (buffer
-    /// full, at capacity, shed, or the backing worker is gone).
+    /// Returns a [`ServeError`] when the request is rejected (pressure,
+    /// shed, a deadline, an open breaker or a transient fault).
     fn call(&mut self, req: Req) -> Result<Self::Response, ServeError>;
 }
 
@@ -266,7 +259,7 @@ mod tests {
 
     #[test]
     fn serve_error_displays() {
-        assert_eq!(ServeError::BufferFull.to_string(), "bounded buffer full");
+        assert_eq!(ServeError::AtCapacity.to_string(), "in-flight limit reached");
         assert_eq!(ServeError::Shed.to_string(), "request shed under load");
         assert_eq!(ServeError::TimedOut.to_string(), "request deadline expired");
         assert_eq!(ServeError::Broken.to_string(), "circuit breaker open");

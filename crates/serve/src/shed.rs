@@ -1,8 +1,7 @@
 //! A load-shed layer — the tower-load-shed idiom, synchronously.
 //!
-//! Pressure errors from lower layers ([`ServeError::BufferFull`] from a
-//! bounded buffer, [`ServeError::AtCapacity`] from the in-flight limit,
-//! [`ServeError::RateLimited`] from the rate limiter,
+//! Pressure errors from lower layers ([`ServeError::AtCapacity`] from
+//! the in-flight limit, [`ServeError::RateLimited`] from the rate limiter,
 //! [`ServeError::Faulted`] from a fault-injected backend once retries are
 //! exhausted) surface here and are converted into an explicit, *counted*
 //! drop: the caller sees [`ServeError::Shed`], the shared [`ShedCounter`]
@@ -13,29 +12,29 @@
 //!
 //! The per-cause split exists because the resilience engine's
 //! conservation accounting needs to attribute every shed to the layer
-//! that produced the pressure (was the buffer full, or did the retry
+//! that produced the pressure (was the rate limit hit, or did the retry
 //! budget run dry against a faulty shard?). [`ShedCounter::total`] is the
 //! single number the engines' conservation ledger checks.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use crate::service::{Layer, ServeError, Service};
+use crate::stats::bump;
 
 /// Per-cause shed tallies (see [`ShedCounter`]).
 #[derive(Debug, Default)]
 struct Causes {
-    buffer_full: AtomicU64,
-    at_capacity: AtomicU64,
-    rate_limited: AtomicU64,
-    faulted: AtomicU64,
+    at_capacity: Cell<u64>,
+    rate_limited: Cell<u64>,
+    faulted: Cell<u64>,
 }
 
 /// Shared counter of shed requests (one per service stack, cloned into
 /// every worker's [`LoadShed`] layer), attributed per pressure cause.
 #[derive(Debug, Clone, Default)]
 pub struct ShedCounter {
-    causes: Arc<Causes>,
+    causes: Rc<Causes>,
 }
 
 impl ShedCounter {
@@ -48,43 +47,36 @@ impl ShedCounter {
     /// Total requests shed so far, over all causes.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.buffer_full() + self.at_capacity() + self.rate_limited() + self.faulted()
-    }
-
-    /// Sheds caused by a full bounded buffer.
-    #[must_use]
-    pub fn buffer_full(&self) -> u64 {
-        self.causes.buffer_full.load(Ordering::Relaxed)
+        self.at_capacity() + self.rate_limited() + self.faulted()
     }
 
     /// Sheds caused by the in-flight limit.
     #[must_use]
     pub fn at_capacity(&self) -> u64 {
-        self.causes.at_capacity.load(Ordering::Relaxed)
+        self.causes.at_capacity.get()
     }
 
     /// Sheds caused by an empty rate-limit token bucket.
     #[must_use]
     pub fn rate_limited(&self) -> u64 {
-        self.causes.rate_limited.load(Ordering::Relaxed)
+        self.causes.rate_limited.get()
     }
 
     /// Sheds caused by a backend fault that survived the retry layer.
     #[must_use]
     pub fn faulted(&self) -> u64 {
-        self.causes.faulted.load(Ordering::Relaxed)
+        self.causes.faulted.get()
     }
 
     /// Records a shed for the pressure error `cause`, if it is one.
     fn record(&self, cause: ServeError) -> bool {
         let slot = match cause {
-            ServeError::BufferFull => &self.causes.buffer_full,
             ServeError::AtCapacity => &self.causes.at_capacity,
             ServeError::RateLimited => &self.causes.rate_limited,
             ServeError::Faulted => &self.causes.faulted,
             _ => return false,
         };
-        slot.fetch_add(1, Ordering::Relaxed);
+        bump(slot);
         true
     }
 }
@@ -171,7 +163,6 @@ mod tests {
     #[test]
     fn back_pressure_becomes_counted_shed() {
         for pressure in [
-            ServeError::BufferFull,
             ServeError::AtCapacity,
             ServeError::RateLimited,
             ServeError::Faulted,
@@ -207,20 +198,18 @@ mod tests {
                 assert_eq!(svc.call(i), Err(ServeError::Shed));
             }
         };
-        by_cause(ServeError::BufferFull, 4);
         by_cause(ServeError::AtCapacity, 3);
         by_cause(ServeError::RateLimited, 2);
         by_cause(ServeError::Faulted, 1);
-        assert_eq!(counter.buffer_full(), 4);
         assert_eq!(counter.at_capacity(), 3);
         assert_eq!(counter.rate_limited(), 2);
         assert_eq!(counter.faulted(), 1);
-        assert_eq!(counter.total(), 10, "causes must sum to the total");
+        assert_eq!(counter.total(), 6, "causes must sum to the total");
     }
 
     #[test]
     fn non_pressure_errors_pass_through_uncounted() {
-        for terminal in [ServeError::Closed, ServeError::TimedOut, ServeError::Broken] {
+        for terminal in [ServeError::TimedOut, ServeError::Broken] {
             let counter = ShedCounter::new();
             let mut svc = LoadShed::new(
                 Flaky {

@@ -16,33 +16,12 @@
 //! and each layer can tell whether *its own* deadline was the one that
 //! fired by comparing the clock against it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use balloc_sim::VClock;
 
 use crate::service::{ServeError, Service};
-
-/// Shared counter of requests that timed out under a [`Timeout`] layer's
-/// own deadline (cloned into every worker's stack).
-#[derive(Debug, Clone, Default)]
-pub struct TimeoutStats {
-    timed_out: Arc<AtomicU64>,
-}
-
-impl TimeoutStats {
-    /// A fresh counter at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests this layer timed out.
-    #[must_use]
-    pub fn timed_out(&self) -> u64 {
-        self.timed_out.load(Ordering::Relaxed)
-    }
-}
+use crate::stats::{bump, LayerStats};
 
 /// A [`Service`] bounding each inner call to `budget` virtual ticks.
 #[derive(Debug, Clone)]
@@ -50,7 +29,7 @@ pub struct Timeout<S> {
     inner: S,
     clock: VClock,
     budget: u64,
-    stats: TimeoutStats,
+    stats: Rc<LayerStats>,
 }
 
 impl<S> Timeout<S> {
@@ -60,7 +39,7 @@ impl<S> Timeout<S> {
     ///
     /// Panics if `budget == 0` (every request would expire instantly).
     #[must_use]
-    pub fn new(inner: S, clock: VClock, budget: u64, stats: TimeoutStats) -> Self {
+    pub fn new(inner: S, clock: VClock, budget: u64, stats: Rc<LayerStats>) -> Self {
         assert!(budget > 0, "timeout budget must be positive");
         Self {
             inner,
@@ -96,7 +75,7 @@ impl<Req, S: Service<Req>> Service<Req> for Timeout<S> {
         // timeout, a hedge soft deadline) may have fired first, in which
         // case the clock stopped short of our deadline.
         if matches!(result, Err(ServeError::TimedOut)) && self.clock.now() >= deadline {
-            self.stats.timed_out.fetch_add(1, Ordering::Relaxed);
+            bump(&self.stats.timed_out);
         }
         result
     }
@@ -125,7 +104,7 @@ mod tests {
     #[test]
     fn fast_backend_passes_within_budget() {
         let clock = VClock::new();
-        let stats = TimeoutStats::new();
+        let stats = LayerStats::new();
         let backend = SlowEcho {
             clock: clock.clone(),
             latency: 3,
@@ -134,7 +113,7 @@ mod tests {
         for i in 0..10 {
             assert_eq!(svc.call(i), Ok(i));
         }
-        assert_eq!(stats.timed_out(), 0);
+        assert_eq!(stats.timed_out.get(), 0);
         assert_eq!(clock.now(), 30);
         assert_eq!(clock.deadline(), None, "no deadline left after each call");
     }
@@ -142,18 +121,18 @@ mod tests {
     #[test]
     fn slow_backend_times_out_and_is_counted() {
         let clock = VClock::new();
-        let stats = TimeoutStats::new();
+        let stats = LayerStats::new();
         let backend = SlowEcho {
             clock: clock.clone(),
             latency: 9,
         };
         let mut svc = Timeout::new(backend, clock.clone(), 5, stats.clone());
         assert_eq!(svc.call(1), Err(ServeError::TimedOut));
-        assert_eq!(stats.timed_out(), 1);
+        assert_eq!(stats.timed_out.get(), 1);
         assert_eq!(clock.now(), 5, "the caller waited out its full budget");
         assert_eq!(svc.call(2), Err(ServeError::TimedOut));
         assert_eq!(clock.now(), 10, "each attempt restarts from the current tick");
-        assert_eq!(stats.timed_out(), 2);
+        assert_eq!(stats.timed_out.get(), 2);
     }
 
     #[test]
@@ -161,8 +140,8 @@ mod tests {
         // An inner timeout with a tighter budget fires first; the outer
         // layer must pass the error through without claiming it.
         let clock = VClock::new();
-        let inner_stats = TimeoutStats::new();
-        let outer_stats = TimeoutStats::new();
+        let inner_stats = LayerStats::new();
+        let outer_stats = LayerStats::new();
         let backend = SlowEcho {
             clock: clock.clone(),
             latency: 100,
@@ -170,8 +149,8 @@ mod tests {
         let inner = Timeout::new(backend, clock.clone(), 4, inner_stats.clone());
         let mut outer = Timeout::new(inner, clock.clone(), 50, outer_stats.clone());
         assert_eq!(outer.call(1), Err(ServeError::TimedOut));
-        assert_eq!(inner_stats.timed_out(), 1);
-        assert_eq!(outer_stats.timed_out(), 0, "the inner deadline fired, not ours");
+        assert_eq!(inner_stats.timed_out.get(), 1);
+        assert_eq!(outer_stats.timed_out.get(), 0, "the inner deadline fired, not ours");
         assert_eq!(clock.now(), 4);
     }
 
@@ -182,7 +161,7 @@ mod tests {
             clock: clock.clone(),
             latency: 1,
         };
-        let svc = Timeout::new(backend, clock.clone(), 7, TimeoutStats::new());
+        let svc = Timeout::new(backend, clock.clone(), 7, LayerStats::new());
         assert_eq!(svc.budget(), 7);
         let mut backend = svc.into_inner();
         assert_eq!(backend.call(3), Ok(3));
@@ -196,6 +175,6 @@ mod tests {
             clock: clock.clone(),
             latency: 1,
         };
-        let _ = Timeout::new(backend, clock, 0, TimeoutStats::new());
+        let _ = Timeout::new(backend, clock, 0, LayerStats::new());
     }
 }

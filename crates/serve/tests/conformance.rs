@@ -23,14 +23,14 @@
 //! A final static test peels a maximal concrete stack back to the echo
 //! service via `into_inner`, pinning the round-trip every layer promises.
 
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use balloc_serve::{
-    BreakerConfig, BreakerStats, CircuitBreaker, Hedge, HedgeConfig, HedgeStats,
-    InFlightLimitLayer, Layer, LoadShed, LoadShedLayer, Permits, RateLimit, RateLimitConfig,
-    RateStats, Retry, RetryBudget, RetryConfig, RetryStats, ServeError, Service, ShedCounter,
-    Timeout, TimeoutStats,
+    BreakerConfig, CircuitBreaker, Hedge, HedgeConfig, InFlightLimitLayer, Layer, LayerStats,
+    LoadShed, LoadShedLayer, Permits, RateLimit, RateLimitConfig, Retry, RetryBudget,
+    RetryConfig, ServeError, Service, ShedCounter, Timeout,
 };
 use balloc_sim::VClock;
 use proptest::prelude::*;
@@ -55,7 +55,8 @@ impl Counters {
 
 /// A backend whose behaviour follows a byte script: the low 3 bits of
 /// each byte are the request's latency in ticks, the next bits pick the
-/// outcome (succeed, fail cleanly, or reject with back-pressure).
+/// outcome (succeed, fail cleanly, or reject with one of two
+/// back-pressure causes).
 struct ScriptedBackend {
     clock: VClock,
     script: Vec<u8>,
@@ -73,7 +74,7 @@ impl Service<u64> for ScriptedBackend {
         let latency = u64::from(byte & 0x07);
         match (byte >> 3) % 5 {
             // Pressure rejections are instant — no service time burned.
-            3 => Err(ServeError::BufferFull),
+            3 => Err(ServeError::RateLimited),
             4 => Err(ServeError::AtCapacity),
             kind => {
                 if self.clock.advance(latency).is_err() {
@@ -124,23 +125,18 @@ fn breaker_cfg() -> BreakerConfig {
     }
 }
 
-/// The shared per-layer counters of one assembled stack.
+/// The shared counters of one assembled stack: the load shed's and the
+/// resilience layers' one block.
 struct StackStats {
     shed: ShedCounter,
-    retry: RetryStats,
-    rate: RateStats,
-    hedge: HedgeStats,
-    breaker: BreakerStats,
+    layers: Rc<LayerStats>,
 }
 
 impl StackStats {
     fn new() -> Self {
         Self {
             shed: ShedCounter::new(),
-            retry: RetryStats::new(),
-            rate: RateStats::new(),
-            hedge: HedgeStats::new(),
-            breaker: BreakerStats::new(),
+            layers: LayerStats::new(),
         }
     }
 }
@@ -175,31 +171,31 @@ fn build_stack(
                 stack,
                 &retry_cfg(),
                 RetryBudget::new(&retry_cfg()),
-                stats.retry.clone(),
+                Rc::clone(&stats.layers),
             )),
             1 => Box::new(Hedge::new(
                 stack,
                 clock.clone(),
                 hedge_cfg(),
-                stats.hedge.clone(),
+                Rc::clone(&stats.layers),
             )),
             2 => Box::new(Timeout::new(
                 stack,
                 clock.clone(),
                 4,
-                TimeoutStats::new(),
+                Rc::clone(&stats.layers),
             )),
             3 => Box::new(RateLimit::new(
                 stack,
                 clock.clone(),
                 rate_cfg(),
-                stats.rate.clone(),
+                Rc::clone(&stats.layers),
             )),
             4 => Box::new(CircuitBreaker::new(
                 stack,
                 clock.clone(),
                 breaker_cfg(),
-                stats.breaker.clone(),
+                Rc::clone(&stats.layers),
             )),
             _ => Box::new(InFlightLimitLayer::new(Permits::new(2)).layer(stack)),
         };
@@ -267,18 +263,18 @@ proptest! {
         // 2. Completions are conserved.
         prop_assert_eq!(counters.completions(), out.allocated);
         // 3. The attempt ledger balances, whatever the layer order.
+        let layers = &stats.layers;
         prop_assert_eq!(
-            n + stats.retry.retries() + stats.hedge.hedged(),
-            counters.calls() + stats.rate.limited() + stats.breaker.broken(),
+            n + layers.retries.get() + layers.hedged.get(),
+            counters.calls() + layers.rate_limited.get() + layers.broken.get(),
             "attempt ledger: {} requests, {} retries, {} hedges vs {} backend calls, {} rate-limited, {} broken",
-            n, stats.retry.retries(), stats.hedge.hedged(),
-            counters.calls(), stats.rate.limited(), stats.breaker.broken()
+            n, layers.retries.get(), layers.hedged.get(),
+            counters.calls(), layers.rate_limited.get(), layers.broken.get()
         );
         // 4. Shed attribution sums to the observed sheds.
         prop_assert_eq!(stats.shed.total(), out.shed);
         prop_assert_eq!(
-            stats.shed.buffer_full()
-                + stats.shed.at_capacity()
+            stats.shed.at_capacity()
                 + stats.shed.rate_limited()
                 + stats.shed.faulted(),
             out.shed,
@@ -300,7 +296,7 @@ proptest! {
         let out = drive(&mut stack, &clock, n);
         prop_assert_eq!(out.total(), n);
         prop_assert_eq!(
-            counters.calls() + stats.breaker.broken(),
+            counters.calls() + stats.layers.broken.get(),
             n,
             "each request either reached the backend or was rejected Broken"
         );
@@ -349,6 +345,7 @@ fn into_inner_round_trips_through_the_whole_suite() {
     }
 
     let clock = VClock::new();
+    let stats = LayerStats::new();
     let stack = LoadShedLayer::new(ShedCounter::new()).layer(Retry::new(
         RateLimit::new(
             Hedge::new(
@@ -357,23 +354,23 @@ fn into_inner_round_trips_through_the_whole_suite() {
                         InFlightLimitLayer::new(Permits::new(1)).layer(Echo),
                         clock.clone(),
                         breaker_cfg(),
-                        BreakerStats::new(),
+                        Rc::clone(&stats),
                     ),
                     clock.clone(),
                     4,
-                    TimeoutStats::new(),
+                    Rc::clone(&stats),
                 ),
                 clock.clone(),
                 hedge_cfg(),
-                HedgeStats::new(),
+                Rc::clone(&stats),
             ),
             clock.clone(),
             rate_cfg(),
-            RateStats::new(),
+            Rc::clone(&stats),
         ),
         &retry_cfg(),
         RetryBudget::new(&retry_cfg()),
-        RetryStats::new(),
+        stats,
     ));
 
     // Sanity: the assembled stack serves.
