@@ -282,8 +282,7 @@ impl LoadState {
 
     /// Copies the load vector into `dst` — snapshot support for serving
     /// front-ends that make allocation decisions against a periodically
-    /// refreshed copy of the loads (the `b-Batch`/`τ-Delay` regimes) and
-    /// for shard owners publishing their bin range into a global view.
+    /// refreshed copy of the loads (the `b-Batch`/`τ-Delay` regimes).
     ///
     /// Reuses the caller's buffer so a refresh allocates nothing.
     ///

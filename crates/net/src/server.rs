@@ -23,8 +23,7 @@ use std::sync::Arc;
 use balloc_core::rng::Fnv1a;
 use balloc_core::LoadState;
 use balloc_serve::{
-    DirectCluster, Request, ServeClock, Service, ShardDirectory, SnapshotAllocator,
-    SnapshotService, Staleness,
+    DirectCluster, Request, ServeClock, Service, SnapshotAllocator, SnapshotService, Staleness,
 };
 use epoll::{Epoll, Events, Interest, Token};
 
@@ -238,13 +237,13 @@ impl NetServer {
         let epoll = Epoll::new()?;
         self.listener.set_nonblocking(true)?;
         epoll.register(&self.listener, LISTENER, Interest::READABLE)?;
-        // The serving membership map. The reactor serves one epoch for
+        // The store's membership map. The reactor serves one epoch for
         // its whole run (live rebalance is the churn engine's domain);
         // clients assert it in HELLO and see it stamped on every
         // RESP_BIN.
-        let directory = ShardDirectory::uniform(self.cfg.n, self.cfg.shards);
+        let epoch = store.borrow().directory().epoch().0;
         let reactor = Reactor {
-            epoch: directory.epoch().0,
+            epoch,
             cfg: self.cfg,
             epoll,
             listener: self.listener,

@@ -426,8 +426,8 @@ impl Churn<'_> {
 pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
     cfg.validate();
     let clock = VClock::new();
-    // Membership (which member owns which bin) lives in the directory;
-    // the authoritative loads are one flat store.
+    // Membership (which member owns which bin) lives in the churn
+    // directory; the store's own one-shard directory is never read.
     let store = Rc::new(RefCell::new(DirectCluster::new(cfg.n, 1)));
     let tokens = Rc::new(Cell::new(cfg.burst.min(cfg.shards as u64)));
     let shed = ShedCounter::new();

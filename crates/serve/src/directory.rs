@@ -523,19 +523,23 @@ mod tests {
 
     #[test]
     fn uniform_reproduces_the_block_partition() {
-        for (n, s) in [(10, 3), (64, 4), (7, 7), (128, 1)] {
+        for (n, s) in [(10, 3), (64, 4), (7, 7), (128, 1), (128, 8), (1000, 13)] {
             let dir = ShardDirectory::uniform(n, s);
             assert_eq!(dir.len(), s);
             assert_eq!(dir.epoch(), MembershipEpoch(s as u64));
             let ranges = dir.ranges();
             assert_eq!(ranges.len(), s);
-            assert_eq!(ranges[0].start, 0);
-            assert_eq!(ranges[s - 1].end, n);
+            // Contiguous, non-empty blocks that cover every bin once.
+            let mut covered = 0;
             for (slot, range) in ranges.iter().enumerate() {
+                assert_eq!(range.start, covered, "gap before shard {slot}");
+                assert!(!range.is_empty(), "empty shard {slot} for n = {n}, S = {s}");
+                covered = range.end;
                 for bin in range.clone() {
                     assert_eq!(dir.slot_of(bin), slot);
                 }
             }
+            assert_eq!(covered, n);
         }
     }
 

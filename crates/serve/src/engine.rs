@@ -21,16 +21,16 @@ use crate::snapshot::{SnapshotAllocator, Staleness};
 /// Which authoritative load store backs the service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// `S` shards, each an owned [`LoadState`](balloc_core::LoadState),
-    /// called directly.
+    /// One [`LoadState`](balloc_core::LoadState) over all `n` bins,
+    /// routed over `S` shards and called directly.
     Sharded,
 }
 
 /// How snapshot refreshes read the global load vector. Replay always
-/// reads the shards directly, so the one path is inert.
+/// copies the store's one load vector, so the one path is inert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SnapshotPath {
-    /// Copy every shard's loads into the snapshot.
+    /// Copy the store's loads into the snapshot.
     #[default]
     Buffered,
 }

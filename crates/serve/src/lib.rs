@@ -8,8 +8,10 @@
 //! that staleness costs, so this crate turns the theory around and builds
 //! the system: a service that places balls (requests) into `n` bins
 //! (backends) with Two-Choice decisions made **against stale snapshots**,
-//! while the authoritative loads live in `S` shards, each an owned
-//! [`LoadState`](balloc_core::LoadState) slice of one direct store.
+//! while the authoritative loads live in one direct store: a single
+//! [`LoadState`](balloc_core::LoadState) over all `n` bins, routed over
+//! `S` shards by a [`ShardDirectory`] that only fault roles, hedge
+//! retargeting and membership read.
 //!
 //! # Architecture
 //!
@@ -17,8 +19,8 @@
 //!  one thread, round-robin over virtual workers (or TCP connections)
 //!  ┌────────────────────────────┐         ┌──────────────────────────┐
 //!  │ worker w's stack           │  apply  │ DirectCluster            │
-//!  │  (middleware layers)       │────────▶│  ShardService × S        │
-//!  │   └ SnapshotService        │         │   owns LoadState         │
+//!  │  (middleware layers)       │────────▶│  LoadState (all n bins)  │
+//!  │   └ SnapshotService        │         │  ShardDirectory: routing │
 //!  │      snapshot ◀────────────│◀────────│   (bins s·n/S..(s+1)n/S) │
 //!  │      (refresh: b / τ)      │ refresh └──────────────────────────┘
 //!  └────────────────────────────┘
@@ -106,7 +108,6 @@ mod rate;
 mod resilience;
 mod retry;
 mod service;
-mod shard;
 mod shed;
 mod sink;
 mod snapshot;
@@ -132,7 +133,6 @@ pub use resilience::{
 };
 pub use retry::{retryable, Retry, RetryBudget, RetryConfig};
 pub use service::{decide, Layer, NoiseMode, Request, Response, ServeError, Service};
-pub use shard::{merge_states, ShardService};
 pub use shed::{LoadShed, LoadShedLayer, ShedCounter};
 pub use sink::{LoadSink, ServeClock, SnapshotService};
 pub use snapshot::{SnapshotAllocator, Staleness};

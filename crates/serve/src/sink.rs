@@ -15,8 +15,9 @@ use crate::snapshot::SnapshotAllocator;
 
 /// Where decided allocations land and where snapshot refreshes read from:
 /// the authoritative-store side of the serving path: the direct
-/// single-threaded shards ([`DirectCluster`](crate::DirectCluster),
-/// shared between per-worker services as `Rc<RefCell<DirectCluster>>`).
+/// single-threaded store ([`DirectCluster`](crate::DirectCluster), one
+/// load vector shared between per-worker services as
+/// `Rc<RefCell<DirectCluster>>`).
 pub trait LoadSink {
     /// Places one ball into (global) bin `bin`.
     ///

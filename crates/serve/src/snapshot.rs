@@ -1,6 +1,6 @@
 //! Per-worker load snapshots and their refresh policies.
 //!
-//! A serving worker never reads authoritative shard state on the decision
+//! A serving worker never reads the authoritative store on the decision
 //! path: it decides against a private snapshot of all `n` bin loads and
 //! refreshes that snapshot on a [`Staleness`] schedule. The two schedules
 //! are the paper's two information models, and its theorems are exactly
