@@ -455,7 +455,7 @@ mod tests {
             pos: 0,
             completions: 0,
         };
-        let timed = Timeout::new(backend, clock.clone(), 3, LayerStats::new());
+        let timed = Timeout::new(backend, clock.clone(), 3);
         let mut svc = Hedge::new(timed, clock.clone(), cfg(10), stats.clone());
         assert_eq!(svc.call(1), Err(ServeError::TimedOut));
         assert_eq!(stats.hedged.get(), 0, "the inner timeout fired, not our delay");

@@ -56,9 +56,9 @@
 //! * [`RateLimit`] — clock-driven token-bucket admission control;
 //! * [`CircuitBreaker`] — closed/open/half-open over a rolling failure
 //!   window;
-//! * [`LayerStats`] — the suite's one counter block: every layer of every
-//!   worker's stack counts into one shared `Rc<LayerStats>` of plain
-//!   cells (every engine serves on one thread);
+//! * [`LayerStats`] — the suite's one counter block: every counting
+//!   layer of every worker's stack counts into one shared
+//!   `Rc<LayerStats>` of plain cells (every engine serves on one thread);
 //! * [`FaultPlan`]/[`FaultKind`] — the adversaries: slow, stalled, and
 //!   erroring shards, plus `g`-Adv-Comp load corruption via
 //!   [`LoadCorruptor`](balloc_noise::LoadCorruptor);

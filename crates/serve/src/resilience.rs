@@ -350,7 +350,7 @@ fn build_stack(
         stack = Box::new(CircuitBreaker::new(stack, clock.clone(), b, Rc::clone(stats)));
     }
     if let Some(budget_ticks) = cfg.policy.timeout {
-        stack = Box::new(Timeout::new(stack, clock.clone(), budget_ticks, Rc::clone(stats)));
+        stack = Box::new(Timeout::new(stack, clock.clone(), budget_ticks));
     }
     if let Some(h) = cfg.policy.hedge {
         stack = Box::new(Hedge::new(stack, clock.clone(), h, Rc::clone(stats)).with_steer(steer));

@@ -1,12 +1,19 @@
 //! The resilience middleware's one counter block.
 //!
-//! Every layer of every worker's stack — [`Retry`](crate::Retry),
+//! Every counting layer of every worker's stack — [`Retry`](crate::Retry),
 //! [`RateLimit`](crate::RateLimit), [`Hedge`](crate::Hedge),
-//! [`Timeout`](crate::Timeout), [`CircuitBreaker`](crate::CircuitBreaker)
-//! and the resilience engine's fault-injecting leaf — bumps its own
+//! [`CircuitBreaker`](crate::CircuitBreaker) and the resilience engine's
+//! fault-injecting leaf — bumps its own
 //! fields of one shared `Rc<LayerStats>`. Every engine serves on one
 //! thread, so plain cells suffice, and no decision reads a count: the
 //! block observes a run without steering it.
+//!
+//! A field stays only while something reads it: `run_resilient` fills
+//! its outcome from most of them, and `rate_limited` feeds the
+//! conformance suite's attempt-accounting identity (every backend call
+//! or layer rejection is one attempt). [`Timeout`](crate::Timeout)
+//! keeps no count, because the engine's ledger already counts every
+//! `TimedOut` outcome.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -31,14 +38,10 @@ pub struct LayerStats {
     /// Hedge duplicates whose decision was moved off the first attempt's
     /// shard.
     pub hedge_retargeted: Cell<u64>,
-    /// Requests a [`Timeout`](crate::Timeout) layer's *own* deadline ended.
-    pub timed_out: Cell<u64>,
     /// Requests rejected by an open circuit breaker.
     pub broken: Cell<u64>,
     /// Breaker transitions into open (trips and failed probes).
     pub breaker_opened: Cell<u64>,
-    /// Successful half-open probes (transitions back to closed).
-    pub breaker_reclosed: Cell<u64>,
     /// Injected faults: requests that drew extra latency from a slow shard.
     pub faults_slowed: Cell<u64>,
     /// Injected faults: requests that stalled (ended only by a deadline).

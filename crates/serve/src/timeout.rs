@@ -12,16 +12,13 @@
 //!
 //! Because deadline scopes nest (the active cutoff is the minimum over
 //! the open scopes), `Timeout` composes with the hedge layer's soft
-//! deadline and with outer timeouts: whichever cutoff is earliest wins,
-//! and each layer can tell whether *its own* deadline was the one that
-//! fired by comparing the clock against it.
-
-use std::rc::Rc;
+//! deadline and with outer timeouts: whichever cutoff is earliest wins.
+//! The layer keeps no count of its own; the engine's ledger counts each
+//! `TimedOut` outcome once.
 
 use balloc_sim::VClock;
 
 use crate::service::{ServeError, Service};
-use crate::stats::{bump, LayerStats};
 
 /// A [`Service`] bounding each inner call to `budget` virtual ticks.
 #[derive(Debug, Clone)]
@@ -29,7 +26,6 @@ pub struct Timeout<S> {
     inner: S,
     clock: VClock,
     budget: u64,
-    stats: Rc<LayerStats>,
 }
 
 impl<S> Timeout<S> {
@@ -39,13 +35,12 @@ impl<S> Timeout<S> {
     ///
     /// Panics if `budget == 0` (every request would expire instantly).
     #[must_use]
-    pub fn new(inner: S, clock: VClock, budget: u64, stats: Rc<LayerStats>) -> Self {
+    pub fn new(inner: S, clock: VClock, budget: u64) -> Self {
         assert!(budget > 0, "timeout budget must be positive");
         Self {
             inner,
             clock,
             budget,
-            stats,
         }
     }
 
@@ -67,17 +62,8 @@ impl<Req, S: Service<Req>> Service<Req> for Timeout<S> {
 
     fn call(&mut self, req: Req) -> Result<Self::Response, ServeError> {
         let deadline = self.clock.now().saturating_add(self.budget);
-        let result = {
-            let _scope = self.clock.deadline_scope(deadline);
-            self.inner.call(req)
-        };
-        // Only count expiries *we* caused: an inner layer (a nested
-        // timeout, a hedge soft deadline) may have fired first, in which
-        // case the clock stopped short of our deadline.
-        if matches!(result, Err(ServeError::TimedOut)) && self.clock.now() >= deadline {
-            bump(&self.stats.timed_out);
-        }
-        result
+        let _scope = self.clock.deadline_scope(deadline);
+        self.inner.call(req)
     }
 }
 
@@ -104,16 +90,14 @@ mod tests {
     #[test]
     fn fast_backend_passes_within_budget() {
         let clock = VClock::new();
-        let stats = LayerStats::new();
         let backend = SlowEcho {
             clock: clock.clone(),
             latency: 3,
         };
-        let mut svc = Timeout::new(backend, clock.clone(), 5, stats.clone());
+        let mut svc = Timeout::new(backend, clock.clone(), 5);
         for i in 0..10 {
             assert_eq!(svc.call(i), Ok(i));
         }
-        assert_eq!(stats.timed_out.get(), 0);
         assert_eq!(clock.now(), 30);
         assert_eq!(clock.deadline(), None, "no deadline left after each call");
     }
@@ -121,37 +105,33 @@ mod tests {
     #[test]
     fn slow_backend_times_out_and_is_counted() {
         let clock = VClock::new();
-        let stats = LayerStats::new();
         let backend = SlowEcho {
             clock: clock.clone(),
             latency: 9,
         };
-        let mut svc = Timeout::new(backend, clock.clone(), 5, stats.clone());
+        let mut svc = Timeout::new(backend, clock.clone(), 5);
+        // Each expiry is one `TimedOut` outcome, counted by the caller.
         assert_eq!(svc.call(1), Err(ServeError::TimedOut));
-        assert_eq!(stats.timed_out.get(), 1);
         assert_eq!(clock.now(), 5, "the caller waited out its full budget");
         assert_eq!(svc.call(2), Err(ServeError::TimedOut));
         assert_eq!(clock.now(), 10, "each attempt restarts from the current tick");
-        assert_eq!(stats.timed_out.get(), 2);
     }
 
     #[test]
     fn inner_expiry_is_not_double_counted() {
         // An inner timeout with a tighter budget fires first; the outer
-        // layer must pass the error through without claiming it.
+        // layer passes that one error through, and the clock stops at the
+        // inner deadline, not the outer one.
         let clock = VClock::new();
-        let inner_stats = LayerStats::new();
-        let outer_stats = LayerStats::new();
         let backend = SlowEcho {
             clock: clock.clone(),
             latency: 100,
         };
-        let inner = Timeout::new(backend, clock.clone(), 4, inner_stats.clone());
-        let mut outer = Timeout::new(inner, clock.clone(), 50, outer_stats.clone());
+        let inner = Timeout::new(backend, clock.clone(), 4);
+        let mut outer = Timeout::new(inner, clock.clone(), 50);
         assert_eq!(outer.call(1), Err(ServeError::TimedOut));
-        assert_eq!(inner_stats.timed_out.get(), 1);
-        assert_eq!(outer_stats.timed_out.get(), 0, "the inner deadline fired, not ours");
-        assert_eq!(clock.now(), 4);
+        assert_eq!(clock.now(), 4, "the inner deadline fired, not ours");
+        assert_eq!(clock.deadline(), None, "both scopes closed");
     }
 
     #[test]
@@ -161,7 +141,7 @@ mod tests {
             clock: clock.clone(),
             latency: 1,
         };
-        let svc = Timeout::new(backend, clock.clone(), 7, LayerStats::new());
+        let svc = Timeout::new(backend, clock.clone(), 7);
         assert_eq!(svc.budget(), 7);
         let mut backend = svc.into_inner();
         assert_eq!(backend.call(3), Ok(3));
@@ -175,6 +155,6 @@ mod tests {
             clock: clock.clone(),
             latency: 1,
         };
-        let _ = Timeout::new(backend, clock, 0, LayerStats::new());
+        let _ = Timeout::new(backend, clock, 0);
     }
 }

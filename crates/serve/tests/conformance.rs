@@ -179,12 +179,7 @@ fn build_stack(
                 hedge_cfg(),
                 Rc::clone(&stats.layers),
             )),
-            2 => Box::new(Timeout::new(
-                stack,
-                clock.clone(),
-                4,
-                Rc::clone(&stats.layers),
-            )),
+            2 => Box::new(Timeout::new(stack, clock.clone(), 4)),
             3 => Box::new(RateLimit::new(
                 stack,
                 clock.clone(),
@@ -358,7 +353,6 @@ fn into_inner_round_trips_through_the_whole_suite() {
                     ),
                     clock.clone(),
                     4,
-                    Rc::clone(&stats),
                 ),
                 clock.clone(),
                 hedge_cfg(),
