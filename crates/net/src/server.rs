@@ -23,7 +23,8 @@ use std::sync::Arc;
 use balloc_core::rng::Fnv1a;
 use balloc_core::LoadState;
 use balloc_serve::{
-    DirectCluster, Request, ServeClock, Service, SnapshotAllocator, SnapshotService, Staleness,
+    DirectCluster, NoiseMode, Request, ServeClock, Service, SnapshotAllocator, SnapshotService,
+    Staleness,
 };
 use epoll::{Epoll, Events, Interest, Token};
 
@@ -264,6 +265,17 @@ impl NetServer {
     }
 }
 
+/// Whether the decision rule accepts `req`: at least one candidate bin,
+/// and a noise deviation that is finite and non-negative. A well-framed
+/// `ALLOC` can carry anything else, and deciding it would panic.
+fn decidable(req: &Request) -> bool {
+    req.d > 0
+        && match req.noise {
+            NoiseMode::Snapshot => true,
+            NoiseMode::Noisy { sigma } => sigma >= 0.0 && sigma.is_finite(),
+        }
+}
+
 /// Queues `frame` on connection slot `conn`, if it is still open.
 fn queue_on(conns: &mut [Option<ConnEntry>], conn: Option<usize>, frame: &Frame) {
     if let Some(entry) = conn
@@ -428,7 +440,17 @@ impl Reactor {
                             d: usize::from(d),
                             noise,
                         };
-                        self.dispatch_alloc(entry, req_id, req, &mut template);
+                        if decidable(&req) {
+                            self.dispatch_alloc(entry, req_id, req, &mut template);
+                        } else {
+                            // Answered in order, and the connection stays.
+                            self.flush_run(entry, &mut template);
+                            entry.conn.queue(&Frame::RespErr {
+                                req_id,
+                                code: ErrorCode::Malformed,
+                            });
+                            self.protocol_errors += 1;
+                        }
                     }
                     Frame::Hello { client_id, epoch } => {
                         self.flush_run(entry, &mut template);

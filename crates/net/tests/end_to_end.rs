@@ -9,7 +9,9 @@ use balloc_net::wire::{encode, ErrorCode, Frame, FrameDecoder};
 use balloc_net::{
     run_loadgen, LoadGenConfig, NetConfig, NetServer, ServerMode, ServerReport, ShutdownHandle,
 };
-use balloc_serve::{run_replay, BackendKind, Request, ServeConfig, SnapshotPath, Staleness};
+use balloc_serve::{
+    run_replay, BackendKind, NoiseMode, Request, ServeConfig, SnapshotPath, Staleness,
+};
 
 /// Spawns a server, returning its address, shutdown handle, and the
 /// join handle that yields the final report.
@@ -246,6 +248,56 @@ fn malformed_frames_get_error_replies_not_panics() {
     let server = join.join().expect("server thread");
     assert!(server.protocol_errors >= 3, "got {}", server.protocol_errors);
     assert_eq!(server.state.balls(), server.served);
+}
+
+#[test]
+fn undecidable_allocs_are_malformed_not_reactor_panics() {
+    let (addr, shutdown, join) = spawn_server(inline_cfg(16, 2, 16, 5));
+
+    // Well-framed ALLOCs the decision rule cannot serve: no candidate
+    // bin, a negative deviation, and a NaN one. Each is answered
+    // `Malformed` in order, and the connection keeps serving.
+    let mut bytes = Vec::new();
+    encode(&Frame::hello(0), &mut bytes);
+    let bad = [
+        Request {
+            d: 0,
+            noise: NoiseMode::Snapshot,
+        },
+        Request {
+            d: 2,
+            noise: NoiseMode::Noisy { sigma: -1.0 },
+        },
+        Request {
+            d: 2,
+            noise: NoiseMode::Noisy { sigma: f64::NAN },
+        },
+    ];
+    for (req_id, req) in (1u64..).zip(&bad) {
+        encode(&Frame::alloc(req_id, req), &mut bytes);
+    }
+    encode(&Frame::alloc(4, &Request::two_choice()), &mut bytes);
+    let frames = raw_exchange(addr, &bytes, 4);
+    assert_eq!(frames.len(), 4, "{frames:?}");
+    for (req_id, frame) in (1u64..).zip(&frames[..3]) {
+        assert_eq!(
+            *frame,
+            Frame::RespErr {
+                req_id,
+                code: ErrorCode::Malformed
+            }
+        );
+    }
+    assert!(
+        matches!(frames[3], Frame::RespBin { req_id: 4, .. }),
+        "the connection must survive undecidable requests: {frames:?}"
+    );
+
+    shutdown.shutdown();
+    let server = join.join().expect("server thread");
+    assert_eq!(server.served, 1);
+    assert_eq!(server.state.balls(), 1);
+    assert_eq!(server.protocol_errors, 3);
 }
 
 #[test]
