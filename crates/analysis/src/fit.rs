@@ -116,7 +116,11 @@ pub fn crossover_index(a: &[f64], b: &[f64], margin: f64) -> Option<usize> {
 /// contains zeros.
 #[must_use]
 pub fn mean_ratio(measured: &[f64], predicted: &[f64]) -> f64 {
-    assert_eq!(measured.len(), predicted.len(), "series must have equal length");
+    assert_eq!(
+        measured.len(),
+        predicted.len(),
+        "series must have equal length"
+    );
     assert!(!measured.is_empty(), "series must be non-empty");
     assert!(
         predicted.iter().all(|&p| p != 0.0),

@@ -336,7 +336,11 @@ mod tests {
         let mut prev = 0.0;
         for j in 0..k {
             let phi = layer_smoothing(log_n, g, j, k);
-            assert!(phi > prev, "φ_{j} = {phi} not above φ_{} = {prev}", j as i64 - 1);
+            assert!(
+                phi > prev,
+                "φ_{j} = {phi} not above φ_{} = {prev}",
+                j as i64 - 1
+            );
             prev = phi;
         }
         // Top layer: φ_{k−1} = α₂·log n/g, matching Eq. 6.6 at j = k−1.

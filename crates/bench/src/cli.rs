@@ -248,12 +248,7 @@ fn run_all(argv: impl Iterator<Item = String>) -> Result<(), Failure> {
                     if i > 0 {
                         println!();
                     }
-                    println!(
-                        "[{}/{}] balloc {}",
-                        i + 1,
-                        registry.len(),
-                        exp.id()
-                    );
+                    println!("[{}/{}] balloc {}", i + 1, registry.len(), exp.id());
                 }
                 reports.push(execute(*exp, &args).map_err(|e| runtime_failure(*exp, e))?);
             }
@@ -327,7 +322,10 @@ mod tests {
         for exp in experiments::registry() {
             assert!(text.contains(exp.id()), "usage is missing {}", exp.id());
         }
-        assert!(text.contains("balloc lint"), "usage is missing the lint subcommand");
+        assert!(
+            text.contains("balloc lint"),
+            "usage is missing the lint subcommand"
+        );
     }
 
     #[test]

@@ -201,7 +201,12 @@ impl Experiment for ChurnBench {
     }
 
     fn run(&self, args: &CommonArgs, sink: &mut OutputSink) -> Result<Report, BenchError> {
-        emit_header(sink, "A12", "churn bench: elastic membership under filling", args);
+        emit_header(
+            sink,
+            "A12",
+            "churn bench: elastic membership under filling",
+            args,
+        );
 
         let workers = args.extras.u64("--workers").unwrap_or(2) as usize;
         let shards = args.extras.u64("--shards").unwrap_or(4) as usize;

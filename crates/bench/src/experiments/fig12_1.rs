@@ -47,7 +47,11 @@ impl Experiment for Fig12_1 {
         emit_header(sink, "F12.1", "average gap vs noise parameter", args);
 
         let params: Vec<f64> = (1..=20).map(f64::from).collect();
-        let base = RunConfig::new(args.n, args.m(), experiment_seed("fig12_1/bounded", args.seed));
+        let base = RunConfig::new(
+            args.n,
+            args.m(),
+            experiment_seed("fig12_1/bounded", args.seed),
+        );
 
         let bounded = sweep(
             &params,

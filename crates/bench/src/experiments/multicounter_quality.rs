@@ -188,7 +188,9 @@ impl Experiment for MulticounterQuality {
         }
         sink.table("cached_reads", t2);
 
-        sink.line("expected: quality grows slowly with contention/staleness, tracking the b-Batch law.");
+        sink.line(
+            "expected: quality grows slowly with contention/staleness, tracking the b-Batch law.",
+        );
 
         let artifact = MulticounterQualityArtifact {
             scale: args.scale_line(),

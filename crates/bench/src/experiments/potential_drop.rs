@@ -148,7 +148,9 @@ impl Experiment for PotentialDrop {
                 fmt3(c.gamma_bound),
                 fmt3(c.quadratic_drop),
                 fmt3(c.quadratic_bound),
-                c.lambda_drop.map(fmt3).unwrap_or_else(|| "(bad step)".into()),
+                c.lambda_drop
+                    .map(fmt3)
+                    .unwrap_or_else(|| "(bad step)".into()),
             ]);
         }
         sink.table("drop_checks", table);

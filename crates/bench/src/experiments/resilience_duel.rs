@@ -176,8 +176,18 @@ fn arms(timeout: u64, retry_max: u32, hedge_q: f64) -> Vec<Arm> {
 fn fault_plan(slow_extra: u64, stall_pm: u32, error_pm: u32, g: u64) -> FaultPlan {
     FaultPlan::clean(1)
         .with(0, FaultKind::Slow { extra: slow_extra })
-        .with(1, FaultKind::Stalled { per_mille: stall_pm })
-        .with(2, FaultKind::Erroring { per_mille: error_pm })
+        .with(
+            1,
+            FaultKind::Stalled {
+                per_mille: stall_pm,
+            },
+        )
+        .with(
+            2,
+            FaultKind::Erroring {
+                per_mille: error_pm,
+            },
+        )
         .with(
             3,
             FaultKind::CorruptedLoad {

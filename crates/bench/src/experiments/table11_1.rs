@@ -125,7 +125,9 @@ impl Experiment for Table11_1 {
         for g in [4u64, 16] {
             let ell = 4u64;
             rows.push(Row::new(
-                format!("Thm 11.3 (shape): g-Myopic-Comp, g = {g}, m = {ell}n, gap ~ g/log g loglog n"),
+                format!(
+                    "Thm 11.3 (shape): g-Myopic-Comp, g = {g}, m = {ell}n, gap ~ g/log g loglog n"
+                ),
                 n * ell,
                 balloc_analysis::layered::myopic_lower_value(n, g) / 4.0,
                 move || Box::new(GMyopic::new(g)),

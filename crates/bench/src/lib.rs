@@ -583,7 +583,16 @@ mod tests {
 
     #[test]
     fn explicit_flags_override() {
-        let a = args(&["--n", "500", "--runs", "7", "--seed", "99", "--threads", "2"]);
+        let a = args(&[
+            "--n",
+            "500",
+            "--runs",
+            "7",
+            "--seed",
+            "99",
+            "--threads",
+            "2",
+        ]);
         assert_eq!(a.n, 500);
         assert_eq!(a.runs, 7);
         assert_eq!(a.seed, 99);
@@ -609,7 +618,10 @@ mod tests {
         assert_eq!(args(&["--json"]).output, OutputMode::Json);
         let a = args(&["--csv", "--out", "somewhere"]);
         assert_eq!(a.output, OutputMode::Csv);
-        assert_eq!(a.out_dir.as_deref(), Some(std::path::Path::new("somewhere")));
+        assert_eq!(
+            a.out_dir.as_deref(),
+            Some(std::path::Path::new("somewhere"))
+        );
     }
 
     #[test]
@@ -713,9 +725,18 @@ mod tests {
 
     #[test]
     fn experiment_seeds_are_stable_and_tag_separated() {
-        assert_eq!(experiment_seed("fig12_2", 2022), experiment_seed("fig12_2", 2022));
-        assert_ne!(experiment_seed("fig12_2", 2022), experiment_seed("table12_4", 2022));
-        assert_ne!(experiment_seed("fig12_2", 2022), experiment_seed("fig12_2", 2023));
+        assert_eq!(
+            experiment_seed("fig12_2", 2022),
+            experiment_seed("fig12_2", 2022)
+        );
+        assert_ne!(
+            experiment_seed("fig12_2", 2022),
+            experiment_seed("table12_4", 2022)
+        );
+        assert_ne!(
+            experiment_seed("fig12_2", 2022),
+            experiment_seed("fig12_2", 2023)
+        );
         // Tagged bases stay apart even under the point_seed layer: the
         // first few point masters of two experiments never collide.
         for j in 0..16u64 {

@@ -22,7 +22,11 @@ fn registry_has_all_sixteen_experiments() {
 fn ids_are_unique() {
     let mut seen = HashSet::new();
     for exp in registry() {
-        assert!(seen.insert(exp.id()), "duplicate experiment id {}", exp.id());
+        assert!(
+            seen.insert(exp.id()),
+            "duplicate experiment id {}",
+            exp.id()
+        );
     }
 }
 
@@ -56,7 +60,9 @@ fn every_id_maps_to_a_real_paper_reference() {
         // paper; ablations carry their A-index.
         let tail = r.split(' ').nth(1).unwrap_or_default();
         assert!(
-            tail.chars().next().is_some_and(|c| c.is_ascii_digit() || c == 'A'),
+            tail.chars()
+                .next()
+                .is_some_and(|c| c.is_ascii_digit() || c == 'A'),
             "{}: paper_ref {r:?} has no artifact number",
             exp.id()
         );
@@ -90,7 +96,12 @@ fn extra_flags_are_well_formed_and_do_not_shadow_common_flags() {
                 exp.id(),
                 spec.name
             );
-            assert!(seen.insert(spec.name), "{}: duplicate flag {}", exp.id(), spec.name);
+            assert!(
+                seen.insert(spec.name),
+                "{}: duplicate flag {}",
+                exp.id(),
+                spec.name
+            );
             assert!(!spec.help.is_empty() && !spec.default.is_empty());
         }
     }
@@ -98,8 +109,7 @@ fn extra_flags_are_well_formed_and_do_not_shadow_common_flags() {
 
 fn paper_map() -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../docs/PAPER_MAP.md");
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
 }
 
 #[test]
@@ -169,17 +179,35 @@ fn serve_bench_replay_json_is_byte_identical_across_runs() {
     // function of the seed, so two runs must agree byte for byte.
     let run = || {
         let output = Command::new(env!("CARGO_BIN_EXE_balloc"))
-            .args(["serve_bench", "--smoke", "--replay", "--json", "--seed", "99"])
+            .args([
+                "serve_bench",
+                "--smoke",
+                "--replay",
+                "--json",
+                "--seed",
+                "99",
+            ])
             .output()
             .expect("balloc binary runs");
-        assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+        assert!(
+            output.status.success(),
+            "{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
         output.stdout
     };
     let first = run();
     assert_eq!(first, run(), "replay output must be bit-identical");
     // …and a different seed genuinely changes the decisions.
     let other = Command::new(env!("CARGO_BIN_EXE_balloc"))
-        .args(["serve_bench", "--smoke", "--replay", "--json", "--seed", "100"])
+        .args([
+            "serve_bench",
+            "--smoke",
+            "--replay",
+            "--json",
+            "--seed",
+            "100",
+        ])
         .output()
         .expect("balloc binary runs");
     assert!(other.status.success());

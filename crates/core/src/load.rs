@@ -549,7 +549,10 @@ impl LoadBatch<'_> {
     /// `old_load` matches the stored load.
     #[inline]
     pub fn place_with(&mut self, i: usize, old_load: u64) {
-        debug_assert_eq!(self.state.loads[i], old_load, "stale load handed to place_with");
+        debug_assert_eq!(
+            self.state.loads[i], old_load,
+            "stale load handed to place_with"
+        );
         self.state.loads[i] = old_load + 1;
         self.state.balls += 1;
     }
@@ -572,7 +575,10 @@ impl LoadBatch<'_> {
     /// `old_load` matches the stored load.
     #[inline]
     pub fn place_with_uncounted(&mut self, i: usize, old_load: u64) {
-        debug_assert_eq!(self.state.loads[i], old_load, "stale load handed to place_with");
+        debug_assert_eq!(
+            self.state.loads[i], old_load,
+            "stale load handed to place_with"
+        );
         self.state.loads[i] = old_load + 1;
     }
 
@@ -787,7 +793,7 @@ mod tests {
         }
         let ranks = s.ranks_desc();
         assert_eq!(ranks[0], 1); // the bin with load 9
-        // Ranks are consistent with the sorted loads.
+                                 // Ranks are consistent with the sorted loads.
         let by_rank: Vec<u64> = ranks.iter().map(|&i| s.load(i)).collect();
         assert_eq!(by_rank, s.sorted_loads_desc());
     }

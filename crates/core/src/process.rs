@@ -525,7 +525,11 @@ mod tests {
     fn run_batch_is_bit_identical_to_per_ball() {
         // Covers both paths (deferred-aggregate for steps ≥ n, the
         // per-ball fallback below) and both decider classes.
-        for tie in [TieBreak::FirstSample, TieBreak::LowestIndex, TieBreak::Random] {
+        for tie in [
+            TieBreak::FirstSample,
+            TieBreak::LowestIndex,
+            TieBreak::Random,
+        ] {
             for (n, steps) in [(64usize, 10u64), (64, 64), (64, 5_000), (7, 4_099)] {
                 let mut a = LoadState::new(n);
                 let mut b = LoadState::new(n);
@@ -538,7 +542,10 @@ mod tests {
                 }
                 pb.run_batch(&mut b, steps, &mut rng_b);
                 assert_eq!(a, b, "states diverged: tie {tie:?}, n {n}, steps {steps}");
-                assert_eq!(rng_a, rng_b, "rng diverged: tie {tie:?}, n {n}, steps {steps}");
+                assert_eq!(
+                    rng_a, rng_b,
+                    "rng diverged: tie {tie:?}, n {n}, steps {steps}"
+                );
             }
         }
     }

@@ -483,7 +483,11 @@ mod tests {
                 let mut buf = vec![0u64; 257];
                 batched.fill_below(bound, &mut buf);
                 for (k, &v) in buf.iter().enumerate() {
-                    assert_eq!(v, single.below(bound), "seed {seed}, bound {bound}, draw {k}");
+                    assert_eq!(
+                        v,
+                        single.below(bound),
+                        "seed {seed}, bound {bound}, draw {k}"
+                    );
                 }
                 assert_eq!(batched, single, "stream position diverged");
             }

@@ -144,7 +144,11 @@ pub fn linear_fit(x: &[f64], y: &[f64]) -> (f64, f64, f64) {
     assert!(sxx > 0.0, "x must not be constant");
     let slope = sxy / sxx;
     let intercept = my - slope * mx;
-    let r2 = if syy == 0.0 { 1.0 } else { (sxy * sxy) / (sxx * syy) };
+    let r2 = if syy == 0.0 {
+        1.0
+    } else {
+        (sxy * sxy) / (sxx * syy)
+    };
     (slope, intercept, r2)
 }
 
@@ -269,7 +273,14 @@ mod tests {
         // Deterministic "noise".
         let y: Vec<f64> = x
             .iter()
-            .map(|v| 2.0 * v + if (*v as u64).is_multiple_of(2) { 20.0 } else { -20.0 })
+            .map(|v| {
+                2.0 * v
+                    + if (*v as u64).is_multiple_of(2) {
+                        20.0
+                    } else {
+                        -20.0
+                    }
+            })
             .collect();
         let (_, _, r2) = linear_fit(&x, &y);
         assert!(r2 < 0.97, "noisy fit should have lower r²: {r2}");

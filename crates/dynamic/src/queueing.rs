@@ -260,7 +260,12 @@ impl Supermarket {
 mod tests {
     use super::*;
 
-    fn run_market(policy: JoinPolicy, lambda: f64, mu: f64, seed: u64) -> (Supermarket, QueueMetrics) {
+    fn run_market(
+        policy: JoinPolicy,
+        lambda: f64,
+        mu: f64,
+        seed: u64,
+    ) -> (Supermarket, QueueMetrics) {
         let mut market = Supermarket::new(300, lambda, mu, policy);
         let mut rng = Rng::from_seed(seed);
         market.run(4_000, &mut rng);
@@ -277,7 +282,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "update period")]
     fn zero_period_rejected() {
-        let _ = Supermarket::new(10, 0.5, 0.9, JoinPolicy::TwoChoiceStale { update_period: 0 });
+        let _ = Supermarket::new(
+            10,
+            0.5,
+            0.9,
+            JoinPolicy::TwoChoiceStale { update_period: 0 },
+        );
     }
 
     #[test]
@@ -318,12 +328,7 @@ mod tests {
         // (and the paper's Θ(log n/log((4n/b)·log n)) law bounds it). It
         // must stay a small constant factor, far from the herding blow-up.
         let (_, live) = run_market(JoinPolicy::TwoChoice, 0.7, 0.9, 4);
-        let (_, stale) = run_market(
-            JoinPolicy::TwoChoiceStale { update_period: 2 },
-            0.7,
-            0.9,
-            4,
-        );
+        let (_, stale) = run_market(JoinPolicy::TwoChoiceStale { update_period: 2 }, 0.7, 0.9, 4);
         let ratio = stale.average_jobs() / live.average_jobs();
         assert!(
             ratio < 3.0,
@@ -331,7 +336,9 @@ mod tests {
         );
         // …and stay clearly better than the herding regime.
         let (_, herd) = run_market(
-            JoinPolicy::TwoChoiceStale { update_period: 2_000 },
+            JoinPolicy::TwoChoiceStale {
+                update_period: 2_000,
+            },
             0.7,
             0.9,
             4,
@@ -347,7 +354,9 @@ mod tests {
         let lambda = 0.7;
         let mu = 0.9;
         let (_, stale) = run_market(
-            JoinPolicy::TwoChoiceStale { update_period: 2_000 },
+            JoinPolicy::TwoChoiceStale {
+                update_period: 2_000,
+            },
             lambda,
             mu,
             5,
@@ -372,7 +381,9 @@ mod tests {
         let mut prev = 0.0;
         for period in [1u64, 50, 500, 2_000] {
             let (_, m) = run_market(
-                JoinPolicy::TwoChoiceStale { update_period: period },
+                JoinPolicy::TwoChoiceStale {
+                    update_period: period,
+                },
                 0.75,
                 0.9,
                 6,
@@ -415,12 +426,12 @@ mod tests {
         let mut rng = Rng::from_seed(13);
         for n in [0usize, 7, 0, 1] {
             let m = market.metrics();
-            for value in [
-                m.average_jobs(),
-                m.average_queue(n),
-                m.mean_sojourn(),
-            ] {
-                assert!(value.is_finite(), "non-finite metric {value} at slots = {}", m.slots);
+            for value in [m.average_jobs(), m.average_queue(n), m.mean_sojourn()] {
+                assert!(
+                    value.is_finite(),
+                    "non-finite metric {value} at slots = {}",
+                    m.slots
+                );
             }
             market.step(&mut rng);
         }
@@ -459,7 +470,9 @@ mod tests {
             8,
             1.0,
             0.01,
-            JoinPolicy::TwoChoiceStale { update_period: period },
+            JoinPolicy::TwoChoiceStale {
+                update_period: period,
+            },
         );
         let mut rng = Rng::from_seed(4);
         // Slots 0 .. period − 1: the snapshot keeps the slot-0 (empty)

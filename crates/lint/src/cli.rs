@@ -309,7 +309,10 @@ mod tests {
     #[test]
     fn workspace_passes_deny_all() {
         let (code, out, err) = run_vec(&["--deny-all"]);
-        assert_eq!(code, EXIT_OK, "workspace must be lint-clean; stderr:\n{err}");
+        assert_eq!(
+            code, EXIT_OK,
+            "workspace must be lint-clean; stderr:\n{err}"
+        );
         assert!(out.contains("files checked"));
     }
 

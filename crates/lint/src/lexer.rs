@@ -64,8 +64,8 @@ pub struct Token {
 const PUNCT3: &[&str] = &["<<=", ">>=", "..=", "..."];
 /// Two-byte operators.
 const PUNCT2: &[&str] = &[
-    "==", "!=", "<=", ">=", "&&", "||", "<<", ">>", "+=", "-=", "*=", "/=", "%=", "^=", "&=",
-    "|=", "::", "->", "=>", "..",
+    "==", "!=", "<=", ">=", "&&", "||", "<<", ">>", "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=",
+    "::", "->", "=>", "..",
 ];
 
 /// Tokenizes `src` completely. Never fails: bytes that fit no rule become
@@ -124,7 +124,11 @@ fn scan(src: &str, bytes: &[u8], pos: &mut usize) -> TokenKind {
         b'r' | b'b' if raw_or_byte_literal(bytes, pos) => {
             // `raw_or_byte_literal` advanced past the whole literal and
             // reports which kind it was via the byte before the payload.
-            if bytes[*pos - 1] == b'\'' { TokenKind::Char } else { TokenKind::Str }
+            if bytes[*pos - 1] == b'\'' {
+                TokenKind::Char
+            } else {
+                TokenKind::Str
+            }
         }
         b'"' => {
             scan_string(src, bytes, pos);
@@ -177,8 +181,7 @@ fn is_ident_continue(c: char) -> bool {
 fn scan_ident(src: &str, bytes: &[u8], pos: &mut usize) {
     // Raw identifier: consume the `r#` prefix, then the ident proper
     // (`raw_or_byte_literal` already ruled out raw strings).
-    if bytes[*pos] == b'r' && peek(bytes, *pos + 1) == Some(b'#') && is_ident_start(src, *pos + 2)
-    {
+    if bytes[*pos] == b'r' && peek(bytes, *pos + 1) == Some(b'#') && is_ident_start(src, *pos + 2) {
         *pos += 2;
     }
     for c in src[*pos..].chars() {
@@ -343,10 +346,7 @@ mod tests {
     }
 
     fn roundtrip(src: &str) {
-        let joined: String = tokenize(src)
-            .iter()
-            .map(|t| &src[t.start..t.end])
-            .collect();
+        let joined: String = tokenize(src).iter().map(|t| &src[t.start..t.end]).collect();
         assert_eq!(joined, src);
     }
 

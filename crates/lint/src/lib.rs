@@ -68,9 +68,7 @@ pub fn lint_source(rel_path: &str, text: &str) -> FileOutcome {
         .into_iter()
         .partition(|d| !cx.is_suppressed(d.code, d.line));
     let mut diagnostics = kept;
-    diagnostics.sort_by(|a, b| {
-        (a.line, a.col, a.code).cmp(&(b.line, b.col, b.code))
-    });
+    diagnostics.sort_by(|a, b| (a.line, a.col, a.code).cmp(&(b.line, b.col, b.code)));
     FileOutcome {
         diagnostics,
         suppressed: absorbed.len(),

@@ -175,8 +175,9 @@ impl SeedArithmetic {
     /// token, not a keyword or punctuation other than closers.
     fn is_operand(&self, cx: &FileContext, k: usize) -> bool {
         match cx.sig_kind(k) {
-            Some(TokenKind::Ident) => !NON_OPERAND_KEYWORDS
-                .contains(&cx.sig_text(k).unwrap_or_default()),
+            Some(TokenKind::Ident) => {
+                !NON_OPERAND_KEYWORDS.contains(&cx.sig_text(k).unwrap_or_default())
+            }
             Some(TokenKind::Num | TokenKind::Str | TokenKind::Char) => true,
             Some(TokenKind::Punct) => matches!(cx.sig_text(k), Some(")" | "]")),
             _ => false,

@@ -76,8 +76,8 @@ impl Lint for RawShardIndex {
             // justification — the right trade for a contract lint.
             let before = k.checked_sub(1).and_then(|p| cx.sig_text(p));
             let after = cx.sig_text(k + 1);
-            let adjacent_op = before.is_some_and(|t| OPS.contains(&t))
-                || after.is_some_and(|t| OPS.contains(&t));
+            let adjacent_op =
+                before.is_some_and(|t| OPS.contains(&t)) || after.is_some_and(|t| OPS.contains(&t));
             if adjacent_op {
                 emit(
                     &INFO,

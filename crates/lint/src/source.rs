@@ -42,9 +42,7 @@ pub enum Role {
 
 impl Role {
     fn from_path(rel_path: &str) -> Self {
-        let has = |part: &str| {
-            rel_path.starts_with(&part[1..]) || rel_path.contains(part)
-        };
+        let has = |part: &str| rel_path.starts_with(&part[1..]) || rel_path.contains(part);
         if has("/tests/") {
             Role::Test
         } else if has("/benches/") {
@@ -212,9 +210,9 @@ impl FileContext {
     /// Whether a diagnostic with `code` at 1-based `line` is suppressed.
     #[must_use]
     pub fn is_suppressed(&self, code: &str, line: usize) -> bool {
-        self.suppressions.iter().any(|s| {
-            s.codes.iter().any(|c| c == code) && s.line.is_none_or(|l| l == line)
-        })
+        self.suppressions
+            .iter()
+            .any(|s| s.codes.iter().any(|c| c == code) && s.line.is_none_or(|l| l == line))
     }
 
     /// Parses every `balloc-lint:` comment: `allow(...)`, `allow-file(...)`,
@@ -296,9 +294,9 @@ impl FileContext {
     fn target_line(&self, ci: usize) -> usize {
         let line = self.line_of(self.tokens[ci].start);
         let line_start = self.line_starts[line - 1];
-        let has_code_before = self.tokens[..ci].iter().any(|t| {
-            !t.kind.is_trivia() && t.end > line_start && t.start < self.tokens[ci].start
-        });
+        let has_code_before = self.tokens[..ci]
+            .iter()
+            .any(|t| !t.kind.is_trivia() && t.end > line_start && t.start < self.tokens[ci].start);
         if has_code_before {
             return line;
         }
@@ -510,10 +508,7 @@ fn parse_codes(rest: &str) -> Option<Vec<String>> {
     if !rest.contains(')') {
         return None;
     }
-    let codes: Vec<String> = inner
-        .split(',')
-        .map(|c| c.trim().to_string())
-        .collect();
+    let codes: Vec<String> = inner.split(',').map(|c| c.trim().to_string()).collect();
     if codes.iter().any(String::is_empty) {
         return None;
     }
@@ -530,11 +525,20 @@ mod tests {
         assert_eq!(Role::from_path("src/lib.rs"), Role::Library);
         assert_eq!(Role::from_path("tests/shape.rs"), Role::Test);
         assert_eq!(Role::from_path("crates/sim/tests/parallel.rs"), Role::Test);
-        assert_eq!(Role::from_path("crates/bench/benches/fig12_1.rs"), Role::Bench);
+        assert_eq!(
+            Role::from_path("crates/bench/benches/fig12_1.rs"),
+            Role::Bench
+        );
         assert_eq!(Role::from_path("examples/quickstart.rs"), Role::Example);
-        assert_eq!(Role::from_path("crates/bench/src/bin/balloc.rs"), Role::Binary);
+        assert_eq!(
+            Role::from_path("crates/bench/src/bin/balloc.rs"),
+            Role::Binary
+        );
         assert_eq!(Role::from_path("crates/net/src/server.rs"), Role::Reactor);
-        assert_eq!(Role::from_path("crates/net/tests/end_to_end.rs"), Role::Test);
+        assert_eq!(
+            Role::from_path("crates/net/tests/end_to_end.rs"),
+            Role::Test
+        );
     }
 
     #[test]
@@ -548,7 +552,10 @@ mod tests {
 
     #[test]
     fn trailing_allow_governs_its_own_line() {
-        let cx = FileContext::analyze("x.rs", "let a = 1; // balloc-lint: allow(L001)\nlet b = 2;\n");
+        let cx = FileContext::analyze(
+            "x.rs",
+            "let a = 1; // balloc-lint: allow(L001)\nlet b = 2;\n",
+        );
         assert!(cx.is_suppressed("L001", 1));
         assert!(!cx.is_suppressed("L001", 2));
     }
@@ -645,7 +652,10 @@ mod tests {
     fn enclosing_fn_tracks_nesting() {
         let src = "fn outer() {\n    fn digest_inner() { here(); }\n    there();\n}\n";
         let cx = FileContext::analyze("x.rs", src);
-        assert_eq!(cx.enclosing_fn(src.find("here").unwrap()), Some("digest_inner"));
+        assert_eq!(
+            cx.enclosing_fn(src.find("here").unwrap()),
+            Some("digest_inner")
+        );
         assert_eq!(cx.enclosing_fn(src.find("there").unwrap()), Some("outer"));
         assert_eq!(cx.enclosing_fn(0), None);
     }

@@ -18,8 +18,8 @@ fn fixtures_dir() -> PathBuf {
 /// severities, no `--deny-all` promotion).
 fn rendered(name: &str) -> (String, usize) {
     let path = fixtures_dir().join(name);
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("reading fixture {name}: {e}"));
+    let text =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading fixture {name}: {e}"));
     let rel = format!("crates/lint/tests/fixtures/{name}");
     let outcome = lint_source(&rel, &text);
     let mut out = String::new();

@@ -21,7 +21,11 @@ fn assert_roundtrip(label: &str, text: &str) {
     // Coverage must also be gapless and in order.
     let mut pos = 0;
     for t in &tokens {
-        assert_eq!(t.start, pos, "gap or overlap before token at {} in {label}", t.start);
+        assert_eq!(
+            t.start, pos,
+            "gap or overlap before token at {} in {label}",
+            t.start
+        );
         pos = t.end;
     }
     assert_eq!(pos, text.len(), "trailing bytes uncovered in {label}");
@@ -32,7 +36,11 @@ fn every_workspace_file_roundtrips() {
     let here = std::env::current_dir().unwrap();
     let root = walk::find_workspace_root(&here).expect("enclosing workspace");
     let files = walk::workspace_files(&root).unwrap();
-    assert!(files.len() > 50, "workspace walk looks truncated: {}", files.len());
+    assert!(
+        files.len() > 50,
+        "workspace walk looks truncated: {}",
+        files.len()
+    );
     for rel in &files {
         let text = std::fs::read_to_string(root.join(rel)).unwrap();
         assert_roundtrip(rel, &text);

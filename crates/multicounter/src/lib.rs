@@ -137,7 +137,11 @@ impl MultiCounter {
     ///
     /// Panics if `dst.len() != width`.
     pub fn cells_into(&self, dst: &mut [u64]) {
-        assert_eq!(dst.len(), self.cells.len(), "snapshot buffer width mismatch");
+        assert_eq!(
+            dst.len(),
+            self.cells.len(),
+            "snapshot buffer width mismatch"
+        );
         for (slot, cell) in dst.iter_mut().zip(self.cells.iter()) {
             *slot = cell.load(Ordering::Relaxed);
         }

@@ -56,7 +56,10 @@ fn concurrent_mixed_traffic_is_exact_and_balanced() {
                 scope.spawn(move || hammer(counter, ops, 7_000 + t as u64))
             })
             .collect();
-        workers.into_iter().map(|w| w.join().expect("no panics")).sum()
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("no panics"))
+            .sum()
     });
     assert_eq!(issued, (threads * ops) as u64);
     assert_eq!(

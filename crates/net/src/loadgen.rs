@@ -254,13 +254,7 @@ pub fn run_loadgen(cfg: &LoadGenConfig) -> io::Result<LoadGenReport> {
             let conn = &mut conns[w];
             if event.readable || event.hangup {
                 let eof = conn.framed.read_drain()?;
-                drain_replies(
-                    conn,
-                    cfg,
-                    &mut histogram,
-                    &mut completed,
-                    &mut errors,
-                )?;
+                drain_replies(conn, cfg, &mut histogram, &mut completed, &mut errors)?;
                 if eof && conn.replies < quotas[w] {
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
@@ -281,7 +275,11 @@ pub fn run_loadgen(cfg: &LoadGenConfig) -> io::Result<LoadGenReport> {
     let sent: u64 = conns.iter().map(|c| c.seq).sum();
     let secs = elapsed.as_secs_f64();
     #[allow(clippy::cast_precision_loss)]
-    let throughput_rps = if secs > 0.0 { completed as f64 / secs } else { 0.0 };
+    let throughput_rps = if secs > 0.0 {
+        completed as f64 / secs
+    } else {
+        0.0
+    };
     let digest = if cfg.collect_bins && errors == 0 {
         let clients = cfg.connections as u64;
         let mut fnv = Fnv1a::new();
@@ -347,8 +345,7 @@ fn drain_replies(
                             ));
                         }
                         // balloc-lint: allow(L002): latency measurement.
-                        let us = u64::try_from(sent_at.elapsed().as_micros())
-                            .unwrap_or(u64::MAX);
+                        let us = u64::try_from(sent_at.elapsed().as_micros()).unwrap_or(u64::MAX);
                         histogram.record(us);
                         conn.replies += 1;
                         *completed += 1;

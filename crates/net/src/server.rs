@@ -133,7 +133,9 @@ enum Driver {
     /// client.
     AwaitingHello,
     Inline(Box<SnapshotService<SharedStore>>),
-    Replay { client: usize },
+    Replay {
+        client: usize,
+    },
 }
 
 struct ConnEntry {
@@ -582,7 +584,8 @@ impl Reactor {
             return;
         }
         let cfg = &self.cfg;
-        let alloc = SnapshotAllocator::for_worker(cfg.n, cfg.staleness, cfg.seed, client_id as usize);
+        let alloc =
+            SnapshotAllocator::for_worker(cfg.n, cfg.staleness, cfg.seed, client_id as usize);
         entry.driver = match self.replay.as_mut() {
             Some(replay) => {
                 let client = client_id as usize;
@@ -705,7 +708,11 @@ impl Reactor {
 
     fn finish(mut self) -> io::Result<ServerReport> {
         if let Some(replay) = &self.replay {
-            self.refreshes += replay.stacks.iter().map(SnapshotService::refreshes).sum::<u64>();
+            self.refreshes += replay
+                .stacks
+                .iter()
+                .map(SnapshotService::refreshes)
+                .sum::<u64>();
         }
         debug_assert!(self.conns.iter().all(Option::is_none), "drain closed all");
         let state = self.store.borrow().state();

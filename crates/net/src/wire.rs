@@ -432,8 +432,8 @@ fn parse(payload: &[u8]) -> Result<Frame, DecodeError> {
             if len != RESP_ERR_LEN {
                 return Err(DecodeError::BadLength { opcode, len });
             }
-            let code = ErrorCode::from_u8(payload[9])
-                .ok_or(DecodeError::BadLength { opcode, len })?;
+            let code =
+                ErrorCode::from_u8(payload[9]).ok_or(DecodeError::BadLength { opcode, len })?;
             Ok(Frame::RespErr {
                 req_id: read_u64(&payload[1..9]),
                 code,
@@ -474,7 +474,10 @@ mod tests {
     #[test]
     fn every_frame_round_trips() {
         for frame in [
-            Frame::Hello { client_id: 7, epoch: 0 },
+            Frame::Hello {
+                client_id: 7,
+                epoch: 0,
+            },
             Frame::Hello {
                 client_id: 9,
                 epoch: u64::MAX,
@@ -520,7 +523,11 @@ mod tests {
         let mut dec = FrameDecoder::new();
         for &b in &bytes[..bytes.len() - 1] {
             dec.extend(&[b]);
-            assert_eq!(dec.next_frame().unwrap(), None, "incomplete frame must wait");
+            assert_eq!(
+                dec.next_frame().unwrap(),
+                None,
+                "incomplete frame must wait"
+            );
         }
         dec.extend(&bytes[bytes.len() - 1..]);
         assert_eq!(dec.next_frame().unwrap(), Some(frame));
@@ -592,7 +599,10 @@ mod tests {
         dec.extend(&bytes);
         assert_eq!(
             dec.next_frame().unwrap_err(),
-            DecodeError::BadLength { opcode: OP_ALLOC, len: 2 }
+            DecodeError::BadLength {
+                opcode: OP_ALLOC,
+                len: 2
+            }
         );
         assert_eq!(dec.next_frame().unwrap(), Some(Frame::Shutdown));
     }
@@ -623,8 +633,14 @@ mod tests {
     #[test]
     fn serve_errors_map_onto_wire_codes() {
         assert_eq!(ErrorCode::from(ServeError::Shed), ErrorCode::Shed);
-        assert_eq!(ErrorCode::from(ServeError::RateLimited), ErrorCode::RateLimited);
-        assert_eq!(ErrorCode::from(ServeError::AtCapacity), ErrorCode::AtCapacity);
+        assert_eq!(
+            ErrorCode::from(ServeError::RateLimited),
+            ErrorCode::RateLimited
+        );
+        assert_eq!(
+            ErrorCode::from(ServeError::AtCapacity),
+            ErrorCode::AtCapacity
+        );
     }
 
     #[test]

@@ -169,7 +169,10 @@ fn raw_exchange(addr: std::net::SocketAddr, bytes: &[u8], want: usize) -> Vec<Fr
             Err(e) => panic!("read failed with {frames:?} so far: {e}"),
         };
         decoder.extend(&buf[..k]);
-        while let Some(frame) = decoder.next_frame().expect("server replies are well-formed") {
+        while let Some(frame) = decoder
+            .next_frame()
+            .expect("server replies are well-formed")
+        {
             frames.push(frame);
         }
     }
@@ -246,7 +249,11 @@ fn malformed_frames_get_error_replies_not_panics() {
 
     shutdown.shutdown();
     let server = join.join().expect("server thread");
-    assert!(server.protocol_errors >= 3, "got {}", server.protocol_errors);
+    assert!(
+        server.protocol_errors >= 3,
+        "got {}",
+        server.protocol_errors
+    );
     assert_eq!(server.state.balls(), server.served);
 }
 
@@ -422,7 +429,10 @@ fn stale_epoch_hello_is_refused_and_the_served_epoch_is_stamped() {
     shutdown.shutdown();
     let server = join.join().expect("server thread");
     assert_eq!(server.served, 1);
-    assert!(server.protocol_errors >= 1, "the stale HELLO must be counted");
+    assert!(
+        server.protocol_errors >= 1,
+        "the stale HELLO must be counted"
+    );
 }
 
 #[test]

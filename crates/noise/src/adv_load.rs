@@ -201,7 +201,10 @@ mod tests {
             .filter(|_| sim.decide(&state, 0, 1, &mut rng) == 0)
             .count();
         let emp = firsts as f64 / trials as f64;
-        assert!((emp - exact).abs() < 0.01, "empirical {emp} vs exact {exact}");
+        assert!(
+            (emp - exact).abs() < 0.01,
+            "empirical {emp} vs exact {exact}"
+        );
         // The heavier bin must win less than half the time.
         assert!(exact < 0.5);
     }
@@ -227,7 +230,10 @@ mod tests {
             p.run(&mut state, m, &mut rng);
             state.gap()
         };
-        let adv_load = gap_of(&mut TwoChoice::new(AdvLoad::new(g, PerturbStrategy::Reverse)));
+        let adv_load = gap_of(&mut TwoChoice::new(AdvLoad::new(
+            g,
+            PerturbStrategy::Reverse,
+        )));
         let bounded_2g = gap_of(&mut TwoChoice::new(AdvComp::new(2 * g, ReverseAll)));
         let bounded_half = gap_of(&mut TwoChoice::new(AdvComp::new(g / 2, ReverseAll)));
         assert!(

@@ -313,7 +313,10 @@ mod tests {
         let total_pending: u64 = process.pending.iter().sum();
         assert_eq!(total_pending, tau - 1);
         for i in 0..n {
-            assert_eq!(process.oldest(&state, i), state.load(i) - process.pending[i]);
+            assert_eq!(
+                process.oldest(&state, i),
+                state.load(i) - process.pending[i]
+            );
         }
     }
 
@@ -345,7 +348,10 @@ mod tests {
         let mut rng = Rng::from_seed(1010);
         Delayed::new(n as u64, DelayStrategy::AdversarialFlip).run(&mut state, m, &mut rng);
         let gap = state.gap();
-        assert!((2.0..16.0).contains(&gap), "τ=n gap {gap} outside Θ(log n/log log n) band");
+        assert!(
+            (2.0..16.0).contains(&gap),
+            "τ=n gap {gap} outside Θ(log n/log log n) band"
+        );
     }
 
     #[test]

@@ -142,7 +142,11 @@ mod tests {
                     continue;
                 }
                 let chosen = q.decide(&state, i1, i2, &mut rng);
-                let lighter = if state.load(i1) < state.load(i2) { i1 } else { i2 };
+                let lighter = if state.load(i1) < state.load(i2) {
+                    i1
+                } else {
+                    i2
+                };
                 assert_eq!(chosen, lighter, "pair ({i1},{i2})");
             }
         }
@@ -161,7 +165,10 @@ mod tests {
         let g1 = gap_for(1);
         let g2 = gap_for(2);
         let g6 = gap_for(6);
-        assert!(g2 <= g1 + 0.5, "more queries should not hurt: k=1 {g1}, k=2 {g2}");
+        assert!(
+            g2 <= g1 + 0.5,
+            "more queries should not hurt: k=1 {g1}, k=2 {g2}"
+        );
         assert!(g6 < g1, "k=6 {g6} should clearly beat k=1 {g1}");
     }
 

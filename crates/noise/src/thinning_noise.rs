@@ -164,7 +164,10 @@ mod tests {
         let g0 = gap_for(0.0);
         let g4 = gap_for(4.0);
         let g16 = gap_for(16.0);
-        assert!(g4 >= g0 - 1.0, "σ=4 should not beat noiseless: {g0} vs {g4}");
+        assert!(
+            g4 >= g0 - 1.0,
+            "σ=4 should not beat noiseless: {g0} vs {g4}"
+        );
         assert!(g16 >= g4 - 1.0, "σ=16 should not beat σ=4: {g4} vs {g16}");
     }
 

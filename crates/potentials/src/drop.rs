@@ -221,7 +221,10 @@ mod tests {
         let before = potential.value(&state);
         let drop = expected_drop(&potential, &state, &probs);
         let bound = -before / n as f64 + 2.0;
-        assert!(drop <= bound + 1e-9, "drop {drop} exceeds Lemma 8.1 bound {bound}");
+        assert!(
+            drop <= bound + 1e-9,
+            "drop {drop} exceeds Lemma 8.1 bound {bound}"
+        );
     }
 
     #[test]

@@ -45,7 +45,6 @@ mod tracker;
 
 pub use drop::{event_k_holds, expected_drop, expected_drop_for_decider};
 pub use functions::{
-    AbsoluteValue, HyperbolicCosine, OffsetHyperbolicCosine, Potential, Quadratic,
-    SuperExponential,
+    AbsoluteValue, HyperbolicCosine, OffsetHyperbolicCosine, Potential, Quadratic, SuperExponential,
 };
 pub use tracker::PotentialTracker;

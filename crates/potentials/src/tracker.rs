@@ -117,12 +117,14 @@ mod tests {
         let mut tracker = PotentialTracker::new(gamma, (n as u64) * 4);
         let mut state = LoadState::new(n);
         let mut rng = Rng::from_seed(7);
-        tracker.run(&mut TwoChoice::classic(), &mut state, 40 * n as u64, &mut rng);
+        tracker.run(
+            &mut TwoChoice::classic(),
+            &mut state,
+            40 * n as u64,
+            &mut rng,
+        );
         for &(t, v) in tracker.samples() {
-            assert!(
-                v < 40.0 * n as f64,
-                "Γ exploded at step {t}: {v}"
-            );
+            assert!(v < 40.0 * n as f64, "Γ exploded at step {t}: {v}");
         }
     }
 

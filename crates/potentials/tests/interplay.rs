@@ -6,8 +6,7 @@
 use balloc_core::rng::run_seed;
 use balloc_core::{LoadState, Process, Rng, TwoChoice};
 use balloc_potentials::{
-    AbsoluteValue, HyperbolicCosine, OffsetHyperbolicCosine, Potential, Quadratic,
-    SuperExponential,
+    AbsoluteValue, HyperbolicCosine, OffsetHyperbolicCosine, Potential, Quadratic, SuperExponential,
 };
 use proptest::prelude::*;
 

@@ -167,7 +167,10 @@ mod tests {
             gaps.push(state.gap());
         }
         assert!(gaps[1] < gaps[0], "d=2 should beat d=1: {gaps:?}");
-        assert!(gaps[3] <= gaps[1] + 1.0, "d=8 should not lose to d=2: {gaps:?}");
+        assert!(
+            gaps[3] <= gaps[1] + 1.0,
+            "d=8 should not lose to d=2: {gaps:?}"
+        );
     }
 
     #[test]

@@ -99,8 +99,8 @@ impl DecisionProbability for AlwaysHeavier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use balloc_core::{Process, TwoChoice};
     use crate::OneChoice;
+    use balloc_core::{Process, TwoChoice};
 
     #[test]
     fn always_first_ignores_loads() {

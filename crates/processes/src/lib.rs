@@ -21,16 +21,16 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod deciders;
 mod dchoice;
+mod deciders;
 mod graphical;
 mod nonuniform;
 mod one_choice;
 mod one_plus_beta;
 mod thinning;
 
-pub use deciders::{AlwaysFirst, AlwaysHeavier, AlwaysLighter};
 pub use dchoice::DChoice;
+pub use deciders::{AlwaysFirst, AlwaysHeavier, AlwaysLighter};
 pub use graphical::{GraphicalTwoChoice, Topology};
 pub use nonuniform::NonUniformTwoChoice;
 pub use one_choice::OneChoice;

@@ -122,9 +122,7 @@ mod tests {
         // the d-Choice guarantees.
         let n = 1_000;
         let m = 50 * n as u64;
-        let weights: Vec<f64> = (0..n)
-            .map(|i| if i % 2 == 0 { 1.3 } else { 0.7 })
-            .collect();
+        let weights: Vec<f64> = (0..n).map(|i| if i % 2 == 0 { 1.3 } else { 0.7 }).collect();
         let mut state = LoadState::new(n);
         let mut rng = Rng::from_seed(2);
         NonUniformTwoChoice::classic(&weights).run(&mut state, m, &mut rng);

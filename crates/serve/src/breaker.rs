@@ -286,18 +286,29 @@ mod tests {
         );
         for i in 0..8 {
             let _ = b.call(i);
-            assert_eq!(b.state(), BreakerState::Closed, "1 failure per 4 stays closed");
+            assert_eq!(
+                b.state(),
+                BreakerState::Closed,
+                "1 failure per 4 stays closed"
+            );
         }
 
         // 2: the threshold failure trips it open.
         let clock = VClock::new();
         let stats = LayerStats::new();
-        let mut b =
-            CircuitBreaker::new(always_failing(error), clock.clone(), cfg(), stats.clone());
+        let mut b = CircuitBreaker::new(always_failing(error), clock.clone(), cfg(), stats.clone());
         assert_eq!(b.call(0), Err(error), "first failure surfaces as itself");
         assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.call(1), Err(error), "second failure still reaches the backend");
-        assert_eq!(b.state(), BreakerState::Open, "threshold of 2 trips the breaker");
+        assert_eq!(
+            b.call(1),
+            Err(error),
+            "second failure still reaches the backend"
+        );
+        assert_eq!(
+            b.state(),
+            BreakerState::Open,
+            "threshold of 2 trips the breaker"
+        );
         assert_eq!(stats.breaker_opened.get(), 1);
 
         // 3: failures older than the window roll out and don't trip.
@@ -323,15 +334,17 @@ mod tests {
         // 4: open rejects without calling the backend until the cooldown.
         let clock = VClock::new();
         let stats = LayerStats::new();
-        let mut b =
-            CircuitBreaker::new(always_failing(error), clock.clone(), cfg(), stats.clone());
+        let mut b = CircuitBreaker::new(always_failing(error), clock.clone(), cfg(), stats.clone());
         let _ = b.call(0);
         let _ = b.call(1); // tripped at tick 0, cooldown ends at 10
         let backend_calls = b.inner.calls;
         clock.advance(9).unwrap();
         assert_eq!(b.call(2), Err(ServeError::Broken));
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.inner.calls, backend_calls, "open never touches the backend");
+        assert_eq!(
+            b.inner.calls, backend_calls,
+            "open never touches the backend"
+        );
         assert_eq!(stats.broken.get(), 1);
 
         // 5: the elapsed cooldown resolves to half-open.
@@ -342,7 +355,11 @@ mod tests {
         assert_eq!(b.call(3), Err(error), "the probe reaches the backend");
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(stats.breaker_opened.get(), 2);
-        assert_eq!(stats.broken.get(), 1, "the probe itself is not a Broken rejection");
+        assert_eq!(
+            stats.broken.get(),
+            1,
+            "the probe itself is not a Broken rejection"
+        );
 
         // 6: a successful probe closes the breaker and resets the window.
         let clock = VClock::new();
@@ -400,7 +417,11 @@ mod tests {
             );
             let _ = b.call(0);
             let _ = b.call(1);
-            assert_eq!(b.state(), BreakerState::Open, "{error:?} must trip the breaker");
+            assert_eq!(
+                b.state(),
+                BreakerState::Open,
+                "{error:?} must trip the breaker"
+            );
         }
     }
 
@@ -443,7 +464,10 @@ mod tests {
             requests,
             "each request either reached the backend or was rejected Broken"
         );
-        assert!(stats.breaker_opened.get() > 0, "the script must have tripped it");
+        assert!(
+            stats.breaker_opened.get() > 0,
+            "the script must have tripped it"
+        );
         assert!(reclosed > 0, "and recovered at least once");
     }
 

@@ -476,7 +476,10 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
     let state = churn.store.borrow().state();
     let ledger = churn.settled(ledger);
     ledger.check(cfg.requests, state.balls(), &churn.shed);
-    let refreshes = stacks.into_iter().map(|s| s.into_inner().alloc.refreshes()).sum();
+    let refreshes = stacks
+        .into_iter()
+        .map(|s| s.into_inner().alloc.refreshes())
+        .sum();
     let outcome = ChurnOutcome {
         requests: cfg.requests,
         arrivals: ledger.requests,

@@ -297,7 +297,9 @@ impl ShardDirectory {
     /// slot `s` owns `s·n/M .. (s+1)·n/M`.
     fn block_ranges(&self) -> Vec<Range<usize>> {
         let m = self.members.len();
-        (0..m).map(|s| s * self.n / m..(s + 1) * self.n / m).collect()
+        (0..m)
+            .map(|s| s * self.n / m..(s + 1) * self.n / m)
+            .collect()
     }
 
     /// The member slot (index into [`members`](Self::members)) owning
@@ -588,7 +590,9 @@ mod tests {
     fn remove_debits_every_bin_of_the_departed() {
         let mut dir = ShardDirectory::uniform(12, 3);
         let victim = dir.members()[1];
-        let owned: Vec<usize> = (0..12).filter(|&b| dir.members()[dir.slot_of(b)] == victim).collect();
+        let owned: Vec<usize> = (0..12)
+            .filter(|&b| dir.members()[dir.slot_of(b)] == victim)
+            .collect();
         let moves = dir.remove(victim, 9);
         assert!(!dir.members().contains(&victim));
         // All previously-owned bins appear in the plan, sourced from the

@@ -44,10 +44,7 @@ impl Ledger {
     ///
     /// Panics on a non-terminal error (the outermost
     /// [`LoadShed`](crate::LoadShed) converts every pressure error).
-    pub fn record(
-        &mut self,
-        result: Result<Response, ServeError>,
-    ) -> Result<Response, ServeError> {
+    pub fn record(&mut self, result: Result<Response, ServeError>) -> Result<Response, ServeError> {
         self.requests += 1;
         match result {
             Ok(_) => self.allocated += 1,

@@ -225,10 +225,7 @@ mod tests {
         assert_eq!(r0.stall_per_mille, 0);
         assert_eq!(plan.role_of(1), ShardRole::default());
         assert_eq!(plan.role_of(2).stall_per_mille, 10);
-        assert_eq!(
-            plan.role_of(3).corrupt,
-            Some((4, CorruptKind::Understate))
-        );
+        assert_eq!(plan.role_of(3).corrupt, Some((4, CorruptKind::Understate)));
     }
 
     #[test]

@@ -231,7 +231,9 @@ impl<S> Hedge<S> {
     #[must_use]
     pub fn delay(&self) -> u64 {
         if self.hist.count() >= self.cfg.min_samples {
-            self.hist.quantile(self.cfg.quantile).max(self.cfg.cold_delay)
+            self.hist
+                .quantile(self.cfg.quantile)
+                .max(self.cfg.cold_delay)
         } else {
             self.cfg.cold_delay
         }
@@ -308,7 +310,11 @@ mod tests {
         assert_eq!(h.count(), 6);
         // Buckets hit: 0→b0, 1→b1, {2,3}→b2, 4→b3, 100→b7.
         assert_eq!(h.quantile(0.01), 0);
-        assert_eq!(h.quantile(0.5), 3, "median rounds up to bucket [2,4)'s bound");
+        assert_eq!(
+            h.quantile(0.5),
+            3,
+            "median rounds up to bucket [2,4)'s bound"
+        );
         assert_eq!(h.quantile(0.99), 127, "tail lands in 100's bucket [64,128)");
         let mut top = LatencyHistogram::new();
         top.record(u64::MAX);
@@ -404,7 +410,11 @@ mod tests {
         let mut svc = Hedge::new(backend, clock.clone(), cfg(5), stats.clone());
         assert_eq!(svc.call(1), Ok(1));
         assert_eq!(stats.hedged.get(), 1);
-        assert_eq!(stats.hedge_regret.get(), 1, "finished at 15, waiting would have been 6");
+        assert_eq!(
+            stats.hedge_regret.get(),
+            1,
+            "finished at 15, waiting would have been 6"
+        );
     }
 
     #[test]
@@ -431,7 +441,11 @@ mod tests {
         for i in 0..4 {
             assert_eq!(svc.call(i), Ok(i), "warm-up duplicates still complete");
         }
-        assert_eq!(stats.hedged.get(), 4, "every cold call hedged: 20-tick backend, 5-tick delay");
+        assert_eq!(
+            stats.hedged.get(),
+            4,
+            "every cold call hedged: 20-tick backend, 5-tick delay"
+        );
         // Hedged completions took 5 + 20 = 25 ticks → p90 rounds up to
         // the [16, 32) bucket bound.
         assert_eq!(svc.delay(), 31, "warm: quantile of observed latencies");
@@ -439,7 +453,11 @@ mod tests {
         for i in 0..10 {
             assert_eq!(svc.call(i), Ok(i));
         }
-        assert_eq!(stats.hedged.get(), before, "the adapted delay covers the backend");
+        assert_eq!(
+            stats.hedged.get(),
+            before,
+            "the adapted delay covers the backend"
+        );
     }
 
     #[test]
@@ -458,7 +476,11 @@ mod tests {
         let timed = Timeout::new(backend, clock.clone(), 3);
         let mut svc = Hedge::new(timed, clock.clone(), cfg(10), stats.clone());
         assert_eq!(svc.call(1), Err(ServeError::TimedOut));
-        assert_eq!(stats.hedged.get(), 0, "the inner timeout fired, not our delay");
+        assert_eq!(
+            stats.hedged.get(),
+            0,
+            "the inner timeout fired, not our delay"
+        );
         assert_eq!(clock.now(), 3);
     }
 

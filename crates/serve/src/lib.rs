@@ -118,9 +118,7 @@ pub use autoscale::{AutoscaleConfig, Autoscaler, ScaleAction};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use churn::{run_churn, ChurnConfig, ChurnOutcome, ChurnReport, PlannedChange};
 pub use cluster::DirectCluster;
-pub use directory::{
-    BinMove, Change, MembershipEpoch, RebalanceKind, ShardDirectory, ShardId,
-};
+pub use directory::{BinMove, Change, MembershipEpoch, RebalanceKind, ShardDirectory, ShardId};
 pub use engine::{
     run_replay, worker_share, BackendKind, ReplayOutcome, ServeConfig, ServeOutcome, SnapshotPath,
 };

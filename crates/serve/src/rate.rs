@@ -163,7 +163,11 @@ mod tests {
         }
         assert_eq!(svc.tokens(), 0);
         clock.advance(9).unwrap();
-        assert_eq!(svc.call(1), Err(ServeError::RateLimited), "period not complete");
+        assert_eq!(
+            svc.call(1),
+            Err(ServeError::RateLimited),
+            "period not complete"
+        );
         clock.advance(1).unwrap();
         assert_eq!(svc.tokens(), 2, "one whole period credits `permits` tokens");
         assert_eq!(svc.call(1), Ok(1));
@@ -186,7 +190,11 @@ mod tests {
         clock.advance(15).unwrap();
         assert_eq!(svc.tokens(), 2);
         clock.advance(5).unwrap();
-        assert_eq!(svc.tokens(), 3, "the spare 5 ticks completed the second period");
+        assert_eq!(
+            svc.tokens(),
+            3,
+            "the spare 5 ticks completed the second period"
+        );
     }
 
     #[test]
@@ -199,10 +207,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "period must be positive")]
     fn zero_period_rejected() {
-        let bad = RateLimitConfig {
-            period: 0,
-            ..cfg()
-        };
+        let bad = RateLimitConfig { period: 0, ..cfg() };
         let _ = RateLimit::new(Echo, VClock::new(), bad, LayerStats::new());
     }
 }

@@ -347,7 +347,12 @@ fn build_stack(
     };
     let mut stack: BoxAlloc = Box::new(leaf);
     if let Some(b) = cfg.policy.breaker {
-        stack = Box::new(CircuitBreaker::new(stack, clock.clone(), b, Rc::clone(stats)));
+        stack = Box::new(CircuitBreaker::new(
+            stack,
+            clock.clone(),
+            b,
+            Rc::clone(stats),
+        ));
     }
     if let Some(budget_ticks) = cfg.policy.timeout {
         stack = Box::new(Timeout::new(stack, clock.clone(), budget_ticks));
@@ -544,7 +549,10 @@ mod tests {
         let b = run_resilient(&faulty_cfg(3));
         assert_eq!(a, b, "the full report, digest included, must replay");
         let c = run_resilient(&faulty_cfg(4));
-        assert_ne!(a.digest, c.digest, "a different seed must change the stream");
+        assert_ne!(
+            a.digest, c.digest,
+            "a different seed must change the stream"
+        );
     }
 
     #[test]
@@ -552,7 +560,10 @@ mod tests {
         let mut cfg = ResilienceConfig::demo(64, 4, 19);
         cfg.faults = FaultPlan::clean(1).with(1, FaultKind::Erroring { per_mille: 300 });
         let bare = run_resilient(&cfg).outcome;
-        assert!(bare.shed_faulted > 0, "without retry, faults surface as sheds");
+        assert!(
+            bare.shed_faulted > 0,
+            "without retry, faults surface as sheds"
+        );
         cfg.policy.retry = Some(RetryConfig {
             max_retries: 4,
             budget_cap: 100_000,
@@ -629,7 +640,10 @@ mod tests {
         });
         let o = run_resilient(&cfg).outcome;
         assert!(o.breaker_trips > 0, "an always-erroring shard must trip it");
-        assert!(o.broken > 0, "open-breaker rejections are terminal outcomes");
+        assert!(
+            o.broken > 0,
+            "open-breaker rejections are terminal outcomes"
+        );
         assert_eq!(o.allocated + o.shed + o.timed_out + o.broken, o.requests);
     }
 
@@ -661,7 +675,10 @@ mod tests {
             },
         );
         let a = run_resilient(&cfg);
-        assert_eq!(a.outcome.allocated, cfg.requests, "corruption misleads, never drops");
+        assert_eq!(
+            a.outcome.allocated, cfg.requests,
+            "corruption misleads, never drops"
+        );
         assert_eq!(a, run_resilient(&cfg));
     }
 

@@ -114,7 +114,8 @@ impl RetryBudget {
 
     /// Credits one initial request.
     fn deposit(&self) {
-        self.tokens.set((self.tokens.get() + self.deposit).min(self.cap));
+        self.tokens
+            .set((self.tokens.get() + self.deposit).min(self.cap));
     }
 
     /// Tries to pay for one retry.
@@ -247,7 +248,11 @@ mod tests {
             stats.clone(),
         );
         assert_eq!(svc.call(1), Err(ServeError::Faulted));
-        assert_eq!(stats.retries.get(), 3, "max_retries attempts after the first");
+        assert_eq!(
+            stats.retries.get(),
+            3,
+            "max_retries attempts after the first"
+        );
     }
 
     #[test]
@@ -305,12 +310,19 @@ mod tests {
             assert_eq!(svc.call(i), Err(ServeError::Faulted));
         }
         // 50 deposits at 1 refill half a withdrawal — no retry yet...
-        assert_eq!(stats.retries.get(), before, "deposits have not covered a retry");
+        assert_eq!(
+            stats.retries.get(),
+            before,
+            "deposits have not covered a retry"
+        );
         for i in 0..60 {
             assert_eq!(svc.call(i), Err(ServeError::Faulted));
         }
         // ...but ~110 deposits cover one more.
-        assert!(stats.retries.get() > before, "deposits must eventually re-arm retries");
+        assert!(
+            stats.retries.get() > before,
+            "deposits must eventually re-arm retries"
+        );
     }
 
     #[test]
@@ -332,7 +344,11 @@ mod tests {
         let mut b = Retry::new(failing(), &cfg, budget.clone(), stats.clone());
         let _ = a.call(1);
         let _ = b.call(1);
-        assert_eq!(stats.retries.get(), 1, "one bucket, one paid retry across clones");
+        assert_eq!(
+            stats.retries.get(),
+            1,
+            "one bucket, one paid retry across clones"
+        );
         assert_eq!(budget.tokens(), 0);
     }
 

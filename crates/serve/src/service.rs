@@ -201,7 +201,10 @@ mod tests {
         let mut a = Rng::from_seed(42);
         let mut b = Rng::from_seed(42);
         for _ in 0..1_000 {
-            assert_eq!(decide(&snapshot, &req, &mut a), decide(&snapshot, &req, &mut b));
+            assert_eq!(
+                decide(&snapshot, &req, &mut a),
+                decide(&snapshot, &req, &mut b)
+            );
         }
     }
 
@@ -217,10 +220,7 @@ mod tests {
         let mut rng = Rng::from_seed(3);
         let mut reference = Rng::from_seed(3);
         for _ in 0..200 {
-            assert_eq!(
-                decide(&snapshot, &req, &mut rng),
-                reference.below_usize(3)
-            );
+            assert_eq!(decide(&snapshot, &req, &mut rng), reference.below_usize(3));
         }
     }
 
@@ -259,7 +259,10 @@ mod tests {
 
     #[test]
     fn serve_error_displays() {
-        assert_eq!(ServeError::AtCapacity.to_string(), "in-flight limit reached");
+        assert_eq!(
+            ServeError::AtCapacity.to_string(),
+            "in-flight limit reached"
+        );
         assert_eq!(ServeError::Shed.to_string(), "request shed under load");
         assert_eq!(ServeError::TimedOut.to_string(), "request deadline expired");
         assert_eq!(ServeError::Broken.to_string(), "circuit breaker open");

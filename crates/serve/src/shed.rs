@@ -193,7 +193,14 @@ mod tests {
     fn sheds_are_attributed_per_cause() {
         let counter = ShedCounter::new();
         let by_cause = |error: ServeError, calls: u64| {
-            let mut svc = LoadShed::new(Flaky { k: 1, seen: 0, error }, counter.clone());
+            let mut svc = LoadShed::new(
+                Flaky {
+                    k: 1,
+                    seen: 0,
+                    error,
+                },
+                counter.clone(),
+            );
             for i in 0..calls {
                 assert_eq!(svc.call(i), Err(ServeError::Shed));
             }

@@ -217,8 +217,9 @@ mod tests {
             };
             let mut per_request = leaf(128, 32, 7);
             let mut blocked = leaf(128, 32, 7);
-            let expect: Vec<usize> =
-                (0..400).map(|_| per_request.call(req).unwrap().bin).collect();
+            let expect: Vec<usize> = (0..400)
+                .map(|_| per_request.call(req).unwrap().bin)
+                .collect();
             let mut got = Vec::new();
             blocked.call_block(&req, 400, &mut |r| got.push(r.unwrap().bin));
             assert_eq!(got, expect, "d = {d}");
@@ -233,7 +234,9 @@ mod tests {
         };
         let mut per_request = leaf(64, 16, 9);
         let mut blocked = leaf(64, 16, 9);
-        let expect: Vec<usize> = (0..200).map(|_| per_request.call(req).unwrap().bin).collect();
+        let expect: Vec<usize> = (0..200)
+            .map(|_| per_request.call(req).unwrap().bin)
+            .collect();
         let mut got = Vec::new();
         blocked.call_block(&req, 200, &mut |r| got.push(r.unwrap().bin));
         assert_eq!(got, expect);
@@ -251,7 +254,9 @@ mod tests {
         };
         let mut per_request = make();
         let mut blocked = make();
-        let expect: Vec<usize> = (0..300).map(|_| per_request.call(req).unwrap().bin).collect();
+        let expect: Vec<usize> = (0..300)
+            .map(|_| per_request.call(req).unwrap().bin)
+            .collect();
         let mut got = Vec::new();
         blocked.call_block(&req, 300, &mut |r| got.push(r.unwrap().bin));
         assert_eq!(got, expect);

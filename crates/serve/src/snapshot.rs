@@ -253,7 +253,10 @@ mod tests {
         let mut alloc = SnapshotAllocator::new(2, Staleness::Batch { b: 100 }, 7);
         alloc.snapshot_mut().copy_from_slice(&[50, 0]);
         alloc.note_refresh(0);
-        let req = Request { d: 4, ..Request::two_choice() };
+        let req = Request {
+            d: 4,
+            ..Request::two_choice()
+        };
         for _ in 0..20 {
             assert_eq!(alloc.decide(&req), 1, "must chase the snapshot's empty bin");
         }

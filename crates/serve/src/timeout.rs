@@ -114,7 +114,11 @@ mod tests {
         assert_eq!(svc.call(1), Err(ServeError::TimedOut));
         assert_eq!(clock.now(), 5, "the caller waited out its full budget");
         assert_eq!(svc.call(2), Err(ServeError::TimedOut));
-        assert_eq!(clock.now(), 10, "each attempt restarts from the current tick");
+        assert_eq!(
+            clock.now(),
+            10,
+            "each attempt restarts from the current tick"
+        );
     }
 
     #[test]

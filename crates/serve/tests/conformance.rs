@@ -29,8 +29,8 @@ use std::sync::Arc;
 
 use balloc_serve::{
     BreakerConfig, CircuitBreaker, Hedge, HedgeConfig, InFlightLimitLayer, Layer, LayerStats,
-    LoadShed, LoadShedLayer, Permits, RateLimit, RateLimitConfig, Retry, RetryBudget,
-    RetryConfig, ServeError, Service, ShedCounter, Timeout,
+    LoadShed, LoadShedLayer, Permits, RateLimit, RateLimitConfig, Retry, RetryBudget, RetryConfig,
+    ServeError, Service, ShedCounter, Timeout,
 };
 use balloc_sim::VClock;
 use proptest::prelude::*;

@@ -198,7 +198,11 @@ mod tests {
 
     #[test]
     fn checkpoints_always_end_at_m() {
-        for cp in [Checkpoints::None, Checkpoints::Linear(7), Checkpoints::Geometric(3)] {
+        for cp in [
+            Checkpoints::None,
+            Checkpoints::Linear(7),
+            Checkpoints::Geometric(3),
+        ] {
             let s = cp.steps(1234);
             assert_eq!(*s.last().unwrap(), 1234);
         }

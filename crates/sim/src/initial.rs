@@ -40,7 +40,10 @@ pub fn tower(n: usize, base: u64, extra: u64) -> LoadState {
 #[must_use]
 pub fn ramp(n: usize, base: u64, slope: f64) -> LoadState {
     assert!(n > 0, "number of bins must be positive");
-    assert!(slope >= 0.0 && slope.is_finite(), "slope must be finite and non-negative");
+    assert!(
+        slope >= 0.0 && slope.is_finite(),
+        "slope must be finite and non-negative"
+    );
     let loads = (0..n)
         .map(|i| base + (i as f64 * slope).floor() as u64)
         .collect();

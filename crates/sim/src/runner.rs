@@ -312,8 +312,7 @@ where
     F: Fn() -> P + Sync,
 {
     assert!(runs > 0, "need at least one run");
-    let mut points =
-        repeat_grid_traced(&[base], |_| factory(), runs, threads, checkpoints);
+    let mut points = repeat_grid_traced(&[base], |_| factory(), runs, threads, checkpoints);
     points.pop().expect("one config yields one result block")
 }
 
@@ -584,7 +583,11 @@ mod tests {
             k: 300,
             seen: Vec::new(),
         };
-        let _ = run_observed(&mut TwoChoice::classic(), RunConfig::new(16, 1_000, 1), &mut obs);
+        let _ = run_observed(
+            &mut TwoChoice::classic(),
+            RunConfig::new(16, 1_000, 1),
+            &mut obs,
+        );
         assert_eq!(obs.seen, vec![300, 600, 900, 1000]);
     }
 
@@ -614,7 +617,11 @@ mod tests {
             }
             fn record(&mut self, _state: &LoadState) {}
         }
-        let r = run_observed(&mut TwoChoice::classic(), RunConfig::new(8, 40, 2), &mut Stuck);
+        let r = run_observed(
+            &mut TwoChoice::classic(),
+            RunConfig::new(8, 40, 2),
+            &mut Stuck,
+        );
         assert_eq!(r.config.m, 40);
     }
 
@@ -651,8 +658,7 @@ mod tests {
 
     #[test]
     fn grid_parallel_equals_sequential() {
-        let configs: Vec<RunConfig> =
-            (0..5).map(|k| RunConfig::new(48, 960, 100 + k)).collect();
+        let configs: Vec<RunConfig> = (0..5).map(|k| RunConfig::new(48, 960, 100 + k)).collect();
         let reference = repeat_grid(&configs, |_| TwoChoice::classic(), 4, 1);
         for threads in [2usize, 3, 7] {
             let parallel = repeat_grid(&configs, |_| TwoChoice::classic(), 4, threads);

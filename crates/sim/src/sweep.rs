@@ -160,13 +160,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one parameter")]
     fn empty_params_rejected() {
-        let _ = sweep(
-            &[],
-            |_| TwoChoice::classic(),
-            RunConfig::new(4, 4, 0),
-            1,
-            1,
-        );
+        let _ = sweep(&[], |_| TwoChoice::classic(), RunConfig::new(4, 4, 0), 1, 1);
     }
 
     #[test]

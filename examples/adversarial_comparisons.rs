@@ -64,10 +64,16 @@ fn main() {
     );
 
     println!();
-    println!("the strongest adversary costs {:.1}× the noiseless gap —", worst / benign.max(0.1));
+    println!(
+        "the strongest adversary costs {:.1}× the noiseless gap —",
+        worst / benign.max(0.1)
+    );
     println!("yet Theorem 5.12 caps *every* strategy at O(g + log n), independent of m.");
 
-    println!("\nphase transition: gap of g-Bounded as g crosses log n ≈ {:.1}:", (n as f64).ln());
+    println!(
+        "\nphase transition: gap of g-Bounded as g crosses log n ≈ {:.1}:",
+        (n as f64).ln()
+    );
     for g in [1u64, 2, 4, 8, 16, 32, 64] {
         let mut state = LoadState::new(n);
         let mut rng = Rng::from_seed(7);

@@ -38,7 +38,9 @@ fn main() {
     measure(JoinPolicy::TwoChoice, "Two-Choice, live info", n, slots);
     for period in [10u64, 100, 1_000] {
         measure(
-            JoinPolicy::TwoChoiceStale { update_period: period },
+            JoinPolicy::TwoChoiceStale {
+                update_period: period,
+            },
             &format!("Two-Choice, stale T={period}"),
             n,
             slots,

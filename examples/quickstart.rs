@@ -34,7 +34,13 @@ fn main() {
     measure("g-Bounded, g = 4", GBounded::new(4), n, m, 42);
     measure("g-Bounded, g = 16", GBounded::new(16), n, m, 42);
     measure("g-Myopic-Comp, g = 16", GMyopic::new(16), n, m, 42);
-    measure("sigma-Noisy-Load, σ = 16", SigmaNoisyLoad::new(16.0), n, m, 42);
+    measure(
+        "sigma-Noisy-Load, σ = 16",
+        SigmaNoisyLoad::new(16.0),
+        n,
+        m,
+        42,
+    );
 
     println!();
     println!("What you should see (the paper's story):");

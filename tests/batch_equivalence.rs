@@ -13,9 +13,7 @@
 //! relative to its per-ball body, or reads a stale aggregate inside a
 //! deferred-aggregate batch fails here.
 
-use balloc_core::{
-    LoadState, PerfectDecider, Process, Rng, TieBreak, TwoChoice,
-};
+use balloc_core::{LoadState, PerfectDecider, Process, Rng, TieBreak, TwoChoice};
 use balloc_noise::{
     AdvComp, AdvLoad, Batched, CorrectAll, DelayStrategy, Delayed, GBounded, GMyopic,
     GaussianLoadDecider, NoisyMeanThinning, OverloadSeeking, PerturbStrategy, QueryComp,
@@ -70,7 +68,9 @@ fn registry() -> Vec<Entry> {
             )
         }),
         ("one_plus_beta_0", |n| (n, Box::new(OnePlusBeta::new(0.0)))),
-        ("one_plus_beta_0.6", |n| (n, Box::new(OnePlusBeta::new(0.6)))),
+        ("one_plus_beta_0.6", |n| {
+            (n, Box::new(OnePlusBeta::new(0.6)))
+        }),
         ("one_plus_beta_1", |n| (n, Box::new(OnePlusBeta::new(1.0)))),
         ("one_plus_beta_0.5_heavier", |n| {
             (n, Box::new(OnePlusBeta::with_decider(0.5, AlwaysHeavier)))
@@ -78,13 +78,18 @@ fn registry() -> Vec<Entry> {
         ("mean_thinning", |n| (n, Box::new(MeanThinning::new()))),
         ("two_thinning_0", |n| (n, Box::new(TwoThinning::new(0.0)))),
         ("two_thinning_1.5", |n| (n, Box::new(TwoThinning::new(1.5)))),
-        ("two_thinning_neg2", |n| (n, Box::new(TwoThinning::new(-2.0)))),
+        ("two_thinning_neg2", |n| {
+            (n, Box::new(TwoThinning::new(-2.0)))
+        }),
         ("g_bounded_0", |n| (n, Box::new(GBounded::new(0)))),
         ("g_bounded_3", |n| (n, Box::new(GBounded::new(3)))),
         ("g_bounded_16", |n| (n, Box::new(GBounded::new(16)))),
         ("g_myopic_3", |n| (n, Box::new(GMyopic::new(3)))),
         ("adv_comp_overload_seeking", |n| {
-            (n, Box::new(TwoChoice::new(AdvComp::new(3, OverloadSeeking))))
+            (
+                n,
+                Box::new(TwoChoice::new(AdvComp::new(3, OverloadSeeking))),
+            )
         }),
         ("adv_comp_correct_all", |n| {
             (n, Box::new(TwoChoice::new(AdvComp::new(2, CorrectAll))))
@@ -128,7 +133,9 @@ fn registry() -> Vec<Entry> {
                 Box::new(TwoChoice::new(AdvLoad::new(2, PerturbStrategy::Uniform))),
             )
         }),
-        ("sigma_noisy_load_3", |n| (n, Box::new(SigmaNoisyLoad::new(3.0)))),
+        ("sigma_noisy_load_3", |n| {
+            (n, Box::new(SigmaNoisyLoad::new(3.0)))
+        }),
         ("gaussian_load_2", |n| {
             (n, Box::new(TwoChoice::new(GaussianLoadDecider::new(2.0))))
         }),
@@ -139,7 +146,10 @@ fn registry() -> Vec<Entry> {
         ("batched_5", |n| (n, Box::new(Batched::new(5)))),
         ("batched_n", |n| (n, Box::new(Batched::new(n as u64)))),
         ("batched_4_first_sample_ties", |n| {
-            (n, Box::new(Batched::with_tie_break(4, TieBreak::FirstSample)))
+            (
+                n,
+                Box::new(Batched::with_tie_break(4, TieBreak::FirstSample)),
+            )
         }),
         ("delayed_1_stalest", |n| {
             (n, Box::new(Delayed::new(1, DelayStrategy::Stalest)))
@@ -189,7 +199,10 @@ fn registry() -> Vec<Entry> {
         ("graphical_hypercube", |n| {
             // The hypercube needs n = 2^d; round down to keep it valid.
             let n = usize::max(2, n.next_power_of_two() / 2);
-            (n, Box::new(GraphicalTwoChoice::classic(Topology::Hypercube)))
+            (
+                n,
+                Box::new(GraphicalTwoChoice::classic(Topology::Hypercube)),
+            )
         }),
         ("graphical_complete_reversed", |n| {
             (

@@ -5,8 +5,8 @@ use noisy_balance::core::{LoadState, Process, Rng, TwoChoice};
 use noisy_balance::noise::{AdvComp, GBounded, ReverseAll, UniformRandom};
 use noisy_balance::potentials::constants::{gamma_for_g, C4, D};
 use noisy_balance::potentials::{
-    expected_drop_for_decider, AbsoluteValue, HyperbolicCosine, OffsetHyperbolicCosine,
-    Potential, Quadratic,
+    expected_drop_for_decider, AbsoluteValue, HyperbolicCosine, OffsetHyperbolicCosine, Potential,
+    Quadratic,
 };
 
 fn evolved_state(g: u64, n: usize, steps: u64, seed: u64) -> LoadState {
@@ -103,11 +103,17 @@ fn lemma_5_7_lambda_drops_in_good_steps_when_large() {
     let state = LoadState::from_loads(loads);
     // Verify this is a good step: Δ ⩽ D·n·g.
     let delta = AbsoluteValue::new().value(&state);
-    assert!(delta <= D * n as f64 * g as f64, "test state must be a good step");
+    assert!(
+        delta <= D * n as f64 * g as f64,
+        "test state must be a good step"
+    );
     assert!(lambda.value(&state) > 100.0 * n as f64, "Λ must be large");
 
     let drop = expected_drop_for_decider(&lambda, &decider, &state);
-    assert!(drop < 0.0, "Λ should drop in a good step when large: {drop}");
+    assert!(
+        drop < 0.0,
+        "Λ should drop in a good step when large: {drop}"
+    );
 }
 
 #[test]

@@ -74,8 +74,16 @@ fn queueing_staleness_interpolates_between_live_and_herding() {
     };
     let live = measure(JoinPolicy::TwoChoice, 7);
     let mild = measure(JoinPolicy::TwoChoiceStale { update_period: 5 }, 7);
-    let herded = measure(JoinPolicy::TwoChoiceStale { update_period: 1_500 }, 7);
-    assert!(live < mild, "staleness must cost something: {live} vs {mild}");
+    let herded = measure(
+        JoinPolicy::TwoChoiceStale {
+            update_period: 1_500,
+        },
+        7,
+    );
+    assert!(
+        live < mild,
+        "staleness must cost something: {live} vs {mild}"
+    );
     assert!(
         mild < herded,
         "more staleness must cost more: {mild} vs {herded}"
@@ -120,7 +128,12 @@ fn supermarket_and_batch_allocation_agree_qualitatively() {
     let t_small = 2u64;
     let t_large = 200u64;
     let measure_imbalance = |t: u64| {
-        let mut market = Supermarket::new(n, lambda, 0.95, JoinPolicy::TwoChoiceStale { update_period: t });
+        let mut market = Supermarket::new(
+            n,
+            lambda,
+            0.95,
+            JoinPolicy::TwoChoiceStale { update_period: t },
+        );
         let mut rng = Rng::from_seed(11);
         market.run(2_000, &mut rng);
         let queues = market.queues().to_vec();

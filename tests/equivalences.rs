@@ -55,10 +55,7 @@ fn adv_load_zero_budget_is_two_choice() {
     // a "reversal window" of 2·g = 0 still covers exact ties, matching the
     // classic tie-handling only when loads differ; compare distributions
     // via the final gap instead of streams for the tie-handling delta.
-    let a = run_loads(
-        TwoChoice::new(AdvLoad::new(0, PerturbStrategy::Uniform)),
-        4,
-    );
+    let a = run_loads(TwoChoice::new(AdvLoad::new(0, PerturbStrategy::Uniform)), 4);
     let b = run_loads(TwoChoice::classic(), 4);
     // Uniform perturbation with g = 0 compares true loads but breaks ties
     // randomly (consuming RNG), so streams may differ; totals must match
@@ -120,10 +117,7 @@ fn adv_load_reverse_is_sandwiched_by_adv_comp() {
     // on non-tied pairs: equality of decisions was tested in the noise
     // crate; here check the end-to-end gap matches within noise.
     let g = 4u64;
-    let a = run_loads(
-        TwoChoice::new(AdvLoad::new(g, PerturbStrategy::Reverse)),
-        6,
-    );
+    let a = run_loads(TwoChoice::new(AdvLoad::new(g, PerturbStrategy::Reverse)), 6);
     let b = run_loads(TwoChoice::new(AdvComp::new(2 * g, ReverseAll)), 6);
     let gap = |loads: &[u64]| *loads.iter().max().unwrap() as f64 - M as f64 / N as f64;
     assert!(

@@ -63,11 +63,8 @@ fn sweeps_are_reproducible() {
 fn traced_and_untraced_runs_agree_on_final_state() {
     let config = RunConfig::new(128, 12_800, 21);
     let plain = run(&mut GMyopic::new(3), config);
-    let traced = noisy_balance::sim::run_traced(
-        &mut GMyopic::new(3),
-        config,
-        Checkpoints::Geometric(4),
-    );
+    let traced =
+        noisy_balance::sim::run_traced(&mut GMyopic::new(3), config, Checkpoints::Geometric(4));
     assert_eq!(plain.gap, traced.gap);
     assert_eq!(plain.max_load, traced.max_load);
     assert_eq!(plain.integer_gap, traced.integer_gap);

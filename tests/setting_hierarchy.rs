@@ -94,10 +94,7 @@ fn noisy_comp_simulates_g_myopic_via_step_rho() {
         for i2 in 0..state.n() {
             let p1 = via_rho.prob_first(&state, i1, i2);
             let p2 = direct.prob_first(&state, i1, i2);
-            assert!(
-                (p1 - p2).abs() < 1e-12,
-                "pair ({i1},{i2}): {p1} vs {p2}"
-            );
+            assert!((p1 - p2).abs() < 1e-12, "pair ({i1},{i2}): {p1} vs {p2}");
         }
     }
 }
@@ -208,7 +205,10 @@ fn one_choice_is_weakest_in_the_hierarchy() {
     };
     let one = gap_of(&mut OneChoice::new(), 23);
     for (name, mut p) in [
-        ("g-bounded(2)", Box::new(GBounded::new(2)) as Box<dyn Process>),
+        (
+            "g-bounded(2)",
+            Box::new(GBounded::new(2)) as Box<dyn Process>,
+        ),
         ("g-myopic(2)", Box::new(GMyopic::new(2))),
         ("batched(n/2)", Box::new(Batched::new(n as u64 / 2))),
         (
@@ -217,9 +217,6 @@ fn one_choice_is_weakest_in_the_hierarchy() {
         ),
     ] {
         let gap = gap_of(p.as_mut(), 23);
-        assert!(
-            gap < one,
-            "{name} gap {gap} should beat one-choice {one}"
-        );
+        assert!(gap < one, "{name} gap {gap} should beat one-choice {one}");
     }
 }

@@ -16,12 +16,7 @@ fn two_choice_gap_independent_of_m() {
     // matches the gap at m = 20n up to a small constant.
     let n = 4_000;
     let gap_at = |bpb: u64| {
-        let results = repeat(
-            TwoChoice::classic,
-            RunConfig::per_bin(n, bpb, 11),
-            10,
-            4,
-        );
+        let results = repeat(TwoChoice::classic, RunConfig::per_bin(n, bpb, 11), 10, 4);
         results.iter().map(|r| r.gap).sum::<f64>() / results.len() as f64
     };
     let g20 = gap_at(20);
@@ -57,14 +52,26 @@ fn fig12_1_shape_bounded_linear_and_dominating() {
     let params = [2.0, 6.0, 10.0, 14.0, 18.0];
     let base = RunConfig::per_bin(n, 100, 17);
     let bounded = sweep(&params, |g| GBounded::new(g as u64), base, 10, 4);
-    let myopic = sweep(&params, |g| GMyopic::new(g as u64), base.with_seed(18), 10, 4);
+    let myopic = sweep(
+        &params,
+        |g| GMyopic::new(g as u64),
+        base.with_seed(18),
+        10,
+        4,
+    );
 
     let b: Vec<f64> = bounded.iter().map(|p| p.mean_gap).collect();
     let m: Vec<f64> = myopic.iter().map(|p| p.mean_gap).collect();
 
     // Monotone in g.
-    assert!(is_monotone_nondecreasing(&b, 0.5), "bounded not monotone: {b:?}");
-    assert!(is_monotone_nondecreasing(&m, 0.8), "myopic not monotone: {m:?}");
+    assert!(
+        is_monotone_nondecreasing(&b, 0.5),
+        "bounded not monotone: {b:?}"
+    );
+    assert!(
+        is_monotone_nondecreasing(&m, 0.8),
+        "myopic not monotone: {m:?}"
+    );
     // Bounded dominates myopic at medium/large g.
     for i in 2..params.len() {
         assert!(
@@ -110,12 +117,7 @@ fn fig12_2_shape_batch_tracks_one_choice_beyond_n() {
             4,
         );
         batch_gaps.push(results.iter().map(|r| r.gap).sum::<f64>() / results.len() as f64);
-        let oc = repeat(
-            OneChoice::new,
-            RunConfig::new(n, b, 119 + j as u64),
-            10,
-            4,
-        );
+        let oc = repeat(OneChoice::new, RunConfig::new(n, b, 119 + j as u64), 10, 4);
         oc_gaps.push(oc.iter().map(|r| r.gap).sum::<f64>() / oc.len() as f64);
     }
     // Batch gap is monotone in b.
@@ -171,7 +173,10 @@ fn sigma_noisy_load_monotone_and_sublinear() {
     let base = RunConfig::per_bin(n, 100, 29);
     let points = sweep(&params, SigmaNoisyLoad::new, base, 10, 4);
     let gaps: Vec<f64> = points.iter().map(|p| p.mean_gap).collect();
-    assert!(is_monotone_nondecreasing(&gaps, 0.5), "not monotone: {gaps:?}");
+    assert!(
+        is_monotone_nondecreasing(&gaps, 0.5),
+        "not monotone: {gaps:?}"
+    );
     // Quadrupling σ should much less than quadruple the gap (sublinear).
     let r1 = gaps[1] / gaps[0];
     let r2 = gaps[2] / gaps[1];
