@@ -136,3 +136,34 @@ pub use sink::{LoadSink, ServeClock, SnapshotService};
 pub use snapshot::{SnapshotAllocator, Staleness};
 pub use stats::LayerStats;
 pub use timeout::Timeout;
+
+/// Shard ranges as the routing layer sees them: the directory's block
+/// partition and its shard-count bound. The loads themselves live in one
+/// flat store ([`DirectCluster`]), so this module holds only tests.
+#[cfg(test)]
+mod shard {
+    mod tests {
+        use crate::directory::ShardDirectory;
+
+        #[test]
+        fn ranges_cover_every_bin_exactly_once() {
+            for (n, shards) in [(10, 1), (10, 3), (128, 8), (7, 7), (1000, 13)] {
+                let ranges = ShardDirectory::uniform(n, shards).ranges();
+                assert_eq!(ranges.len(), shards);
+                let mut covered = 0;
+                for (i, r) in ranges.iter().enumerate() {
+                    assert_eq!(r.start, covered, "gap before shard {i}");
+                    assert!(!r.is_empty(), "empty shard {i} for n = {n}, S = {shards}");
+                    covered = r.end;
+                }
+                assert_eq!(covered, n);
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "shards must lie in 1..=n")]
+        fn more_shards_than_bins_rejected() {
+            let _ = ShardDirectory::uniform(3, 4);
+        }
+    }
+}
