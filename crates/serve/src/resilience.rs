@@ -238,8 +238,6 @@ struct FaultyAlloc {
     completed: ServeClock,
     fault_rng: Rng,
     stats: Rc<LayerStats>,
-    /// Per-leaf refresh counter: the corruption epoch.
-    refresh_epoch: u64,
     /// Hedge→leaf shard-diversity channel: duplicates avoid the first
     /// attempt's shard when the directory has a second member.
     steer: HedgeSteer,
@@ -251,14 +249,16 @@ impl Service<Request> for FaultyAlloc {
     fn call(&mut self, req: Request) -> Result<Response, ServeError> {
         let now = self.completed.now();
         if self.alloc.needs_refresh(now) {
+            // The corruption epoch: this leaf's refresh count, this one
+            // included.
+            let epoch = self.alloc.refreshes() + 1;
             let snapshot = self.alloc.snapshot_mut();
             let mut store = self.backend.store.borrow_mut();
             store
                 .refresh(snapshot)
                 .expect("direct stores cannot reject");
-            self.refresh_epoch += 1;
             for (range, c) in &self.backend.corruptors {
-                c.corrupt(&mut snapshot[range.clone()], self.refresh_epoch);
+                c.corrupt(&mut snapshot[range.clone()], epoch);
             }
             bump(&self.stats.refreshes);
             self.alloc.note_refresh(now);
@@ -342,7 +342,6 @@ fn build_stack(
         completed: completed.clone(),
         fault_rng: Rng::from_seed(point_seed(point_seed(cfg.seed, FAULT_STREAM), w as u64)),
         stats: Rc::clone(stats),
-        refresh_epoch: 0,
         steer: steer.clone(),
     };
     let mut stack: BoxAlloc = Box::new(leaf);

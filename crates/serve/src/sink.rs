@@ -106,7 +106,7 @@ impl<K: LoadSink> SnapshotService<K> {
     /// the same clock points, and
     /// [`SnapshotAllocator::decide_run`] pins the RNG stream. The win is
     /// structural — one refresh check per run instead of per request, all
-    /// candidate draws filled in one batched pass, no per-request layer
+    /// candidate draws filled in batched passes, no per-request layer
     /// traversal — which is what lets request pipelining feed the PR 4/8
     /// hot path full blocks instead of single balls.
     ///

@@ -20,6 +20,11 @@ use balloc_core::Rng;
 
 use crate::service::{decide, NoiseMode, Request};
 
+/// Candidate draws [`SnapshotAllocator::decide_run`] fills and scans per
+/// pass. It bounds the allocator's scratch to one pass (8 KiB of draws),
+/// whatever `d` and run length a peer asks for.
+const DRAWS_PER_PASS: usize = 1024;
+
 /// When a worker's snapshot is refreshed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Staleness {
@@ -81,7 +86,8 @@ pub struct SnapshotAllocator {
     primed: bool,
     refreshes: u64,
     /// Candidate scratch for [`decide_run`](Self::decide_run) — kept on
-    /// the allocator so block dispatch allocates nothing per block.
+    /// the allocator so block dispatch allocates nothing per block, and
+    /// never longer than [`DRAWS_PER_PASS`].
     scratch: Vec<u64>,
 }
 
@@ -165,11 +171,12 @@ impl SnapshotAllocator {
     /// Decides `run` consecutive requests against the current snapshot in
     /// one block, appending the chosen bins to `out` — **bit-identical**
     /// to `run` successive [`decide`](Self::decide) calls (same RNG
-    /// consumption, same tie-breaks), but fed in PR 4 batched-engine
-    /// style: all `d·run` candidate draws fill in one
-    /// [`Rng::fill_below`] pass, then a tight branch-friendly tournament
-    /// scans the snapshot. The caller guarantees no refresh is due inside
-    /// the run (see [`until_refresh`](Self::until_refresh)).
+    /// consumption, same tie-breaks), but fed in batched-engine style: the
+    /// `d·run` candidate draws fill in [`Rng::fill_below`] passes of at
+    /// most 1 024 draws, and a tight branch-friendly tournament scans the
+    /// snapshot after each pass; a request's `d` draws may span passes.
+    /// The caller guarantees no refresh is due inside the run (see
+    /// [`until_refresh`](Self::until_refresh)).
     ///
     /// [`NoiseMode::Noisy`] requests interleave Gaussian draws with
     /// candidate draws, so they fall back to the per-request path —
@@ -188,23 +195,40 @@ impl SnapshotAllocator {
         assert!(req.d > 0, "need at least one candidate bin");
         let d = req.d;
         let n = self.snapshot.len() as u64;
-        self.scratch.resize(run * d, 0);
-        self.rng.fill_below(n, &mut self.scratch[..run * d]);
-        for group in self.scratch[..run * d].chunks_exact(d) {
-            let mut best = group[0] as usize;
-            // The f64 view is deliberate: it is exactly the comparison
-            // `decide` makes, so block and per-request paths tie-break
-            // identically.
-            let mut best_load = self.snapshot[best] as f64;
-            for &candidate in &group[1..] {
-                let candidate = candidate as usize;
-                let load = self.snapshot[candidate] as f64;
-                if load < best_load {
-                    best = candidate;
-                    best_load = load;
+        let mut left = run * d;
+        // The running tournament of the current request: its best
+        // candidate so far, that candidate's load (infinite before its
+        // first draw), and how many of its `d` draws were scanned.
+        let mut best = 0usize;
+        let mut best_load = f64::INFINITY;
+        let mut seen = 0usize;
+        while left > 0 {
+            let len = left.min(DRAWS_PER_PASS);
+            left -= len;
+            self.scratch.resize(len, 0);
+            self.rng.fill_below(n, &mut self.scratch);
+            let mut rest = &self.scratch[..];
+            while !rest.is_empty() {
+                let (group, tail) = rest.split_at((d - seen).min(rest.len()));
+                for &candidate in group {
+                    let candidate = candidate as usize;
+                    // The f64 view is deliberate: it is exactly the
+                    // comparison `decide` makes, so block and per-request
+                    // paths tie-break identically.
+                    let load = self.snapshot[candidate] as f64;
+                    if load < best_load {
+                        best = candidate;
+                        best_load = load;
+                    }
                 }
+                seen += group.len();
+                if seen == d {
+                    out.push(best);
+                    best_load = f64::INFINITY;
+                    seen = 0;
+                }
+                rest = tail;
             }
-            out.push(best);
         }
         self.since_refresh += run as u64;
     }
@@ -260,6 +284,38 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(alloc.decide(&req), 1, "must chase the snapshot's empty bin");
         }
+    }
+
+    #[test]
+    fn decide_run_scratch_stays_bounded_at_the_widest_d() {
+        // A peer may ask for d = 65 535 in a 64-deep window: the scratch
+        // must stay at one pass, and the bins must still equal 64
+        // successive `decide` calls.
+        let n = 1_000;
+        let loads: Vec<u64> = (0..n as u64).map(|i| (i * 7_919) % 97).collect();
+        let req = Request {
+            d: usize::from(u16::MAX),
+            ..Request::two_choice()
+        };
+        let primed = || {
+            let mut alloc = SnapshotAllocator::new(n, Staleness::Batch { b: 64 }, 11);
+            alloc.snapshot_mut().copy_from_slice(&loads);
+            alloc.note_refresh(0);
+            alloc
+        };
+        let mut block = primed();
+        let mut bins = Vec::new();
+        block.decide_run(&req, 64, &mut bins);
+        assert!(
+            block.scratch.capacity() <= DRAWS_PER_PASS,
+            "scratch grew to {} draws",
+            block.scratch.capacity()
+        );
+        let mut single = primed();
+        let expected: Vec<usize> = (0..64).map(|_| single.decide(&req)).collect();
+        assert_eq!(bins, expected);
+        assert_eq!(block.rng, single.rng);
+        assert_eq!(block.until_refresh(64), single.until_refresh(64));
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! This crate turns the processes of `balloc-core`/`balloc-noise` into the
 //! experiments of the paper's Section 12:
 //!
-//! * [`RunConfig`] / [`run`] / [`run_traced`] — a single seeded run with
-//!   optional gap traces ([`Checkpoints`]), driven through each process's
-//!   batched engine with instrumentation behind the zero-cost
-//!   [`StepObserver`] hook ([`run_observed`]);
+//! * [`RunConfig`] / [`run`] / [`run_traced`] / [`run_on_state`] — a
+//!   single seeded run with optional gap traces ([`Checkpoints`]), all
+//!   through one driver over each process's batched engine that pauses
+//!   only at the requested checkpoints;
 //! * [`repeat`] — parallel repetitions with derived per-run seeds
 //!   (sequential ≡ parallel, always);
 //! * [`repeat_grid`] — many configurations × many repetitions flattened
@@ -77,10 +77,7 @@ mod vclock;
 pub use config::{Checkpoints, RunConfig};
 pub use distribution::GapDistribution;
 pub use report::{csv_escape, to_json, Block, OutputMode, OutputSink, Report, TextTable};
-pub use runner::{
-    gaps, repeat, repeat_grid, repeat_grid_traced, repeat_traced, run, run_observed, run_on_state,
-    run_traced, GapTrace, NoObserver, RunResult, StepObserver, TracePoint,
-};
+pub use runner::{gaps, repeat, repeat_grid, run, run_on_state, run_traced, RunResult, TracePoint};
 pub use schedule::ArrivalSchedule;
-pub use sweep::{series, sweep, sweep_traced, SweepPoint};
+pub use sweep::{series, sweep, SweepPoint};
 pub use vclock::{DeadlineExpired, DeadlineScope, VClock};

@@ -6,19 +6,18 @@
 //! [`run_seed(s, i)`](balloc_core::rng::run_seed), so sequential and
 //! parallel execution produce **identical** results.
 //!
-//! The step loop is a monomorphized driver over
-//! [`Process::run_batch`](balloc_core::Process::run_batch): instrumentation
-//! lives behind the [`StepObserver`] hook, so an unobserved run
-//! ([`NoObserver`]) compiles down to a single `run_batch` call on the
-//! concrete process type — no per-ball virtual dispatch, no checkpoint
-//! bookkeeping — while gap tracing ([`GapTrace`]) only pauses the batched
-//! engine at its checkpoints.
+//! One private driver runs every allocation: it calls
+//! [`Process::run_batch`](balloc_core::Process::run_batch) on the concrete
+//! process type up to each requested checkpoint and records `(balls, gap)`
+//! there. An untraced run is a single `run_batch` call, with no per-ball
+//! virtual dispatch and no checkpoint bookkeeping. [`run`], [`run_traced`]
+//! and [`run_on_state`] are its three entry points.
 //!
-//! Execution: [`repeat`]/[`repeat_traced`] are thin wrappers over
-//! [`repeat_grid`], which schedules a whole `configs × runs` grid as
-//! **one** flattened task set on scoped worker threads that claim task
-//! indices from a shared counter, so multi-point experiments keep every
-//! worker busy even when single points have few repetitions.
+//! Execution: [`repeat`] is a thin wrapper over [`repeat_grid`], which
+//! schedules a whole `configs × runs` grid as **one** flattened task set
+//! on scoped worker threads that claim task indices from a shared counter,
+//! so multi-point experiments keep every worker busy even when single
+//! points have few repetitions.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -65,138 +64,32 @@ impl RunResult {
     }
 }
 
-/// A hook observing the state of a run at self-chosen step counts.
-///
-/// The driver behind [`run_observed`] runs the process's batched engine in
-/// segments: before each segment it asks the observer for its next stop,
-/// runs [`Process::run_batch`] up to it, and hands the observer the state.
-/// An observer that never stops ([`NoObserver`]) therefore costs exactly
-/// nothing: the driver monomorphizes to a single `run_batch` call, with no
-/// per-ball (or even per-segment) instrumentation in the hot loop.
-pub trait StepObserver {
-    /// The next step count (balls allocated within this drive, exclusive of
-    /// already-completed `done`) at which the driver must pause and call
-    /// [`record`](Self::record), or `None` to run to the end uninterrupted.
-    ///
-    /// Returned targets are clamped to `(done, total]` by the driver, so an
-    /// observer cannot stall progress.
-    fn next_stop(&mut self, done: u64, total: u64) -> Option<u64>;
-
-    /// Called with the live state at every stop returned by
-    /// [`next_stop`](Self::next_stop) (after clamping). Not called at the
-    /// end of a run unless the final step was itself a requested stop.
-    fn record(&mut self, state: &LoadState);
-}
-
-/// The zero-cost observer: never stops, never records.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoObserver;
-
-impl StepObserver for NoObserver {
-    #[inline]
-    fn next_stop(&mut self, _done: u64, _total: u64) -> Option<u64> {
-        None
-    }
-
-    #[inline]
-    fn record(&mut self, _state: &LoadState) {}
-}
-
-/// An observer recording `(step, gap)` trace points at fixed checkpoints.
-///
-/// # Examples
-///
-/// ```
-/// use balloc_core::TwoChoice;
-/// use balloc_sim::{run_observed, Checkpoints, GapTrace, RunConfig};
-///
-/// let mut tracer = GapTrace::at(Checkpoints::Linear(4), 1_000);
-/// let result = run_observed(
-///     &mut TwoChoice::classic(),
-///     RunConfig::new(32, 1_000, 3),
-///     &mut tracer,
-/// );
-/// let trace = tracer.into_trace();
-/// assert_eq!(trace.len(), 4);
-/// assert_eq!(trace.last().unwrap().step, 1_000);
-/// assert!((trace.last().unwrap().gap - result.gap).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct GapTrace {
-    stops: Vec<u64>,
-    next: usize,
-    trace: Vec<TracePoint>,
-}
-
-impl GapTrace {
-    /// An observer stopping at `checkpoints.steps(total)`.
-    #[must_use]
-    pub fn at(checkpoints: Checkpoints, total: u64) -> Self {
-        Self::with_stops(checkpoints.steps(total))
-    }
-
-    /// An observer stopping at the given (sorted, deduplicated) step
-    /// counts.
-    #[must_use]
-    pub fn with_stops(stops: Vec<u64>) -> Self {
-        let capacity = stops.len();
-        Self {
-            stops,
-            next: 0,
-            trace: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// The recorded trace, in stop order. Steps are the state's absolute
-    /// ball count at each stop (which differs from the relative stop step
-    /// when driving a pre-loaded state).
-    #[must_use]
-    pub fn into_trace(self) -> Vec<TracePoint> {
-        self.trace
-    }
-}
-
-impl StepObserver for GapTrace {
-    fn next_stop(&mut self, _done: u64, _total: u64) -> Option<u64> {
-        self.stops.get(self.next).copied()
-    }
-
-    fn record(&mut self, state: &LoadState) {
-        self.next += 1;
-        self.trace.push(TracePoint {
-            step: state.balls(),
-            gap: state.gap(),
-        });
-    }
-}
-
-/// The monomorphized step driver: runs `steps` allocations of `process` on
-/// `state` through [`Process::run_batch`], pausing only where `observer`
-/// asks to look.
-fn drive<P: Process, O: StepObserver>(
+/// The one step driver: runs `steps` allocations of `process` on `state`
+/// through [`Process::run_batch`], pausing at each of the sorted,
+/// deduplicated `stops` (counted from the start of this drive, each in
+/// `1..=steps`) to record the state's absolute ball count and gap there.
+/// With no stops it is a single `run_batch` call.
+fn drive<P: Process>(
     process: &mut P,
     state: &mut LoadState,
     steps: u64,
     rng: &mut Rng,
-    observer: &mut O,
-) {
+    stops: &[u64],
+) -> Vec<TracePoint> {
+    let mut trace = Vec::with_capacity(stops.len());
     let mut done = 0u64;
-    while done < steps {
-        match observer.next_stop(done, steps) {
-            Some(t) => {
-                let target = t.clamp(done + 1, steps);
-                process.run_batch(state, target - done, rng);
-                done = target;
-                observer.record(state);
-            }
-            None => {
-                // No more stops requested: run the rest uninterrupted,
-                // without a phantom record at the end.
-                process.run_batch(state, steps - done, rng);
-                done = steps;
-            }
-        }
+    for &stop in stops {
+        process.run_batch(state, stop - done, rng);
+        done = stop;
+        trace.push(TracePoint {
+            step: state.balls(),
+            gap: state.gap(),
+        });
     }
+    if done < steps {
+        process.run_batch(state, steps - done, rng);
+    }
+    trace
 }
 
 /// Runs `process` on a fresh [`LoadState`] for `config.m` allocations.
@@ -216,47 +109,33 @@ fn drive<P: Process, O: StepObserver>(
 /// ```
 #[must_use]
 pub fn run<P: Process>(process: &mut P, config: RunConfig) -> RunResult {
-    run_observed(process, config, &mut NoObserver)
+    run_traced(process, config, Checkpoints::None)
 }
 
-/// Runs `process` under an arbitrary [`StepObserver`].
-///
-/// This is the primitive beneath [`run`] and [`run_traced`]: the observer
-/// decides where the batched engine pauses, and whatever it records stays
-/// in the observer (the returned result carries an empty trace).
-pub fn run_observed<P: Process, O: StepObserver>(
-    process: &mut P,
-    config: RunConfig,
-    observer: &mut O,
-) -> RunResult {
-    process.reset();
-    let mut state = LoadState::new(config.n);
-    let mut rng = Rng::from_seed(config.seed);
-    drive(process, &mut state, config.m, &mut rng, observer);
-    RunResult {
-        config,
-        gap: state.gap(),
-        integer_gap: state.integer_gap(),
-        max_load: state.max_load(),
-        min_load: state.min_load(),
-        trace: Vec::new(),
-    }
-}
-
-/// Runs `process`, recording the gap at the given checkpoints.
+/// Runs `process` like [`run`], recording the gap at the given
+/// checkpoints. [`Checkpoints::None`] records no trace at all.
 #[must_use]
 pub fn run_traced<P: Process>(
     process: &mut P,
     config: RunConfig,
     checkpoints: Checkpoints,
 ) -> RunResult {
-    if matches!(checkpoints, Checkpoints::None) {
-        return run_observed(process, config, &mut NoObserver);
+    let stops = match checkpoints {
+        Checkpoints::None => Vec::new(),
+        _ => checkpoints.steps(config.m),
+    };
+    process.reset();
+    let mut state = LoadState::new(config.n);
+    let mut rng = Rng::from_seed(config.seed);
+    let trace = drive(process, &mut state, config.m, &mut rng, &stops);
+    RunResult {
+        config,
+        gap: state.gap(),
+        integer_gap: state.integer_gap(),
+        max_load: state.max_load(),
+        min_load: state.min_load(),
+        trace,
     }
-    let mut tracer = GapTrace::at(checkpoints, config.m);
-    let mut result = run_observed(process, config, &mut tracer);
-    result.trace = tracer.into_trace();
-    result
 }
 
 /// Runs `runs` independent repetitions of an experiment, optionally in
@@ -291,28 +170,8 @@ where
     P: Process,
     F: Fn() -> P + Sync,
 {
-    repeat_traced(factory, base, runs, threads, Checkpoints::None)
-}
-
-/// [`repeat`] with gap traces at the given checkpoints.
-///
-/// # Panics
-///
-/// Panics if `runs == 0` or `threads == 0`.
-#[must_use]
-pub fn repeat_traced<P, F>(
-    factory: F,
-    base: RunConfig,
-    runs: usize,
-    threads: usize,
-    checkpoints: Checkpoints,
-) -> Vec<RunResult>
-where
-    P: Process,
-    F: Fn() -> P + Sync,
-{
     assert!(runs > 0, "need at least one run");
-    let mut points = repeat_grid_traced(&[base], |_| factory(), runs, threads, checkpoints);
+    let mut points = repeat_grid(&[base], |_| factory(), runs, threads);
     points.pop().expect("one config yields one result block")
 }
 
@@ -354,26 +213,6 @@ where
     P: Process,
     F: Fn(usize) -> P + Sync,
 {
-    repeat_grid_traced(configs, factory, runs, threads, Checkpoints::None)
-}
-
-/// [`repeat_grid`] with gap traces at the given checkpoints.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty, `runs == 0`, or `threads == 0`.
-#[must_use]
-pub fn repeat_grid_traced<P, F>(
-    configs: &[RunConfig],
-    factory: F,
-    runs: usize,
-    threads: usize,
-    checkpoints: Checkpoints,
-) -> Vec<Vec<RunResult>>
-where
-    P: Process,
-    F: Fn(usize) -> P + Sync,
-{
     assert!(!configs.is_empty(), "need at least one configuration");
     assert!(runs > 0, "need at least one run");
     assert!(threads > 0, "need at least one thread");
@@ -382,12 +221,7 @@ where
         let k = task / runs;
         let i = (task % runs) as u64;
         let config = configs[k];
-        let mut process = factory(k);
-        run_traced(
-            &mut process,
-            config.with_seed(run_seed(config.seed, i)),
-            checkpoints,
-        )
+        run(&mut factory(k), config.with_seed(run_seed(config.seed, i)))
     });
     let mut results = results.into_iter();
     (0..configs.len())
@@ -455,7 +289,8 @@ pub fn gaps(results: &[RunResult]) -> Vec<f64> {
 
 /// Runs `process` for `steps` allocations **on an existing state**,
 /// recording the gap at the given checkpoints (relative to the state's
-/// current ball count).
+/// current ball count). Unlike [`run_traced`], [`Checkpoints::None`]
+/// still records the final point.
 ///
 /// This is the entry point for *recovery* experiments (paper Fig. 5.3):
 /// start from a corrupted vector built by [`crate::initial`] and watch the
@@ -488,9 +323,7 @@ pub fn run_on_state<P: Process>(
     checkpoints: Checkpoints,
     rng: &mut Rng,
 ) -> Vec<TracePoint> {
-    let mut tracer = GapTrace::at(checkpoints, steps);
-    drive(process, state, steps, rng, &mut tracer);
-    tracer.into_trace()
+    drive(process, state, steps, rng, &checkpoints.steps(steps))
 }
 
 #[cfg(test)]
@@ -539,14 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn observed_run_with_no_observer_matches_plain_run() {
-        let config = RunConfig::new(64, 2_000, 9);
-        let plain = run(&mut TwoChoice::classic(), config);
-        let observed = run_observed(&mut TwoChoice::classic(), config, &mut NoObserver);
-        assert_eq!(plain, observed);
-    }
-
-    #[test]
     fn traced_run_is_bit_identical_to_untraced() {
         // Pausing the batched engine at checkpoints must not change the
         // result: the trace is pure observation.
@@ -565,64 +390,20 @@ mod tests {
     }
 
     #[test]
-    fn custom_observer_sees_requested_stops() {
-        #[derive(Default)]
-        struct EveryK {
-            k: u64,
-            seen: Vec<u64>,
+    fn run_traced_and_run_on_state_share_one_driver() {
+        // On a fresh state, a reset process driven through `run_on_state`
+        // records exactly the trace `run_traced` records.
+        let config = RunConfig::new(24, 1_200, 8);
+        for checkpoints in [Checkpoints::Linear(6), Checkpoints::Geometric(3)] {
+            let traced = run_traced(&mut TwoChoice::classic(), config, checkpoints);
+            let mut process = TwoChoice::classic();
+            process.reset();
+            let mut state = LoadState::new(config.n);
+            let mut rng = Rng::from_seed(config.seed);
+            let trace = run_on_state(&mut process, &mut state, config.m, checkpoints, &mut rng);
+            assert_eq!(traced.trace, trace, "{checkpoints:?}");
+            assert_eq!(traced.gap, state.gap(), "{checkpoints:?}");
         }
-        impl StepObserver for EveryK {
-            fn next_stop(&mut self, done: u64, total: u64) -> Option<u64> {
-                Some((done + self.k).min(total))
-            }
-            fn record(&mut self, state: &LoadState) {
-                self.seen.push(state.balls());
-            }
-        }
-        let mut obs = EveryK {
-            k: 300,
-            seen: Vec::new(),
-        };
-        let _ = run_observed(
-            &mut TwoChoice::classic(),
-            RunConfig::new(16, 1_000, 1),
-            &mut obs,
-        );
-        assert_eq!(obs.seen, vec![300, 600, 900, 1000]);
-    }
-
-    #[test]
-    fn observer_with_early_last_stop_records_nothing_extra() {
-        // Regression: the driver must not record a phantom point for the
-        // final uninterrupted segment after next_stop returns None.
-        let mut tracer = GapTrace::with_stops(vec![300]);
-        let _ = run_observed(
-            &mut TwoChoice::classic(),
-            RunConfig::new(16, 1_000, 4),
-            &mut tracer,
-        );
-        let trace = tracer.into_trace();
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace[0].step, 300);
-    }
-
-    #[test]
-    fn ill_behaved_observer_cannot_stall_the_driver() {
-        // An observer returning a stop at-or-before `done` is clamped
-        // forward, so the run still terminates and allocates every ball.
-        struct Stuck;
-        impl StepObserver for Stuck {
-            fn next_stop(&mut self, _done: u64, _total: u64) -> Option<u64> {
-                Some(0)
-            }
-            fn record(&mut self, _state: &LoadState) {}
-        }
-        let r = run_observed(
-            &mut TwoChoice::classic(),
-            RunConfig::new(8, 40, 2),
-            &mut Stuck,
-        );
-        assert_eq!(r.config.m, 40);
     }
 
     #[test]

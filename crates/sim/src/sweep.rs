@@ -6,18 +6,18 @@
 //! returns one [`SweepPoint`] per value.
 //!
 //! Scheduling: the whole `params × runs` grid is flattened into **one**
-//! task set (via [`repeat_grid_traced`](crate::repeat_grid_traced)), so a
-//! 10-point × 100-repetition figure keeps every worker busy until the last
-//! task, instead of parallelizing only within one point at a time.
+//! task set (via [`repeat_grid`](crate::repeat_grid)), so a 10-point ×
+//! 100-repetition figure keeps every worker busy until the last task,
+//! instead of parallelizing only within one point at a time.
 
 use balloc_core::rng::point_seed;
 use balloc_core::stats::Summary;
 use balloc_core::Process;
 use serde::{Deserialize, Serialize};
 
-use crate::config::{Checkpoints, RunConfig};
+use crate::config::RunConfig;
 use crate::distribution::GapDistribution;
-use crate::runner::{gaps, repeat_grid_traced, RunResult};
+use crate::runner::{gaps, repeat_grid, RunResult};
 
 /// Aggregated results of all repetitions at a single parameter value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -105,36 +105,11 @@ where
     P: Process,
     F: Fn(f64) -> P + Sync,
 {
-    sweep_traced(params, factory, base, runs, threads, Checkpoints::None)
-}
-
-/// [`sweep`] with gap traces recorded at the given checkpoints.
-///
-/// Each [`RunResult`] inside the returned points carries its trace, so
-/// figure binaries can plot gap-vs-step curves per parameter value without
-/// a second pass.
-///
-/// # Panics
-///
-/// Panics if `params` is empty, `runs == 0`, or `threads == 0`.
-#[must_use]
-pub fn sweep_traced<P, F>(
-    params: &[f64],
-    factory: F,
-    base: RunConfig,
-    runs: usize,
-    threads: usize,
-    checkpoints: Checkpoints,
-) -> Vec<SweepPoint>
-where
-    P: Process,
-    F: Fn(f64) -> P + Sync,
-{
     assert!(!params.is_empty(), "sweep needs at least one parameter");
     let configs: Vec<RunConfig> = (0..params.len())
         .map(|j| base.with_seed(point_seed(base.seed, j as u64)))
         .collect();
-    let blocks = repeat_grid_traced(&configs, |j| factory(params[j]), runs, threads, checkpoints);
+    let blocks = repeat_grid(&configs, |j| factory(params[j]), runs, threads);
     params
         .iter()
         .zip(blocks)
@@ -217,25 +192,6 @@ mod tests {
         let (sa, sb) = (seeds(&a), seeds(&b));
         for s in &sa {
             assert!(!sb.contains(s), "run seed {s} appears in both sweeps");
-        }
-    }
-
-    #[test]
-    fn traced_sweep_carries_checkpoints() {
-        let base = RunConfig::new(16, 320, 9);
-        let points = sweep_traced(
-            &[1.0, 2.0],
-            |_| TwoChoice::classic(),
-            base,
-            3,
-            2,
-            Checkpoints::Linear(4),
-        );
-        for point in &points {
-            for result in &point.results {
-                assert_eq!(result.trace.len(), 4);
-                assert_eq!(result.trace.last().unwrap().step, 320);
-            }
         }
     }
 

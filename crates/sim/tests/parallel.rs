@@ -6,9 +6,7 @@ use std::collections::HashSet;
 use balloc_core::rng::{point_seed, run_seed};
 use balloc_core::TwoChoice;
 use balloc_noise::Batched;
-use balloc_sim::{
-    initial, repeat_traced, run_on_state, sweep, sweep_traced, Checkpoints, RunConfig, SweepPoint,
-};
+use balloc_sim::{initial, run_on_state, run_traced, sweep, Checkpoints, RunConfig, SweepPoint};
 use proptest::prelude::*;
 
 proptest! {
@@ -35,38 +33,17 @@ proptest! {
             prop_assert!(seen.insert(run_seed(base, i)), "repeat seed collision at i = {}", i);
         }
     }
-
-    /// Repetitions are thread-count-invariant for arbitrary run counts,
-    /// including checkpoint traces.
-    #[test]
-    fn repeat_traced_is_thread_invariant(
-        runs in 1usize..10,
-        threads in 2usize..9,
-        seed in any::<u64>(),
-    ) {
-        let base = RunConfig::new(32, 640, seed);
-        let sequential = repeat_traced(TwoChoice::classic, base, runs, 1, Checkpoints::Linear(3));
-        let parallel =
-            repeat_traced(TwoChoice::classic, base, runs, threads, Checkpoints::Linear(3));
-        prop_assert_eq!(sequential, parallel);
-    }
 }
 
-/// Sweeps schedule the whole `params × runs` grid on the pool; the result —
-/// including every trace checkpoint — must be byte-identical to `threads = 1`.
+/// Sweeps schedule the whole `params × runs` grid on the pool; every run
+/// result must be byte-identical to `threads = 1`. A sweep records no
+/// traces; traced runs go through `run_traced`, on the same driver.
 #[test]
 fn sweep_is_identical_across_thread_counts_including_traces() {
     let params = [1.0, 2.0, 3.0];
     let base = RunConfig::new(48, 480, 41);
     let sweep_at = |threads: usize| -> Vec<SweepPoint> {
-        sweep_traced(
-            &params,
-            |g| Batched::new(g as u64),
-            base,
-            5,
-            threads,
-            Checkpoints::Geometric(3),
-        )
+        sweep(&params, |g| Batched::new(g as u64), base, 5, threads)
     };
     let reference = sweep_at(1);
     for threads in [2usize, 7] {
@@ -74,8 +51,7 @@ fn sweep_is_identical_across_thread_counts_including_traces() {
     }
     for point in &reference {
         for result in &point.results {
-            assert!(!result.trace.is_empty());
-            assert_eq!(result.trace.last().unwrap().step, 480);
+            assert!(result.trace.is_empty());
         }
     }
 }
@@ -107,17 +83,13 @@ fn adjacent_sweeps_are_seed_disjoint() {
 /// than steps must not record a meaningless (0, 0.0) point.
 #[test]
 fn traces_never_record_step_zero() {
-    let results = repeat_traced(
-        TwoChoice::classic,
+    let result = run_traced(
+        &mut TwoChoice::classic(),
         RunConfig::new(8, 2, 3),
-        2,
-        1,
         Checkpoints::Linear(5),
     );
-    for result in &results {
-        let steps: Vec<u64> = result.trace.iter().map(|t| t.step).collect();
-        assert_eq!(steps, vec![1, 2]);
-    }
+    let steps: Vec<u64> = result.trace.iter().map(|t| t.step).collect();
+    assert_eq!(steps, vec![1, 2]);
 }
 
 /// Regression (`Batched` boundary alignment): resyncing on a recovery state
