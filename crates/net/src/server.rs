@@ -267,11 +267,13 @@ impl NetServer {
     }
 }
 
-/// Whether the decision rule accepts `req`: at least one candidate bin,
-/// and a noise deviation that is finite and non-negative. A well-framed
-/// `ALLOC` can carry anything else, and deciding it would panic.
-fn decidable(req: &Request) -> bool {
-    req.d > 0
+/// Whether the server decides `req` over `n` bins: between one and `n`
+/// candidate bins, and a noise deviation that is finite and
+/// non-negative. A well-framed `ALLOC` can carry anything else; deciding
+/// `d = 0` or a bad deviation would panic, and a `d` past `n` only costs
+/// the reactor draws (up to 65 535 per request) that one peer chooses.
+fn decidable(req: &Request, n: usize) -> bool {
+    (1..=n).contains(&req.d)
         && match req.noise {
             NoiseMode::Snapshot => true,
             NoiseMode::Noisy { sigma } => sigma >= 0.0 && sigma.is_finite(),
@@ -442,7 +444,7 @@ impl Reactor {
                             d: usize::from(d),
                             noise,
                         };
-                        if decidable(&req) {
+                        if decidable(&req, self.cfg.n) {
                             self.dispatch_alloc(entry, req_id, req, &mut template);
                         } else {
                             // Answered in order, and the connection stays.

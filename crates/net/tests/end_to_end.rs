@@ -261,9 +261,10 @@ fn malformed_frames_get_error_replies_not_panics() {
 fn undecidable_allocs_are_malformed_not_reactor_panics() {
     let (addr, shutdown, join) = spawn_server(inline_cfg(16, 2, 16, 5));
 
-    // Well-framed ALLOCs the decision rule cannot serve: no candidate
-    // bin, a negative deviation, and a NaN one. Each is answered
-    // `Malformed` in order, and the connection keeps serving.
+    // Well-framed ALLOCs the server does not decide: no candidate bin,
+    // a negative deviation, a NaN one, and more candidates than the 16
+    // bins. Each is answered `Malformed` in order, and the connection
+    // keeps serving, `d = n` included.
     let mut bytes = Vec::new();
     encode(&Frame::hello(0), &mut bytes);
     let bad = [
@@ -279,14 +280,27 @@ fn undecidable_allocs_are_malformed_not_reactor_panics() {
             d: 2,
             noise: NoiseMode::Noisy { sigma: f64::NAN },
         },
+        Request {
+            d: 17,
+            noise: NoiseMode::Snapshot,
+        },
+        Request {
+            d: usize::from(u16::MAX),
+            noise: NoiseMode::Snapshot,
+        },
     ];
     for (req_id, req) in (1u64..).zip(&bad) {
         encode(&Frame::alloc(req_id, req), &mut bytes);
     }
-    encode(&Frame::alloc(4, &Request::two_choice()), &mut bytes);
-    let frames = raw_exchange(addr, &bytes, 4);
-    assert_eq!(frames.len(), 4, "{frames:?}");
-    for (req_id, frame) in (1u64..).zip(&frames[..3]) {
+    let widest = Request {
+        d: 16,
+        noise: NoiseMode::Snapshot,
+    };
+    encode(&Frame::alloc(6, &widest), &mut bytes);
+    encode(&Frame::alloc(7, &Request::two_choice()), &mut bytes);
+    let frames = raw_exchange(addr, &bytes, 7);
+    assert_eq!(frames.len(), 7, "{frames:?}");
+    for (req_id, frame) in (1u64..).zip(&frames[..5]) {
         assert_eq!(
             *frame,
             Frame::RespErr {
@@ -296,15 +310,21 @@ fn undecidable_allocs_are_malformed_not_reactor_panics() {
         );
     }
     assert!(
-        matches!(frames[3], Frame::RespBin { req_id: 4, .. }),
+        matches!(
+            frames[5..],
+            [
+                Frame::RespBin { req_id: 6, .. },
+                Frame::RespBin { req_id: 7, .. }
+            ]
+        ),
         "the connection must survive undecidable requests: {frames:?}"
     );
 
     shutdown.shutdown();
     let server = join.join().expect("server thread");
-    assert_eq!(server.served, 1);
-    assert_eq!(server.state.balls(), 1);
-    assert_eq!(server.protocol_errors, 3);
+    assert_eq!(server.served, 2);
+    assert_eq!(server.state.balls(), 2);
+    assert_eq!(server.protocol_errors, 5);
 }
 
 #[test]

@@ -128,7 +128,8 @@ impl SnapshotAllocator {
         Self::new(n, staleness, point_seed(seed, w as u64))
     }
 
-    /// Refreshes the snapshot from `sink` if it is stale at clock `now`.
+    /// Refreshes the snapshot from `sink` if it is stale at clock `now`,
+    /// by a [catch-up](LoadSink::catch_up).
     #[inline]
     pub(crate) fn refresh_if_stale(
         &mut self,
@@ -136,7 +137,7 @@ impl SnapshotAllocator {
         sink: &mut impl LoadSink,
     ) -> Result<(), ServeError> {
         if self.needs_refresh(now) {
-            sink.refresh(self.snapshot_mut())?;
+            self.catch_up(sink)?;
             self.note_refresh(now);
         }
         Ok(())

@@ -20,10 +20,10 @@
 //!  ┌────────────────────────────┐         ┌──────────────────────────┐
 //!  │ worker w's stack           │  apply  │ DirectCluster            │
 //!  │  (middleware layers)       │────────▶│  LoadState (all n bins)  │
-//!  │   └ SnapshotService        │         │  ShardDirectory: routing │
-//!  │      snapshot ◀────────────│◀────────│   (bins s·n/S..(s+1)n/S) │
-//!  │      (refresh: b / τ)      │ refresh └──────────────────────────┘
-//!  └────────────────────────────┘
+//!  │   └ SnapshotService        │         │  change log (n/4 ring)   │
+//!  │      snapshot ◀────────────│◀────────│  ShardDirectory: routing │
+//!  │      (refresh: b / τ)      │catch-up │   (bins s·n/S..(s+1)n/S) │
+//!  └────────────────────────────┘         └──────────────────────────┘
 //!            × workers
 //! ```
 //!
@@ -33,7 +33,8 @@
 //!   typed drops;
 //! * [`SnapshotAllocator`]/[`Staleness`] — the decision state: private
 //!   snapshots refreshed every `b` own requests (`b-Batch`) or at age `τ`
-//!   (`τ-Delay`);
+//!   (`τ-Delay`), each refresh copying only the bins changed since the
+//!   last one while the store's change log still covers them;
 //! * one deterministic driver behind [`run_replay`], [`run_resilient`]
 //!   and [`run_churn`]: a round-robin slot loop over per-worker stacks
 //!   with a per-slot engine hook, one [`DirectCluster`] store, and one

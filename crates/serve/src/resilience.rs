@@ -249,8 +249,9 @@ impl Service<Request> for FaultyAlloc {
     fn call(&mut self, req: Request) -> Result<Response, ServeError> {
         let now = self.completed.now();
         if self.alloc.needs_refresh(now) {
-            // The corruption epoch: this leaf's refresh count, this one
-            // included.
+            // A full refresh: corruption rewrites whole ranges of the
+            // snapshot, so no catch-up mark survives it. The corruption
+            // epoch is this leaf's refresh count, this one included.
             let epoch = self.alloc.refreshes() + 1;
             let snapshot = self.alloc.snapshot_mut();
             let mut store = self.backend.store.borrow_mut();

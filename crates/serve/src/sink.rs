@@ -34,6 +34,27 @@ pub trait LoadSink {
     /// Returns the back-pressure error of the store, like
     /// [`apply`](Self::apply).
     fn refresh(&mut self, snapshot: &mut [u64]) -> Result<(), ServeError>;
+
+    /// Brings `snapshot` up to date and returns the mark of the reading it
+    /// leaves. `mark` is what the previous catch-up into this unchanged
+    /// snapshot returned, or `None` if there was none or the snapshot was
+    /// written since. A store that logs its changes (the direct store)
+    /// copies only the bins changed since `mark` and returns its change
+    /// number; the default is a full [`refresh`](Self::refresh) and no
+    /// mark.
+    ///
+    /// # Errors
+    ///
+    /// Returns the store's rejection, like [`refresh`](Self::refresh).
+    fn catch_up(
+        &mut self,
+        snapshot: &mut [u64],
+        mark: Option<u64>,
+    ) -> Result<Option<u64>, ServeError> {
+        let _ = mark;
+        self.refresh(snapshot)?;
+        Ok(None)
+    }
 }
 
 /// The engine clock: completed requests across all workers — the "slots"
@@ -261,6 +282,31 @@ mod tests {
         blocked.call_block(&req, 300, &mut |r| got.push(r.unwrap().bin));
         assert_eq!(got, expect);
         assert_eq!(blocked.refreshes(), per_request.refreshes());
+    }
+
+    #[test]
+    fn shared_direct_store_refreshes_copy_only_the_last_window() {
+        // The TCP front-end's shape: n = 10⁴, b = 64, one client sending
+        // 64-request windows over a shared direct store. The first
+        // refresh copies all n loads; every later one copies the b bins
+        // the previous window changed (n each if the `Rc<RefCell<_>>`
+        // sink fell back to the full refresh).
+        let (n, b, windows) = (10_000usize, 64u64, 300u64);
+        let store = Rc::new(std::cell::RefCell::new(crate::DirectCluster::new(n, 4)));
+        let mut leaf = SnapshotService::new(
+            SnapshotAllocator::for_worker(n, Staleness::Batch { b }, 5, 0),
+            Rc::clone(&store),
+            ServeClock::new(),
+        );
+        for _ in 0..windows {
+            leaf.call_block(&Request::two_choice(), b, &mut |r| {
+                r.unwrap();
+            });
+        }
+        assert_eq!(leaf.refreshes(), windows);
+        let store = store.borrow();
+        assert_eq!(store.balls(), windows * b);
+        assert_eq!(store.loads_copied(), n as u64 + (windows - 1) * b);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 
 use balloc_core::Rng;
 
-use crate::service::{decide, NoiseMode, Request};
+use crate::service::{decide, NoiseMode, Request, ServeError};
+use crate::sink::LoadSink;
 
 /// Candidate draws [`SnapshotAllocator::decide_run`] fills and scans per
 /// pass. It bounds the allocator's scratch to one pass (8 KiB of draws),
@@ -85,6 +86,9 @@ pub struct SnapshotAllocator {
     /// always refresh: a zeroed snapshot is not a reading of anything).
     primed: bool,
     refreshes: u64,
+    /// The store's mark for the snapshot's last catch-up (see
+    /// [`LoadSink::catch_up`]); `None` once anything else wrote it.
+    mark: Option<u64>,
     /// Candidate scratch for [`decide_run`](Self::decide_run) — kept on
     /// the allocator so block dispatch allocates nothing per block, and
     /// never longer than [`DRAWS_PER_PASS`].
@@ -109,6 +113,7 @@ impl SnapshotAllocator {
             snapped_at: 0,
             primed: false,
             refreshes: 0,
+            mark: None,
             scratch: Vec::new(),
         }
     }
@@ -126,9 +131,24 @@ impl SnapshotAllocator {
         }
     }
 
-    /// The snapshot buffer, for a refresh to overwrite.
+    /// The snapshot buffer, for a refresh to overwrite. The next
+    /// catch-up copies all `n` loads, whatever was written here.
     pub fn snapshot_mut(&mut self) -> &mut [u64] {
+        self.mark = None;
         &mut self.snapshot
+    }
+
+    /// The snapshot decisions read.
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> &[u64] {
+        &self.snapshot
+    }
+
+    /// Brings the snapshot up to date from `sink`, copying only what
+    /// changed since the last catch-up when the sink can tell.
+    pub(crate) fn catch_up(&mut self, sink: &mut impl LoadSink) -> Result<(), ServeError> {
+        self.mark = sink.catch_up(&mut self.snapshot, self.mark.take())?;
+        Ok(())
     }
 
     /// Records that the snapshot was just refreshed at clock `now`.

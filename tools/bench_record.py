@@ -3,6 +3,7 @@
 
     python3 tools/bench_record.py PARENT_TARGET CHANGE_TARGET [--trace 0|1] [--label TEXT]
     python3 tools/bench_record.py PARENT_TARGET CHANGE_TARGET [--trace 0|1] --compare [--bounds]
+    python3 tools/bench_record.py PARENT_TARGET CHANGE_TARGET [--trace 0|1] --claim WORKLOAD/METRIC
 
 PARENT_TARGET and CHANGE_TARGET are the `$CARGO_TARGET_DIR`s that
 `perfbench/run.py` ran with for the parent and the change build. Every
@@ -34,6 +35,13 @@ end-to-end metrics: such a row is flagged only when the change median is
 worse than the parent median by more than the metric's relative `bound` in
 `BENCHMARK.json`, in the metric's `better` direction. Rows of metrics
 without a bound keep the quartile rule.
+
+`--claim WORKLOAD/METRIC` (repeatable) writes nothing and applies the
+benchmark's rule for claiming a gain to that row: at least ten pairs, the
+change strictly better in at least nine of every ten (a tie counts for
+neither side), and the change median better than the parent median by
+more than the parent's q3 - q1. It prints the verdict of each claim and
+exits 1 if any claim is not met. With `--compare` both checks run.
 """
 
 import argparse
@@ -174,6 +182,64 @@ def flagged(rows, better, bounds):
                 else outside_quartiles(r))]
 
 
+def compare(entry, better, rule):
+    """Prints every row, flagged or ok by `rule`; returns 1 if any is flagged."""
+    bad = flagged(entry["rows"], better, rule)
+    for r in entry["rows"]:
+        mark = "FLAG" if r in bad else "ok"
+        p, c = r["parent"], r["change"]
+        how = f"bound {rule[r['metric']]:g}" if r["metric"] in rule else "quartiles"
+        print(f"{mark:4} {r['workload']:15} {r['metric']:28} parent {p['median']:.6g} "
+              f"[{p['q1']:.6g}, {p['q3']:.6g}]  change {c['median']:.6g}  "
+              f"won {r['pairs_won']}  ({how})")
+    print(f"bench_record: {len(bad)} of {len(entry['rows'])} rows flagged")
+    return 1 if bad else 0
+
+
+CLAIM_PAIRS = 10
+
+
+def claim_failures(row, pairs, better):
+    """Why `row` fails the claim rule over `pairs` pairs; empty if it holds."""
+    sign = 1 if better[row["metric"]] == "higher" else -1
+    gain = sign * (row["change"]["median"] - row["parent"]["median"])
+    spread = row["parent"]["q3"] - row["parent"]["q1"]
+    failures = []
+    if pairs < CLAIM_PAIRS:
+        failures.append(f"{pairs} pairs, fewer than {CLAIM_PAIRS}")
+    if 10 * row["pairs_won"] < 9 * pairs:
+        failures.append(f"won {row['pairs_won']} of {pairs} pairs, fewer than 9 in 10")
+    if not gain > spread:
+        failures.append(f"median gain {gain:.6g} does not exceed the parent's "
+                        f"q3 - q1 = {spread:.6g}")
+    return failures
+
+
+def check_claims(entry, claims, better):
+    """Prints each claim's verdict; returns the number of claims not met."""
+    pairs = {p["workload"]: len(p["seeds"]) for p in entry["protocol"]}
+    unmet = 0
+    for claim in claims:
+        workload, _, metric = claim.partition("/")
+        row = next((r for r in entry["rows"]
+                    if r["workload"] == workload and r["metric"] == metric), None)
+        if row is None:
+            failures = ["no such row in the paired runs"]
+        elif metric not in better:
+            failures = ["BENCHMARK.json gives the metric no direction"]
+        else:
+            failures = claim_failures(row, pairs[workload], better)
+        unmet += bool(failures)
+        verdict = "met" if not failures else "NOT MET: " + "; ".join(failures)
+        detail = ""
+        if row is not None:
+            p, c = row["parent"], row["change"]
+            detail = (f" (parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}], "
+                      f"change {c['median']:.6g}, won {row['pairs_won']} of {pairs[workload]})")
+        print(f"claim {claim}: {verdict}{detail}")
+    return unmet
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_target")
@@ -186,6 +252,9 @@ def main():
     parser.add_argument("--bounds", action="store_true",
                         help="with --compare: flag end-to-end rows only when worse "
                              "than the parent median by more than their BENCHMARK.json bound")
+    parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD/METRIC",
+                        help="write nothing; exit 1 unless the change's gain on this row "
+                             "meets the benchmark's claim rule (repeatable)")
     args = parser.parse_args()
     if args.bounds and not args.compare:
         parser.error("--bounds needs --compare")
@@ -195,18 +264,10 @@ def main():
     better, bounds = benchmark_metrics()
     entry = build_entry(parent, change, better, args.trace, args.label)
 
-    if args.compare:
-        rule = bounds if args.bounds else {}
-        bad = flagged(entry["rows"], better, rule)
-        for r in entry["rows"]:
-            mark = "FLAG" if r in bad else "ok"
-            p, c = r["parent"], r["change"]
-            how = f"bound {rule[r['metric']]:g}" if r["metric"] in rule else "quartiles"
-            print(f"{mark:4} {r['workload']:15} {r['metric']:28} parent {p['median']:.6g} "
-                  f"[{p['q1']:.6g}, {p['q3']:.6g}]  change {c['median']:.6g}  "
-                  f"won {r['pairs_won']}  ({how})")
-        print(f"bench_record: {len(bad)} of {len(entry['rows'])} rows flagged")
-        return 1 if bad else 0
+    if args.compare or args.claim:
+        flagged_rows = compare(entry, better, bounds if args.bounds else {}) if args.compare else 0
+        unmet = check_claims(entry, args.claim, better)
+        return 1 if flagged_rows or unmet else 0
 
     path = os.path.join(ROOT, "BENCH_baseline.json")
     with open(path) as f:
