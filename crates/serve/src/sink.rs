@@ -184,7 +184,8 @@ impl<K: LoadSink> Service<Request> for SnapshotService<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Staleness;
+    use crate::{DirectCluster, Staleness};
+    use std::cell::RefCell;
 
     /// A sink over one plain load vector.
     struct VecSink(Vec<u64>);
@@ -292,7 +293,7 @@ mod tests {
         // the previous window changed (n each if the `Rc<RefCell<_>>`
         // sink fell back to the full refresh).
         let (n, b, windows) = (10_000usize, 64u64, 300u64);
-        let store = Rc::new(std::cell::RefCell::new(crate::DirectCluster::new(n, 4)));
+        let store = Rc::new(RefCell::new(DirectCluster::new(n, 4)));
         let mut leaf = SnapshotService::new(
             SnapshotAllocator::for_worker(n, Staleness::Batch { b }, 5, 0),
             Rc::clone(&store),
