@@ -6,12 +6,17 @@
 //! balloc <id> [flags]                run one experiment
 //! ```
 //!
-//! Exit codes: `0` success, `1` experiment failure, `2` usage error.
+//! Exit codes: `0` success, `1` experiment failure, `2` usage error. A
+//! reader that closes stdout early (`balloc list | head -1`) ends the run
+//! quietly with `0`; any other failed write to stdout is a failure.
+
+use std::fmt::Display;
+use std::io::{self, Write};
 
 use balloc_sim::{OutputMode, OutputSink, Report, TextTable};
 
 use crate::experiments::{self, Experiment};
-use crate::{BenchError, CommonArgs, ParseOutcome};
+use crate::{BenchError, CommonArgs, ExtraArgs, ParseOutcome};
 
 /// Exit code for usage errors.
 pub const EXIT_USAGE: i32 = 2;
@@ -27,6 +32,27 @@ enum Failure {
     UsageRun(String),
     /// Experiment runtime failure.
     Run(String),
+    /// The reader closed stdout: nothing is left to print to.
+    Closed,
+}
+
+/// Classifies a failed write to stdout.
+fn stdout_failure(e: &io::Error) -> Failure {
+    match e.kind() {
+        io::ErrorKind::BrokenPipe => Failure::Closed,
+        _ => Failure::Run(format!("writing to stdout: {e}")),
+    }
+}
+
+/// Writes `text` to stdout, like `print!`, but hands a failed write back
+/// instead of panicking on it.
+fn print(text: impl Display) -> Result<(), Failure> {
+    write!(io::stdout(), "{text}").map_err(|e| stdout_failure(&e))
+}
+
+/// Writes `text` and a newline to stdout (see [`print`]).
+fn println(text: impl Display) -> Result<(), Failure> {
+    print(format_args!("{text}\n"))
 }
 
 /// Runs the CLI on an explicit argument list (`std::env::args().skip(1)`),
@@ -41,7 +67,7 @@ pub fn run(argv: Vec<String>) -> i32 {
         return balloc_lint::cli::run(&argv[1..], &mut out, &mut err);
     }
     match dispatch(argv) {
-        Ok(()) => 0,
+        Ok(()) | Err(Failure::Closed) => 0,
         Err(Failure::UsageTop(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
@@ -73,15 +99,11 @@ fn runtime_failure(exp: &dyn Experiment, e: BenchError) -> Failure {
 fn dispatch(argv: Vec<String>) -> Result<(), Failure> {
     let mut argv = argv.into_iter();
     let Some(command) = argv.next() else {
-        println!("{}", usage());
-        return Ok(());
+        return println(usage());
     };
     match command.as_str() {
-        "--help" | "-h" | "help" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        "list" => list(argv).map_err(|e| Failure::UsageTop(e.to_string())),
+        "--help" | "-h" | "help" => println(usage()),
+        "list" => list(argv),
         "all" => run_all(argv),
         id => match experiments::find(id) {
             Some(exp) => run_one(exp, argv),
@@ -146,7 +168,7 @@ fn short_ref(paper_ref: &str) -> &str {
         .map_or(paper_ref, |(head, _)| head)
 }
 
-fn list(argv: impl Iterator<Item = String>) -> Result<(), BenchError> {
+fn list(argv: impl Iterator<Item = String>) -> Result<(), Failure> {
     let mut markdown = false;
     let mut ids_only = false;
     for flag in argv {
@@ -154,7 +176,7 @@ fn list(argv: impl Iterator<Item = String>) -> Result<(), BenchError> {
             "--markdown" => markdown = true,
             "--ids" => ids_only = true,
             other => {
-                return Err(BenchError::Usage(format!(
+                return Err(Failure::UsageTop(format!(
                     "unknown flag `{other}` for `balloc list` (expected --markdown or --ids)"
                 )))
             }
@@ -162,10 +184,10 @@ fn list(argv: impl Iterator<Item = String>) -> Result<(), BenchError> {
     }
     if ids_only {
         for exp in experiments::registry() {
-            println!("{}", exp.id());
+            println(exp.id())?;
         }
     } else if markdown {
-        print!("{}", markdown_table());
+        print(markdown_table())?;
     } else {
         let mut table = TextTable::new(vec![
             "experiment".into(),
@@ -179,11 +201,11 @@ fn list(argv: impl Iterator<Item = String>) -> Result<(), BenchError> {
                 exp.description().to_string(),
             ]);
         }
-        println!("{}", table.render());
-        println!(
+        println(table.render())?;
+        println(format_args!(
             "{} experiments; run one with `balloc <experiment>`, everything with `balloc all`.",
             experiments::registry().len()
-        );
+        ))?;
     }
     Ok(())
 }
@@ -207,11 +229,13 @@ pub fn markdown_table() -> String {
 fn parse(
     exp: &dyn Experiment,
     argv: impl Iterator<Item = String>,
-) -> Result<Option<CommonArgs>, BenchError> {
+) -> Result<Option<CommonArgs>, Failure> {
     let description = format!("{}: {} ({})", exp.id(), exp.description(), exp.paper_ref());
-    match CommonArgs::parse_from(&description, exp.extra_flags(), argv)? {
+    match CommonArgs::parse_from(&description, exp.extra_flags(), argv)
+        .map_err(|e| Failure::UsageTop(e.to_string()))?
+    {
         ParseOutcome::Help(text) => {
-            println!("{text}");
+            println(text)?;
             Ok(None)
         }
         ParseOutcome::Args(args) => Ok(Some(args)),
@@ -219,11 +243,11 @@ fn parse(
 }
 
 fn run_one(exp: &dyn Experiment, argv: impl Iterator<Item = String>) -> Result<(), Failure> {
-    let Some(args) = parse(exp, argv).map_err(|e| Failure::UsageTop(e.to_string()))? else {
+    let Some(args) = parse(exp, argv)? else {
         return Ok(());
     };
-    let report = execute(exp, &args).map_err(|e| runtime_failure(exp, e))?;
-    render(exp, &report, &args).map_err(|e| Failure::Run(e.to_string()))
+    let report = execute(exp, &args)?;
+    render(exp, &report, &args)
 }
 
 fn run_all(argv: impl Iterator<Item = String>) -> Result<(), Failure> {
@@ -236,21 +260,24 @@ fn run_all(argv: impl Iterator<Item = String>) -> Result<(), Failure> {
     )
     .map_err(|e| Failure::UsageTop(e.to_string()))?;
     match outcome {
-        ParseOutcome::Help(text) => {
-            println!("{text}");
-            Ok(())
-        }
+        ParseOutcome::Help(text) => println(text),
         ParseOutcome::Args(args) => {
             let registry = experiments::registry();
             let mut reports = Vec::new();
             for (i, exp) in registry.iter().enumerate() {
                 if args.output == OutputMode::Text {
                     if i > 0 {
-                        println!();
+                        println("")?;
                     }
-                    println!("[{}/{}] balloc {}", i + 1, registry.len(), exp.id());
+                    let header = format!("[{}/{}] balloc {}", i + 1, registry.len(), exp.id());
+                    println(header)?;
                 }
-                reports.push(execute(*exp, &args).map_err(|e| runtime_failure(*exp, e))?);
+                let exp_args = CommonArgs {
+                    extras: ExtraArgs::defaults(exp.extra_flags())
+                        .map_err(|e| runtime_failure(*exp, e))?,
+                    ..args.clone()
+                };
+                reports.push(execute(*exp, &exp_args)?);
             }
             match args.output {
                 OutputMode::Text => Ok(()),
@@ -260,17 +287,16 @@ fn run_all(argv: impl Iterator<Item = String>) -> Result<(), Failure> {
                         .zip(&reports)
                         .map(|(exp, report)| indent(&report.to_json(exp.paper_ref()), "  "))
                         .collect();
-                    println!("[\n{}\n]", docs.join(",\n"));
-                    Ok(())
+                    println(format_args!("[\n{}\n]", docs.join(",\n")))
                 }
                 OutputMode::Csv => {
                     for (i, (exp, report)) in registry.iter().zip(&reports).enumerate() {
                         // Keep the blank-line delimiter render_csv uses
                         // between tables across experiment boundaries too.
                         if i > 0 && args.out_dir.is_none() {
-                            println!();
+                            println("")?;
                         }
-                        render(*exp, report, &args).map_err(|e| Failure::Run(e.to_string()))?;
+                        render(*exp, report, &args)?;
                     }
                     Ok(())
                 }
@@ -279,30 +305,35 @@ fn run_all(argv: impl Iterator<Item = String>) -> Result<(), Failure> {
     }
 }
 
-fn execute(exp: &dyn Experiment, args: &CommonArgs) -> Result<Report, BenchError> {
+fn execute(exp: &dyn Experiment, args: &CommonArgs) -> Result<Report, Failure> {
     let mut sink = OutputSink::new(exp.id(), args.output);
-    exp.run(args, &mut sink)
+    let report = exp.run(args, &mut sink);
+    // A closed stdout outranks the run's own result: nobody reads it.
+    if let Some(e) = sink.stdout_error() {
+        return Err(stdout_failure(e));
+    }
+    report.map_err(|e| runtime_failure(exp, e))
 }
 
 /// Renders a finished report for the non-text modes (text mode already
 /// streamed while running).
-fn render(exp: &dyn Experiment, report: &Report, args: &CommonArgs) -> Result<(), BenchError> {
+fn render(exp: &dyn Experiment, report: &Report, args: &CommonArgs) -> Result<(), Failure> {
     match args.output {
-        OutputMode::Text => {}
-        OutputMode::Json => println!("{}", report.to_json(exp.paper_ref())),
+        OutputMode::Text => Ok(()),
+        OutputMode::Json => println(report.to_json(exp.paper_ref())),
         OutputMode::Csv => match &args.out_dir {
             Some(dir) => {
                 let paths = report
                     .write_csv_files(dir)
-                    .map_err(|e| BenchError::Run(format!("writing CSV files: {e}")))?;
+                    .map_err(|e| Failure::Run(format!("writing CSV files: {e}")))?;
                 for path in paths {
                     eprintln!("wrote {}", path.display());
                 }
+                Ok(())
             }
-            None => print!("{}", report.render_csv()),
+            None => print(report.render_csv()),
         },
     }
-    Ok(())
 }
 
 fn indent(s: &str, pad: &str) -> String {

@@ -208,14 +208,14 @@ impl Experiment for ChurnBench {
             args,
         );
 
-        let workers = args.extras.u64("--workers").unwrap_or(2) as usize;
-        let shards = args.extras.u64("--shards").unwrap_or(4) as usize;
-        let depart_pm = args.extras.u64("--depart-pm").unwrap_or(150);
-        let migration_rate = args.extras.u64("--migration-rate").unwrap_or(4);
-        let token_every = args.extras.u64("--token-every").unwrap_or(2);
-        let burst = args.extras.u64("--burst").unwrap_or(8);
-        let window = args.extras.u64("--window").unwrap_or(64);
-        let shed_threshold = args.extras.u64("--shed-threshold").unwrap_or(8);
+        let workers = args.extras.u64("--workers") as usize;
+        let shards = args.extras.u64("--shards") as usize;
+        let depart_pm = args.extras.u64("--depart-pm");
+        let migration_rate = args.extras.u64("--migration-rate");
+        let token_every = args.extras.u64("--token-every");
+        let burst = args.extras.u64("--burst");
+        let window = args.extras.u64("--window");
+        let shed_threshold = args.extras.u64("--shed-threshold");
         let verify_all = args.extras.switch("--replay");
 
         if depart_pm > 1000 {

@@ -68,7 +68,7 @@ impl Experiment for Fig4_1 {
         // The paper's example: loads (21, 19, 13, 12, 12, 11, 8, 6), g = 3.
         let loads = vec![21u64, 19, 13, 12, 12, 11, 8, 6];
         let g = 3u64;
-        let trials = args.extras.u64("--trials").unwrap_or(200_000);
+        let trials = args.extras.u64("--trials");
         let state = LoadState::from_loads(loads.clone());
         let n = state.n();
 

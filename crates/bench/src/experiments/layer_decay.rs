@@ -62,7 +62,7 @@ impl Experiment for LayerDecay {
     fn run(&self, args: &CommonArgs, sink: &mut OutputSink) -> Result<Report, BenchError> {
         emit_header(sink, "A8", "layered-induction staircase", args);
 
-        let g = args.extras.u64("--g").unwrap_or(3);
+        let g = args.extras.u64("--g");
         let runs = args.runs;
         let n = args.n;
         // Offsets in units of g above the mean: 1g, 2g, ..., 8g.

@@ -90,11 +90,11 @@ impl Experiment for MulticounterQuality {
     fn run(&self, args: &CommonArgs, sink: &mut OutputSink) -> Result<Report, BenchError> {
         emit_header(sink, "A5", "multi-counter quality", args);
 
-        let width = args.extras.u64("--width").unwrap_or(256) as usize;
+        let width = args.extras.u64("--width") as usize;
         if width < 2 {
             return Err(BenchError::Usage("--width must be at least 2".into()));
         }
-        let per_thread = args.extras.u64("--increments").unwrap_or(200_000);
+        let per_thread = args.extras.u64("--increments");
         let mut live = Vec::new();
         let mut cached = Vec::new();
 

@@ -185,11 +185,11 @@ impl Experiment for NetBench {
     fn run(&self, args: &CommonArgs, sink: &mut OutputSink) -> Result<Report, BenchError> {
         emit_header(sink, "A11", "TCP serving front-end", args);
 
-        let max_conns = args.extras.u64("--connections").unwrap_or(4) as usize;
-        let max_pipeline = args.extras.u64("--pipeline").unwrap_or(256) as usize;
-        let batch = args.extras.u64("--batch").unwrap_or(64).max(1);
-        let shards = (args.extras.u64("--shards").unwrap_or(4) as usize).min(args.n);
-        let d = args.extras.u64("--d").unwrap_or(2) as usize;
+        let max_conns = args.extras.u64("--connections") as usize;
+        let max_pipeline = args.extras.u64("--pipeline") as usize;
+        let batch = args.extras.u64("--batch").max(1);
+        let shards = (args.extras.u64("--shards") as usize).min(args.n);
+        let d = args.extras.u64("--d") as usize;
         let replay_only = args.extras.switch("--replay");
 
         let request = Request {

@@ -84,7 +84,7 @@ impl Experiment for PotentialDrop {
         let args = &args;
         emit_header(sink, "A3", "drop-inequality verification", args);
 
-        let g = args.extras.u64("--g").unwrap_or(4);
+        let g = args.extras.u64("--g");
         let n = args.n;
         let gamma = gamma_for_g(g);
         let gamma_pot = HyperbolicCosine::new(gamma);

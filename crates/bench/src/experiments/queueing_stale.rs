@@ -105,14 +105,14 @@ impl Experiment for QueueingStale {
         emit_header(sink, "A7", "queueing with stale information", args);
 
         let n = args.n.min(2_000); // O(n) work per slot
-        let lambda = args.extras.f64("--lambda").unwrap_or(0.75);
-        let mu = args.extras.f64("--mu").unwrap_or(0.9);
+        let lambda = args.extras.f64("--lambda");
+        let mu = args.extras.f64("--mu");
         if !(0.0..1.0).contains(&lambda) || mu > 1.0 {
             return Err(BenchError::Usage(
                 "--lambda must lie in [0, 1) and --mu in (0, 1]".into(),
             ));
         }
-        let slots = args.extras.u64("--slots").unwrap_or(6_000);
+        let slots = args.extras.u64("--slots");
         sink.line(format!(
             "servers = {n}, lambda = {lambda}, mu = {mu}, slots = {slots}\n"
         ));

@@ -61,7 +61,7 @@ impl Experiment for Recovery {
         emit_header(sink, "A6", "recovery and stabilization", args);
 
         let n = args.n;
-        let g = args.extras.u64("--g").unwrap_or(4);
+        let g = args.extras.u64("--g");
         let base = (args.m() / n as u64).max(10);
 
         let scenarios: Vec<(String, balloc_core::LoadState)> = vec![

@@ -281,14 +281,14 @@ impl Experiment for ResilienceDuel {
     fn run(&self, args: &CommonArgs, sink: &mut OutputSink) -> Result<Report, BenchError> {
         emit_header(sink, "A10", "resilience duel: middleware vs d-Choice", args);
 
-        let workers = args.extras.u64("--workers").unwrap_or(2) as usize;
-        let timeout = args.extras.u64("--timeout").unwrap_or(24);
-        let retry_max = args.extras.u64("--retry-max").unwrap_or(2) as u32;
-        let hedge_q = args.extras.f64("--hedge-q").unwrap_or(0.9);
-        let slow_extra = args.extras.u64("--slow-extra").unwrap_or(12);
-        let stall_pm = args.extras.u64("--stall-pm").unwrap_or(100);
-        let error_pm = args.extras.u64("--error-pm").unwrap_or(200);
-        let g = args.extras.u64("--g").unwrap_or(4);
+        let workers = args.extras.u64("--workers") as usize;
+        let timeout = args.extras.u64("--timeout");
+        let retry_max = args.extras.u64("--retry-max") as u32;
+        let hedge_q = args.extras.f64("--hedge-q");
+        let slow_extra = args.extras.u64("--slow-extra");
+        let stall_pm = args.extras.u64("--stall-pm");
+        let error_pm = args.extras.u64("--error-pm");
+        let g = args.extras.u64("--g");
         let verify_all = args.extras.switch("--replay");
 
         if !(0.0..1.0).contains(&hedge_q) {

@@ -82,9 +82,9 @@ impl Experiment for RhoCurves {
     }
 
     fn run(&self, args: &CommonArgs, sink: &mut OutputSink) -> Result<Report, BenchError> {
-        let g = args.extras.u64("--g").unwrap_or(5);
-        let sigma = args.extras.f64("--sigma").unwrap_or(5.0);
-        let trials = args.extras.u64("--trials").unwrap_or(100_000);
+        let g = args.extras.u64("--g");
+        let sigma = args.extras.f64("--sigma");
+        let trials = args.extras.u64("--trials");
         let bounded = BoundedRho::new(g);
         let myopic = MyopicRho::new(g);
         let gaussian = GaussianRho::new(sigma);

@@ -130,9 +130,9 @@ impl Experiment for ServeBench {
     fn run(&self, args: &CommonArgs, sink: &mut OutputSink) -> Result<Report, BenchError> {
         emit_header(sink, "A9", "sharded serving front-end", args);
 
-        let workers = args.extras.u64("--workers").unwrap_or(4) as usize;
-        let d = args.extras.u64("--d").unwrap_or(2) as usize;
-        let sigma = args.extras.f64("--sigma").unwrap_or(0.0);
+        let workers = args.extras.u64("--workers") as usize;
+        let d = args.extras.u64("--d") as usize;
+        let sigma = args.extras.f64("--sigma");
         if sigma < 0.0 {
             return Err(BenchError::Usage("--sigma must be non-negative".into()));
         }

@@ -84,9 +84,9 @@ impl Experiment for Table2_3 {
     fn run(&self, args: &CommonArgs, sink: &mut OutputSink) -> Result<Report, BenchError> {
         emit_header(sink, "T2.3", "bounds overview (evaluated + measured)", args);
 
-        let g = args.extras.u64("--g").unwrap_or(8);
+        let g = args.extras.u64("--g");
         let b = args.n as u64;
-        let sigma = args.extras.f64("--sigma").unwrap_or(4.0);
+        let sigma = args.extras.f64("--sigma");
         let rows_theory = table_2_3(args.n as u64, g, b, sigma);
         let base = RunConfig::new(
             args.n,

@@ -84,32 +84,43 @@ pub struct FlagSpec {
     /// time with a usage error otherwise; ignored for switches). Declared
     /// here once instead of re-checked inside every experiment.
     pub positive: bool,
-    /// Default shown in `--help` (the experiment applies it on read).
+    /// Default, shown in `--help` and seeded into [`ExtraArgs`] like a user
+    /// value (switches ignore it).
     pub default: &'static str,
     /// One-line help text.
     pub help: &'static str,
 }
 
-/// Values of the experiment-specific flags declared via [`FlagSpec`],
-/// validated during [`CommonArgs::parse_from`].
+/// Values of the experiment-specific flags declared via [`FlagSpec`] (or
+/// their defaults), validated during [`CommonArgs::parse_from`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExtraArgs(BTreeMap<&'static str, String>);
 
 impl ExtraArgs {
-    /// The value of an integer flag, if it was provided.
-    #[must_use]
-    pub fn u64(&self, name: &str) -> Option<u64> {
-        self.0
-            .get(name)
-            .map(|v| v.parse().expect("validated at parse time"))
+    /// Every value flag of `extra` at its declared default.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BenchError::Usage`] if a default fails its flag's kind
+    /// or `positive` rule.
+    pub fn defaults(extra: &[FlagSpec]) -> Result<Self, BenchError> {
+        let mut out = Self::default();
+        for spec in extra.iter().filter(|spec| spec.kind != FlagKind::Switch) {
+            out.0.insert(spec.name, validated(spec, spec.default)?);
+        }
+        Ok(out)
     }
 
-    /// The value of a float flag, if it was provided.
+    /// The value of a declared integer flag (panics on an undeclared one).
     #[must_use]
-    pub fn f64(&self, name: &str) -> Option<f64> {
-        self.0
-            .get(name)
-            .map(|v| v.parse().expect("validated at parse time"))
+    pub fn u64(&self, name: &str) -> u64 {
+        self.0[name].parse().expect("validated at parse time")
+    }
+
+    /// The value of a declared float flag (panics on an undeclared one).
+    #[must_use]
+    pub fn f64(&self, name: &str) -> f64 {
+        self.0[name].parse().expect("validated at parse time")
     }
 
     /// Whether a switch flag was provided.
@@ -252,34 +263,8 @@ impl CommonArgs {
                     Some(spec) => {
                         let raw = match spec.kind {
                             FlagKind::Switch => "true".to_string(),
-                            FlagKind::U64 => {
-                                let raw = value_for(&flag, args.next())?;
-                                let v = raw.parse::<u64>().map_err(|e| {
-                                    BenchError::Usage(format!("invalid value for {flag}: {e}"))
-                                })?;
-                                if spec.positive && v == 0 {
-                                    return Err(BenchError::Usage(format!(
-                                        "{flag} must be positive"
-                                    )));
-                                }
-                                raw
-                            }
-                            FlagKind::F64 => {
-                                let raw = value_for(&flag, args.next())?;
-                                let v = raw.parse::<f64>().map_err(|e| {
-                                    BenchError::Usage(format!("invalid value for {flag}: {e}"))
-                                })?;
-                                if !v.is_finite() {
-                                    return Err(BenchError::Usage(format!(
-                                        "invalid value for {flag}: must be finite"
-                                    )));
-                                }
-                                if spec.positive && v <= 0.0 {
-                                    return Err(BenchError::Usage(format!(
-                                        "{flag} must be positive"
-                                    )));
-                                }
-                                raw
+                            FlagKind::U64 | FlagKind::F64 => {
+                                validated(spec, &value_for(&flag, args.next())?)?
                             }
                         };
                         ops.push(Op::Extra(spec.name, raw));
@@ -298,7 +283,10 @@ impl CommonArgs {
                 "--json and --csv are mutually exclusive".into(),
             ));
         }
-        let mut out = Self::default();
+        let mut out = Self {
+            extras: ExtraArgs::defaults(extra)?,
+            ..Self::default()
+        };
         if full {
             out.full = true;
             out.balls_per_bin = 1_000;
@@ -374,6 +362,29 @@ impl CommonArgs {
             suffix,
         )
     }
+}
+
+/// `raw` as a value of the value flag `spec`, checked against its kind
+/// and its `positive` rule.
+fn validated(spec: &FlagSpec, raw: &str) -> Result<String, BenchError> {
+    let flag = spec.name;
+    let invalid =
+        |e: &dyn fmt::Display| BenchError::Usage(format!("invalid value for {flag}: {e}"));
+    let positive = match spec.kind {
+        FlagKind::U64 => raw.parse::<u64>().map_err(|e| invalid(&e))? > 0,
+        FlagKind::F64 => {
+            let v = raw.parse::<f64>().map_err(|e| invalid(&e))?;
+            if !v.is_finite() {
+                return Err(invalid(&"must be finite"));
+            }
+            v > 0.0
+        }
+        FlagKind::Switch => true,
+    };
+    if spec.positive && !positive {
+        return Err(BenchError::Usage(format!("{flag} must be positive")));
+    }
+    Ok(raw.to_string())
 }
 
 fn value_for(flag: &str, value: Option<String>) -> Result<String, BenchError> {
@@ -685,9 +696,11 @@ mod tests {
     #[test]
     fn extra_flags_parse_and_read_back() {
         let a = args(&["--g", "9", "--sigma", "2.5"]);
-        assert_eq!(a.extras.u64("--g"), Some(9));
-        assert_eq!(a.extras.f64("--sigma"), Some(2.5));
-        assert_eq!(a.extras.u64("--missing"), None);
+        assert_eq!(a.extras.u64("--g"), 9);
+        assert_eq!(a.extras.f64("--sigma"), 2.5);
+        let absent = args(&[]);
+        assert_eq!(absent.extras.u64("--g"), 4, "the declared default");
+        assert_eq!(absent.extras.f64("--sigma"), 5.0, "the declared default");
     }
 
     #[test]

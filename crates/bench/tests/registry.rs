@@ -8,6 +8,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use balloc_bench::experiments::{find, registry};
+use balloc_bench::{ExtraArgs, FlagKind};
 
 #[test]
 fn registry_has_all_sixteen_experiments() {
@@ -212,4 +213,26 @@ fn serve_bench_replay_json_is_byte_identical_across_runs() {
         .expect("balloc binary runs");
     assert!(other.status.success());
     assert_ne!(first, other.stdout, "a new seed must produce new decisions");
+}
+
+#[test]
+fn every_declared_default_parses_under_its_kind_and_positive_rule() {
+    for exp in registry() {
+        let extras = ExtraArgs::defaults(exp.extra_flags())
+            .unwrap_or_else(|e| panic!("balloc {}: {e}", exp.id()));
+        for spec in exp.extra_flags() {
+            let positive = match spec.kind {
+                FlagKind::U64 => extras.u64(spec.name) > 0,
+                FlagKind::F64 => extras.f64(spec.name) > 0.0,
+                FlagKind::Switch => continue,
+            };
+            assert!(
+                positive || !spec.positive,
+                "balloc {} {}: default {} is not positive",
+                exp.id(),
+                spec.name,
+                spec.default
+            );
+        }
+    }
 }

@@ -1,8 +1,8 @@
 //! L002 `wallclock-in-sim` — simulated time must flow through `VClock`.
 //!
 //! Since PR 6 the serve path measures latency, deadlines, hedging delays,
-//! and rate limits in virtual ticks on `balloc_sim::VClock`, which is what
-//! keeps replay digests pure functions of `(config, seed)`. A stray
+//! and rate limits in virtual ticks on `balloc_serve::VClock`, which is
+//! what keeps replay digests pure functions of `(config, seed)`. A stray
 //! `Instant::now()` or `thread::sleep` reintroduces wall-clock dependence
 //! — results change with machine load and the digest contract quietly
 //! stops meaning anything. The few legitimate wall-clock sites (measuring
@@ -27,7 +27,7 @@ static INFO: LintInfo = LintInfo {
     code: "L002",
     name: "wallclock-in-sim",
     severity: Severity::Deny,
-    summary: "timing must flow through balloc_sim::VClock, not Instant/SystemTime/sleep",
+    summary: "timing must flow through balloc_serve::VClock, not Instant/SystemTime/sleep",
 };
 
 impl Lint for WallclockInSim {
@@ -51,7 +51,7 @@ impl Lint for WallclockInSim {
                         cx.sig_start(k),
                         format!(
                             "`{head}{sep}{tail}` reads the wall clock; simulated and served \
-                             time must advance through balloc_sim::VClock so replay digests \
+                             time must advance through balloc_serve::VClock so replay digests \
                              stay pure functions of (config, seed) (docs/LINTS.md#l002)"
                         ),
                         out,

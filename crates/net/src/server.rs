@@ -23,8 +23,8 @@ use std::sync::Arc;
 use balloc_core::rng::Fnv1a;
 use balloc_core::LoadState;
 use balloc_serve::{
-    DirectCluster, NoiseMode, Request, ServeClock, Service, SnapshotAllocator, SnapshotService,
-    Staleness,
+    DirectCluster, NoiseMode, Request, Service, SnapshotAllocator, SnapshotService, Staleness,
+    VClock,
 };
 use epoll::{Epoll, Events, Interest, Token};
 
@@ -203,11 +203,11 @@ impl NetServer {
         ShutdownHandle(Arc::clone(&self.shutdown))
     }
 
-    /// Runs the reactor until shutdown (handle or `SHUTDOWN` frame), then
-    /// drains: stops accepting, serves every request already received,
-    /// flushes every reply, and closes. No accepted request goes
-    /// unanswered — it is either served or rejected with
-    /// [`ErrorCode::ShuttingDown`].
+    /// Runs the reactor until its [`ShutdownHandle`] fires (a peer's
+    /// `SHUTDOWN` frame is refused, not obeyed), then drains: stops
+    /// accepting, serves every request already received, flushes every
+    /// reply, and closes. No accepted request goes unanswered — it is
+    /// either served or rejected with [`ErrorCode::ShuttingDown`].
     ///
     /// # Errors
     ///
@@ -224,7 +224,7 @@ impl NetServer {
             self.cfg.n,
             self.cfg.shards,
         )));
-        let clock = ServeClock::new();
+        let clock = VClock::new();
         let cfg = self.cfg;
         let alloc = |w: usize| SnapshotAllocator::for_worker(cfg.n, cfg.staleness, cfg.seed, w);
         let replay = match cfg.mode {
@@ -298,7 +298,7 @@ struct Reactor {
     listener: TcpListener,
     shutdown: Arc<AtomicBool>,
     conns: Vec<Option<ConnEntry>>,
-    clock: ServeClock,
+    clock: VClock,
     store: SharedStore,
     replay: Option<ReplayState>,
     digest: Fnv1a,
@@ -449,20 +449,18 @@ impl Reactor {
                         } else {
                             // Answered in order, and the connection stays.
                             self.flush_run(entry, &mut template);
-                            entry.conn.queue(&Frame::RespErr {
-                                req_id,
-                                code: ErrorCode::Malformed,
-                            });
-                            self.protocol_errors += 1;
+                            self.refuse(entry, req_id, ErrorCode::Malformed);
                         }
                     }
                     Frame::Hello { client_id, epoch } => {
                         self.flush_run(entry, &mut template);
                         self.handle_hello(entry, idx, client_id, epoch);
                     }
+                    // Only the owner's `ShutdownHandle` stops the server:
+                    // a peer's SHUTDOWN is refused, and the connection stays.
                     Frame::Shutdown => {
                         self.flush_run(entry, &mut template);
-                        self.shutdown.store(true, Ordering::Release);
+                        self.refuse(entry, 0, ErrorCode::UnknownOpcode);
                     }
                     // Reply frames from a confused peer: skip (the
                     // protocol is asymmetric; replying to a reply would
@@ -474,11 +472,7 @@ impl Reactor {
                 Ok(None) => break,
                 Err(e) => {
                     self.flush_run(entry, &mut template);
-                    entry.conn.queue(&Frame::RespErr {
-                        req_id: 0,
-                        code: e.code(),
-                    });
-                    self.protocol_errors += 1;
+                    self.refuse(entry, 0, e.code());
                     if e.is_fatal() {
                         entry.close_after_flush = true;
                         break;
@@ -511,14 +505,16 @@ impl Reactor {
             // Not identified yet, or (unreachable by construction) a
             // replay driver without replay state: refuse the stream.
             (Driver::AwaitingHello | Driver::Replay { .. }, _) => {
-                entry.conn.queue(&Frame::RespErr {
-                    req_id,
-                    code: ErrorCode::BadHello,
-                });
-                self.protocol_errors += 1;
+                self.refuse(entry, req_id, ErrorCode::BadHello);
                 entry.close_after_flush = true;
             }
         }
+    }
+
+    /// Answers a frame the server refuses with `RESP_ERR` and counts it.
+    fn refuse(&mut self, entry: &mut ConnEntry, req_id: u64, code: ErrorCode) {
+        entry.conn.queue(&Frame::RespErr { req_id, code });
+        self.protocol_errors += 1;
     }
 
     /// Dispatches the accumulated inline run (no-op for other drivers).
@@ -567,21 +563,13 @@ impl Reactor {
     fn handle_hello(&mut self, entry: &mut ConnEntry, idx: usize, client_id: u32, epoch: u64) {
         if !matches!(entry.driver, Driver::AwaitingHello) {
             // Re-identifying is a protocol error but not fatal.
-            entry.conn.queue(&Frame::RespErr {
-                req_id: 0,
-                code: ErrorCode::BadHello,
-            });
-            self.protocol_errors += 1;
+            self.refuse(entry, 0, ErrorCode::BadHello);
             return;
         }
         if epoch != 0 && epoch != self.epoch {
             // The client asserted a membership it no longer has: refuse
             // before any decision state is built so it can re-discover.
-            entry.conn.queue(&Frame::RespErr {
-                req_id: 0,
-                code: ErrorCode::StaleEpoch,
-            });
-            self.protocol_errors += 1;
+            self.refuse(entry, 0, ErrorCode::StaleEpoch);
             entry.close_after_flush = true;
             return;
         }
@@ -592,11 +580,7 @@ impl Reactor {
             Some(replay) => {
                 let client = client_id as usize;
                 if client >= replay.conn_of.len() || replay.conn_of[client].is_some() {
-                    entry.conn.queue(&Frame::RespErr {
-                        req_id: 0,
-                        code: ErrorCode::BadHello,
-                    });
-                    self.protocol_errors += 1;
+                    self.refuse(entry, 0, ErrorCode::BadHello);
                     entry.close_after_flush = true;
                     return;
                 }

@@ -75,8 +75,9 @@ pub enum Frame {
         /// How loads are read for the comparison.
         noise: NoiseMode,
     },
-    /// Asks the server to drain and stop (equivalent to
-    /// [`ShutdownHandle::shutdown`](crate::ShutdownHandle::shutdown)).
+    /// Asks the server to drain and stop. The server refuses it with
+    /// [`ErrorCode::UnknownOpcode`] and keeps the connection: only the
+    /// owner's [`ShutdownHandle`](crate::ShutdownHandle) stops a server.
     Shutdown,
     /// A served allocation: the chosen bin.
     RespBin {

@@ -120,6 +120,58 @@ fn replay_digest_matches_in_process_replay_across_the_socket() {
 }
 
 #[test]
+fn inline_single_connection_matches_run_replay() {
+    // One Inline connection is one worker: its block dispatch must make
+    // the decisions of the in-process replay engine at any pipeline depth.
+    let (n, shards, seed, requests) = (64, 4, 2023, 900);
+    for staleness in [
+        Staleness::Batch { b: 16 },
+        Staleness::Batch { b: 64 },
+        Staleness::Delay { tau: 40 },
+    ] {
+        let expected = run_replay(&ServeConfig {
+            n,
+            shards,
+            workers: 1,
+            requests,
+            request: Request::two_choice(),
+            staleness,
+            buffer_capacity: 1024,
+            inflight: None,
+            backend: BackendKind::Sharded,
+            snapshot: SnapshotPath::Buffered,
+            seed,
+        });
+        for pipeline in [1, 7, 64] {
+            let (addr, shutdown, join) = spawn_server(NetConfig {
+                n,
+                shards,
+                staleness,
+                seed,
+                mode: ServerMode::Inline,
+            });
+            let report = run_loadgen(&LoadGenConfig {
+                addr,
+                connections: 1,
+                pipeline,
+                requests,
+                request: Request::two_choice(),
+                seed: 5,
+                collect_bins: true,
+            })
+            .expect("loadgen");
+            shutdown.shutdown();
+            let server = join.join().expect("server thread");
+            let case = format!("{staleness:?}, pipeline {pipeline}");
+            assert_eq!(report.completed, requests, "{case}");
+            assert_eq!(report.digest, Some(expected.digest), "client, {case}");
+            assert_eq!(server.digest, expected.digest, "server, {case}");
+            assert_eq!(server.refreshes, expected.outcome.refreshes, "{case}");
+        }
+    }
+}
+
+#[test]
 fn replay_digest_is_arrival_order_invariant() {
     // Two different arrival seeds (different packet interleavings, same
     // per-client request sequences) must produce the same digest: the
@@ -385,16 +437,32 @@ fn graceful_shutdown_answers_every_accepted_request() {
 }
 
 #[test]
-fn shutdown_frame_stops_the_server_too() {
-    let (addr, _shutdown, join) = spawn_server(inline_cfg(8, 1, 4, 13));
+fn shutdown_frame_is_refused_and_only_the_handle_stops_the_server() {
+    let (addr, shutdown, join) = spawn_server(inline_cfg(8, 1, 4, 13));
     let mut bytes = Vec::new();
     encode(&Frame::hello(0), &mut bytes);
     encode(&Frame::alloc(1, &Request::two_choice()), &mut bytes);
     encode(&Frame::Shutdown, &mut bytes);
-    let frames = raw_exchange(addr, &bytes, 1);
+    encode(&Frame::alloc(2, &Request::two_choice()), &mut bytes);
+    let frames = raw_exchange(addr, &bytes, 3);
+    assert_eq!(frames.len(), 3, "{frames:?}");
     assert!(matches!(frames[0], Frame::RespBin { req_id: 1, .. }));
-    let server = join.join().expect("server stops on the wire frame");
-    assert_eq!(server.served, 1);
+    assert_eq!(
+        frames[1],
+        Frame::RespErr {
+            req_id: 0,
+            code: ErrorCode::UnknownOpcode
+        }
+    );
+    assert!(
+        matches!(frames[2], Frame::RespBin { req_id: 2, .. }),
+        "the connection survives a refused SHUTDOWN: {frames:?}"
+    );
+    assert!(!join.is_finished(), "a peer stopped the server");
+    shutdown.shutdown();
+    let server = join.join().expect("the handle stops the server");
+    assert_eq!(server.served, 2);
+    assert_eq!(server.protocol_errors, 1);
 }
 
 #[test]

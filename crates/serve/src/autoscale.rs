@@ -6,7 +6,7 @@
 //! production autoscaler watches: sustained shedding means the member
 //! set is too small for the offered load; a long quiet stretch means it
 //! is too big. The [`Autoscaler`] samples the counter over fixed
-//! [`VClock`](balloc_sim::VClock) windows and recommends scale
+//! [`VClock`](crate::VClock) windows and recommends scale
 //! decisions, which the churn engine turns into directory
 //! [`Change`](crate::Change)s — **the same code path operator-driven
 //! churn uses**, so an autoscaled membership log replays exactly like a

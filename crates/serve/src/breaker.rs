@@ -24,10 +24,9 @@
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use balloc_sim::VClock;
-
 use crate::service::{ServeError, Service};
 use crate::stats::{bump, LayerStats};
+use crate::vclock::VClock;
 
 /// Configuration of a [`CircuitBreaker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

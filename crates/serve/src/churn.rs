@@ -52,7 +52,6 @@ use std::rc::Rc;
 
 use balloc_core::rng::{point_seed, Fnv1a};
 use balloc_core::Rng;
-use balloc_sim::VClock;
 
 use crate::autoscale::{AutoscaleConfig, Autoscaler, ScaleAction};
 use crate::cluster::DirectCluster;
@@ -62,6 +61,7 @@ use crate::service::{Request, Response, ServeError, Service};
 use crate::shed::{LoadShed, LoadShedLayer, ShedCounter};
 use crate::sink::LoadSink;
 use crate::snapshot::{SnapshotAllocator, Staleness};
+use crate::vclock::VClock;
 use crate::Layer;
 
 /// Domain tag separating the departure-schedule RNG stream from every

@@ -11,7 +11,7 @@
 //!   change, carried across the wire (`HELLO`/`RESP_BIN`) so clients can
 //!   detect membership drift without a full map exchange;
 //! * [`Change`] — the ordered membership log entry, stamped with the
-//!   [`VClock`](balloc_sim::VClock) tick it was applied at;
+//!   [`VClock`](crate::VClock) tick it was applied at;
 //! * [`RebalanceKind`] — how the `n` bins are assigned to members:
 //!   contiguous proportional blocks (minimal movement, the static
 //!   layout's generalization) or hash-slot placement (uniform spread,

@@ -26,10 +26,9 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use balloc_sim::VClock;
-
 use crate::service::{ServeError, Service};
 use crate::stats::{bump, LayerStats};
+use crate::vclock::VClock;
 
 /// A log₂-bucketed latency histogram (64 buckets cover all of `u64`),
 /// used by [`Hedge`] to track its observed completion latencies and read

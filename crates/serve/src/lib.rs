@@ -35,6 +35,8 @@
 //!   snapshots refreshed every `b` own requests (`b-Batch`) or at age `τ`
 //!   (`τ-Delay`), each refresh copying only the bins changed since the
 //!   last one while the store's change log still covers them;
+//! * [`VClock`] — the one virtual clock, for snapshot age and the
+//!   middleware's deadlines;
 //! * one deterministic driver behind [`run_replay`], [`run_resilient`]
 //!   and [`run_churn`]: a round-robin slot loop over per-worker stacks
 //!   with a per-slot engine hook, one [`DirectCluster`] store, and one
@@ -46,7 +48,7 @@
 //!
 //! On top of the pressure layers sits a resilience suite, every layer a
 //! deterministic synchronous port of a classic (tower/Finagle) pattern
-//! onto the [`VClock`](balloc_sim::VClock) virtual clock:
+//! onto the [`VClock`] virtual clock:
 //!
 //! * [`Retry`] — budgeted retries of transient faults (token-bucket
 //!   budget, never retries pressure or an open breaker);
@@ -114,6 +116,7 @@ mod sink;
 mod snapshot;
 mod stats;
 mod timeout;
+mod vclock;
 
 pub use autoscale::{AutoscaleConfig, Autoscaler, ScaleAction};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
@@ -133,10 +136,11 @@ pub use resilience::{
 pub use retry::{retryable, Retry, RetryBudget, RetryConfig};
 pub use service::{decide, Layer, NoiseMode, Request, Response, ServeError, Service};
 pub use shed::{LoadShed, LoadShedLayer, ShedCounter};
-pub use sink::{LoadSink, ServeClock, SnapshotService};
+pub use sink::{LoadSink, SnapshotService};
 pub use snapshot::{SnapshotAllocator, Staleness};
 pub use stats::LayerStats;
 pub use timeout::Timeout;
+pub use vclock::{DeadlineExpired, DeadlineScope, ServeClock, VClock};
 
 /// Shard ranges as the routing layer sees them: the directory's block
 /// partition and its shard-count bound. The loads themselves live in one

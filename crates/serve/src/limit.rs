@@ -3,19 +3,20 @@
 //!
 //! The permit pool is shared: clones of the limited service (one per
 //! serving worker) draw from the same pool, so the limit bounds the whole
-//! fleet's concurrency, not each worker's. A request that cannot get a
-//! permit is rejected with [`ServeError::AtCapacity`] immediately — the
-//! load-shed layer above decides what that costs.
+//! fleet's concurrency (on one thread: nested calls), not each worker's.
+//! A request that cannot get a permit is rejected with
+//! [`ServeError::AtCapacity`] immediately — the load-shed layer above
+//! decides what that costs.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use crate::service::{Layer, ServeError, Service};
 
 /// Shared permit pool for [`InFlightLimit`] services.
 #[derive(Debug, Clone)]
 pub struct Permits {
-    in_flight: Arc<AtomicUsize>,
+    in_flight: Rc<Cell<usize>>,
     limit: usize,
 }
 
@@ -29,31 +30,24 @@ impl Permits {
     pub fn new(limit: usize) -> Self {
         assert!(limit > 0, "in-flight limit must be positive");
         Self {
-            in_flight: Arc::new(AtomicUsize::new(0)),
+            in_flight: Rc::new(Cell::new(0)),
             limit,
         }
-    }
-
-    /// The configured limit.
-    #[must_use]
-    pub fn limit(&self) -> usize {
-        self.limit
     }
 
     /// Currently held permits.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::Relaxed)
+        self.in_flight.get()
     }
 
     /// Tries to take a permit; the guard releases it on drop.
     fn acquire(&self) -> Option<PermitGuard<'_>> {
-        let acquired = self
-            .in_flight
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |held| {
-                (held < self.limit).then_some(held + 1)
-            });
-        acquired.ok().map(|_| PermitGuard { pool: self })
+        let held = self.in_flight.get();
+        (held < self.limit).then(|| {
+            self.in_flight.set(held + 1);
+            PermitGuard { pool: self }
+        })
     }
 }
 
@@ -64,7 +58,7 @@ struct PermitGuard<'a> {
 
 impl Drop for PermitGuard<'_> {
     fn drop(&mut self) {
-        self.pool.in_flight.fetch_sub(1, Ordering::AcqRel);
+        self.pool.in_flight.set(self.pool.in_flight.get() - 1);
     }
 }
 
@@ -160,42 +154,29 @@ mod tests {
 
     #[test]
     fn limit_bounds_cloned_services_jointly() {
-        // A service that records the maximum observed concurrency.
-        struct Tracker {
-            current: Arc<AtomicUsize>,
-            peak: Arc<AtomicUsize>,
-        }
-        impl Service<u32> for Tracker {
+        // Each clone's call re-enters the next clone while its own permit
+        // is held, so the calls nest and share one pool of two.
+        struct Nest(Option<Box<InFlightLimit<Nest>>>);
+        impl Service<u32> for Nest {
             type Response = u32;
             fn call(&mut self, req: u32) -> Result<u32, ServeError> {
-                let now = self.current.fetch_add(1, Ordering::SeqCst) + 1;
-                self.peak.fetch_max(now, Ordering::SeqCst);
-                std::thread::yield_now();
-                self.current.fetch_sub(1, Ordering::SeqCst);
-                Ok(req)
+                self.0.as_mut().map_or(Ok(req), |next| next.call(req + 1))
             }
         }
-        let current = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
         let permits = Permits::new(2);
         let layer = InFlightLimitLayer::new(permits.clone());
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let mut svc = layer.layer(Tracker {
-                    current: Arc::clone(&current),
-                    peak: Arc::clone(&peak),
-                });
-                scope.spawn(move || {
-                    for i in 0..500 {
-                        let _ = svc.call(i);
-                    }
-                });
+        let chain = |depth: usize| {
+            let mut svc = layer.layer(Nest(None));
+            for _ in 1..depth {
+                svc = layer.layer(Nest(Some(Box::new(svc))));
             }
-        });
-        assert!(
-            peak.load(Ordering::SeqCst) <= 2,
-            "peak concurrency {} exceeded the limit",
-            peak.load(Ordering::SeqCst)
+            svc
+        };
+        assert_eq!(chain(2).call(0), Ok(1), "two nested calls fit");
+        assert_eq!(
+            chain(3).call(0),
+            Err(ServeError::AtCapacity),
+            "the third nested call finds the pool exhausted"
         );
         assert_eq!(permits.in_flight(), 0);
     }

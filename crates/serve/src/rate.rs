@@ -14,13 +14,16 @@
 //! `permits / w`. One bucket shared by the fleet would let one worker's
 //! burst spend the others' tokens; a bucket per worker keeps each
 //! worker's admission a function of its own requests and the clock.
+//! Churn's admission bucket is not this layer: it refills one token per
+//! live member, is shared by all workers, and spends only when a ball is
+//! placed, not before the call. Merging the two would re-pin churn's
+//! digests.
 
 use std::rc::Rc;
 
-use balloc_sim::VClock;
-
 use crate::service::{ServeError, Service};
 use crate::stats::{bump, LayerStats};
+use crate::vclock::VClock;
 
 /// Configuration of a [`RateLimit`] layer's token bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -35,7 +35,6 @@ use std::rc::Rc;
 use balloc_core::rng::{point_seed, Fnv1a};
 use balloc_core::Rng;
 use balloc_noise::LoadCorruptor;
-use balloc_sim::VClock;
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::cluster::DirectCluster;
@@ -46,10 +45,11 @@ use crate::rate::{RateLimit, RateLimitConfig};
 use crate::retry::{Retry, RetryBudget, RetryConfig};
 use crate::service::{Layer, Request, Response, ServeError, Service};
 use crate::shed::{LoadShed, LoadShedLayer, ShedCounter};
-use crate::sink::{LoadSink, ServeClock};
+use crate::sink::LoadSink;
 use crate::snapshot::{SnapshotAllocator, Staleness};
 use crate::stats::{bump, LayerStats};
 use crate::timeout::Timeout;
+use crate::vclock::VClock;
 
 /// Distinguishes the fault-draw RNG domain from the decision streams.
 const FAULT_STREAM: u64 = 0xFA17;
@@ -235,7 +235,7 @@ struct FaultyAlloc {
     backend: Rc<Backend>,
     clock: VClock,
     /// Completed requests across workers: the staleness clock.
-    completed: ServeClock,
+    completed: VClock,
     fault_rng: Rng,
     stats: Rc<LayerStats>,
     /// Hedge→leaf shard-diversity channel: duplicates avoid the first
@@ -330,7 +330,7 @@ fn build_stack(
     w: usize,
     backend: &Rc<Backend>,
     clock: &VClock,
-    completed: &ServeClock,
+    completed: &VClock,
     budget: &RetryBudget,
     shed: &ShedCounter,
     stats: &Rc<LayerStats>,
@@ -398,7 +398,7 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 pub fn run_resilient(cfg: &ResilienceConfig) -> ResilienceReport {
     cfg.validate();
     let clock = VClock::new();
-    let completed = ServeClock::new();
+    let completed = VClock::new();
     let store = DirectCluster::new(cfg.n, cfg.shards);
     let corrupt_seed = point_seed(cfg.seed, CORRUPT_STREAM);
     let corruptors = store.directory().ranges().into_iter().enumerate();

@@ -70,7 +70,7 @@ pub enum ServeError {
     Shed,
     /// The request's deadline expired before the backend completed (the
     /// timeout layer's terminal outcome; the backend applied no side
-    /// effect — see `balloc_sim::VClock`).
+    /// effect — see [`VClock`](crate::VClock)).
     TimedOut,
     /// A circuit breaker is open and rejected the request without calling
     /// the backend.

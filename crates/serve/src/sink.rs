@@ -1,5 +1,5 @@
-//! The decision-state/backend seam: [`LoadSink`], [`ServeClock`], and the
-//! leaf service [`SnapshotService`] every serving engine shares.
+//! The decision-state/backend seam: [`LoadSink`] and the leaf service
+//! [`SnapshotService`] every serving engine shares.
 //!
 //! The TCP front-end (`balloc-net`) terminates connections in its own
 //! reactor while dispatching into the *same* leaf — decide against a
@@ -7,11 +7,9 @@
 //! the seam is public. The in-process engines and the socket server are
 //! drivers of one service.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use crate::service::{Request, Response, ServeError, Service};
 use crate::snapshot::SnapshotAllocator;
+use crate::vclock::VClock;
 
 /// Where decided allocations land and where snapshot refreshes read from:
 /// the authoritative-store side of the serving path: the direct
@@ -57,31 +55,6 @@ pub trait LoadSink {
     }
 }
 
-/// The engine clock: completed requests across all workers — the "slots"
-/// unit of [`Staleness::Delay`](crate::Staleness::Delay). Cloning shares
-/// the underlying counter between the services of one thread.
-#[derive(Debug, Clone, Default)]
-pub struct ServeClock(Rc<Cell<u64>>);
-
-impl ServeClock {
-    /// A fresh clock at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Completed requests so far.
-    #[must_use]
-    pub fn now(&self) -> u64 {
-        self.0.get()
-    }
-
-    /// Records one completed request.
-    pub fn tick(&self) {
-        self.0.set(self.0.get() + 1);
-    }
-}
-
 /// The leaf service of every serving stack: refresh-if-stale, decide
 /// against the private snapshot, apply through the sink, tick the clock.
 ///
@@ -95,7 +68,8 @@ impl ServeClock {
 pub struct SnapshotService<K> {
     alloc: SnapshotAllocator,
     sink: K,
-    clock: ServeClock,
+    /// Completed requests across all workers (the staleness clock).
+    clock: VClock,
     /// Reusable bin buffer for block dispatch.
     block: Vec<usize>,
 }
@@ -104,7 +78,7 @@ impl<K: LoadSink> SnapshotService<K> {
     /// Builds the leaf over a worker decision state, a sink, and the
     /// shared clock.
     #[must_use]
-    pub fn new(alloc: SnapshotAllocator, sink: K, clock: ServeClock) -> Self {
+    pub fn new(alloc: SnapshotAllocator, sink: K, clock: VClock) -> Self {
         Self {
             alloc,
             sink,
@@ -186,6 +160,7 @@ mod tests {
     use super::*;
     use crate::{DirectCluster, Staleness};
     use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// A sink over one plain load vector.
     struct VecSink(Vec<u64>);
@@ -206,7 +181,7 @@ mod tests {
         SnapshotService::new(
             SnapshotAllocator::new(n, Staleness::Batch { b }, seed),
             VecSink(vec![0; n]),
-            ServeClock::new(),
+            VClock::new(),
         )
     }
 
@@ -271,7 +246,7 @@ mod tests {
             SnapshotService::new(
                 SnapshotAllocator::new(32, Staleness::Delay { tau: 10 }, 3),
                 VecSink(vec![0; 32]),
-                ServeClock::new(),
+                VClock::new(),
             )
         };
         let mut per_request = make();
@@ -297,7 +272,7 @@ mod tests {
         let mut leaf = SnapshotService::new(
             SnapshotAllocator::for_worker(n, Staleness::Batch { b }, 5, 0),
             Rc::clone(&store),
-            ServeClock::new(),
+            VClock::new(),
         );
         for _ in 0..windows {
             leaf.call_block(&Request::two_choice(), b, &mut |r| {

@@ -16,9 +16,8 @@
 //! The layer keeps no count of its own; the engine's ledger counts each
 //! `TimedOut` outcome once.
 
-use balloc_sim::VClock;
-
 use crate::service::{ServeError, Service};
+use crate::vclock::VClock;
 
 /// A [`Service`] bounding each inner call to `budget` virtual ticks.
 #[derive(Debug, Clone)]

@@ -1,13 +1,15 @@
-//! A shared deterministic virtual clock with a deadline register.
+//! The serving layer's one deterministic virtual clock, with a deadline
+//! register.
 //!
-//! The serving layer's resilience middleware (timeouts, hedged requests,
-//! cooldowns, rate windows) needs a notion of *time* that is a pure
-//! function of the configuration and seed — wall clocks would make every
-//! latency percentile and every circuit-breaker transition
-//! non-reproducible. [`VClock`] is that notion: a monotone tick counter
-//! shared by every layer of a service stack, advanced explicitly by the
-//! component that "spends" time (a fault-injected backend, the engine's
-//! inter-arrival spacing).
+//! Wall clocks would make every latency percentile and every
+//! circuit-breaker transition non-reproducible, so serving time is a
+//! [`VClock`]: a monotone tick counter shared by clones, advanced
+//! explicitly by whoever "spends" time. An engine keeps two: the
+//! staleness clock of [`SnapshotService`](crate::SnapshotService), one
+//! [`tick`](VClock::tick) per completed request (the "slots" unit of
+//! [`Staleness::Delay`](crate::Staleness::Delay)), and the middleware's
+//! clock, [`advance`](VClock::advance)d by the backend and the engine's
+//! inter-arrival spacing.
 //!
 //! The deadline register is what makes synchronous timeouts sound. A
 //! layer that wants to bound a call opens a [`DeadlineScope`], calls the
@@ -22,28 +24,12 @@
 //! half-happens, which is the substrate of the serve engine's
 //! conservation invariant (every request ends exactly once).
 //!
-//! # The serialized-owner contract
-//!
-//! A clock and all its clones are driven by one thread at a time. Clones
-//! may cross threads, but only through a synchronizing handoff: a thread
-//! spawn or join, a channel round trip (a worker that answers each call
-//! over a channel before the caller touches the clock again), or a lock. Two threads advancing one clock at the same moment
-//! is outside the contract: the result would not be a function of the
-//! seed, whatever the clock did internally.
-//!
-//! Under that contract the three registers (`now`, the cutoff, the last
-//! overrun) need no read-modify-write and no ordering of their own. Each
-//! is an `AtomicU64` read and written with `Relaxed` loads and stores,
-//! which compile to ordinary memory accesses with no lock prefix. Within
-//! one thread, program order already sequences every access. Across a
-//! handoff, the synchronizing operation makes every store before it
-//! visible to every load after it. The atomics are there only so that
-//! `VClock` is `Sync` without a lock.
+//! Every engine serves on one thread, so the registers are plain cells.
 //!
 //! # Examples
 //!
 //! ```
-//! use balloc_sim::VClock;
+//! use balloc_serve::VClock;
 //!
 //! let clock = VClock::new();
 //! {
@@ -56,14 +42,11 @@
 //! assert_eq!(clock.advance(7), Ok(17)); // unbounded again
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// Cutoff register value meaning "no deadline is active".
 const NO_CUTOFF: u64 = u64::MAX;
-/// Overrun register value meaning "no advance has been refused yet". A
-/// refused target is always greater than some cutoff, so it is never 0.
-const NO_OVERRUN: u64 = 0;
 
 /// Error returned by [`VClock::advance`] when the requested advance would
 /// cross the active cutoff. The clock is left at the cutoff (or where it
@@ -82,13 +65,12 @@ impl std::error::Error for DeadlineExpired {}
 
 #[derive(Debug)]
 struct Registers {
-    now: AtomicU64,
+    now: Cell<u64>,
     /// Minimum deadline (absolute tick) over the open scopes, or
     /// [`NO_CUTOFF`].
-    cutoff: AtomicU64,
-    /// The tick the last refused advance *would* have completed at, or
-    /// [`NO_OVERRUN`].
-    overrun: AtomicU64,
+    cutoff: Cell<u64>,
+    /// The tick the last refused advance *would* have completed at.
+    overrun: Cell<Option<u64>>,
 }
 
 /// A shared deterministic virtual clock (see the module docs).
@@ -98,23 +80,20 @@ struct Registers {
 /// observes the same time.
 #[derive(Debug, Clone)]
 pub struct VClock {
-    regs: Arc<Registers>,
+    regs: Rc<Registers>,
 }
 
-// A clock may be handed to a worker thread; keep that possible without a
-// lock.
-const _: () = {
-    const fn send_sync<T: Send + Sync>() {}
-    send_sync::<VClock>();
-};
+/// The staleness clock of [`SnapshotService`](crate::SnapshotService):
+/// the same [`VClock`], named for the completed-request count it keeps.
+pub type ServeClock = VClock;
 
 impl Default for VClock {
     fn default() -> Self {
         Self {
-            regs: Arc::new(Registers {
-                now: AtomicU64::new(0),
-                cutoff: AtomicU64::new(NO_CUTOFF),
-                overrun: AtomicU64::new(NO_OVERRUN),
+            regs: Rc::new(Registers {
+                now: Cell::new(0),
+                cutoff: Cell::new(NO_CUTOFF),
+                overrun: Cell::new(None),
             }),
         }
     }
@@ -130,7 +109,13 @@ impl VClock {
     /// The current tick.
     #[must_use]
     pub fn now(&self) -> u64 {
-        self.regs.now.load(Relaxed)
+        self.regs.now.get()
+    }
+
+    /// Records one completed request: one tick, whatever the cutoff. The
+    /// staleness clock counts requests and never opens a deadline scope.
+    pub fn tick(&self) {
+        self.regs.now.set(self.now() + 1);
     }
 
     /// Advances the clock by `ticks`, unless that would cross the active
@@ -148,15 +133,15 @@ impl VClock {
     /// Returns [`DeadlineExpired`] when `now + ticks` exceeds the active
     /// cutoff.
     pub fn advance(&self, ticks: u64) -> Result<u64, DeadlineExpired> {
-        let now = self.regs.now.load(Relaxed);
+        let now = self.now();
         let target = now.saturating_add(ticks);
-        let cutoff = self.regs.cutoff.load(Relaxed);
+        let cutoff = self.regs.cutoff.get();
         if target > cutoff {
-            self.regs.overrun.store(target, Relaxed);
-            self.regs.now.store(now.max(cutoff), Relaxed);
+            self.regs.overrun.set(Some(target));
+            self.regs.now.set(now.max(cutoff));
             return Err(DeadlineExpired);
         }
-        self.regs.now.store(target, Relaxed);
+        self.regs.now.set(target);
         Ok(target)
     }
 
@@ -167,15 +152,14 @@ impl VClock {
     /// Scopes must end in the reverse order they were opened, which
     /// lexical scoping gives for free.
     pub fn deadline_scope(&self, at: u64) -> DeadlineScope<'_> {
-        let prev = self.regs.cutoff.load(Relaxed);
-        self.regs.cutoff.store(prev.min(at), Relaxed);
+        let prev = self.regs.cutoff.replace(self.regs.cutoff.get().min(at));
         DeadlineScope { clock: self, prev }
     }
 
     /// The active cutoff, if any scope is open.
     #[must_use]
     pub fn deadline(&self) -> Option<u64> {
-        Some(self.regs.cutoff.load(Relaxed)).filter(|&c| c != NO_CUTOFF)
+        Some(self.regs.cutoff.get()).filter(|&c| c != NO_CUTOFF)
     }
 
     /// The tick the last refused [`advance`](Self::advance) would have
@@ -183,7 +167,7 @@ impl VClock {
     /// regret accounting. `None` until the first refusal.
     #[must_use]
     pub fn last_overrun(&self) -> Option<u64> {
-        Some(self.regs.overrun.load(Relaxed)).filter(|&t| t != NO_OVERRUN)
+        self.regs.overrun.get()
     }
 }
 
@@ -199,7 +183,7 @@ pub struct DeadlineScope<'a> {
 
 impl Drop for DeadlineScope<'_> {
     fn drop(&mut self) {
-        self.clock.regs.cutoff.store(self.prev, Relaxed);
+        self.clock.regs.cutoff.set(self.prev);
     }
 }
 
@@ -226,6 +210,17 @@ mod tests {
         assert_eq!(b.now(), 5);
         b.advance(2).unwrap();
         assert_eq!(a.now(), 7);
+    }
+
+    #[test]
+    fn tick_counts_one_request_past_any_cutoff() {
+        let clock = VClock::new();
+        let _scope = clock.deadline_scope(1);
+        for _ in 0..3 {
+            clock.tick();
+        }
+        assert_eq!(clock.now(), 3);
+        assert_eq!(clock.last_overrun(), None, "a tick is never refused");
     }
 
     #[test]
@@ -308,27 +303,6 @@ mod tests {
         assert_eq!(clock.advance(50), Err(DeadlineExpired));
         assert_eq!(clock.now(), 5);
         assert_eq!(clock.deadline(), Some(5));
-    }
-
-    #[test]
-    fn handoff_across_threads_carries_every_register() {
-        let clock = VClock::new();
-        clock.advance(2).unwrap();
-        let remote = clock.clone();
-        std::thread::spawn(move || {
-            let _scope = remote.deadline_scope(9);
-            assert_eq!(remote.advance(5), Ok(7));
-            assert_eq!(remote.advance(5), Err(DeadlineExpired));
-        })
-        .join()
-        .unwrap();
-        assert_eq!(clock.now(), 9);
-        assert_eq!(clock.last_overrun(), Some(12));
-        assert_eq!(
-            clock.deadline(),
-            None,
-            "the remote scope ended before the join"
-        );
     }
 
     #[test]

@@ -30,9 +30,8 @@ use std::sync::Arc;
 use balloc_serve::{
     BreakerConfig, CircuitBreaker, Hedge, HedgeConfig, InFlightLimitLayer, Layer, LayerStats,
     LoadShed, LoadShedLayer, Permits, RateLimit, RateLimitConfig, Retry, RetryBudget, RetryConfig,
-    ServeError, Service, ShedCounter, Timeout,
+    ServeError, Service, ShedCounter, Timeout, VClock,
 };
-use balloc_sim::VClock;
 use proptest::prelude::*;
 
 /// Shared backend observability: calls that reached it, calls that

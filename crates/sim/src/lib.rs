@@ -19,10 +19,7 @@
 //! * [`TextTable`] / [`Report`] / [`OutputSink`] — the single output
 //!   layer behind the `balloc` CLI: experiments emit tables and lines
 //!   through a sink, and the same emissions render as human text,
-//!   `--json`, or `--csv` without per-experiment code;
-//! * [`VClock`] — a shared deterministic virtual clock with a deadline
-//!   register, the time substrate of the serving layer's resilience
-//!   middleware (timeouts, hedged requests, cooldowns).
+//!   `--json`, or `--csv` without per-experiment code.
 //!
 //! # Seeding contract
 //!
@@ -72,7 +69,6 @@ mod report;
 mod runner;
 mod schedule;
 mod sweep;
-mod vclock;
 
 pub use config::{Checkpoints, RunConfig};
 pub use distribution::GapDistribution;
@@ -80,4 +76,3 @@ pub use report::{csv_escape, to_json, Block, OutputMode, OutputSink, Report, Tex
 pub use runner::{gaps, repeat, repeat_grid, run, run_on_state, run_traced, RunResult, TracePoint};
 pub use schedule::ArrivalSchedule;
 pub use sweep::{series, sweep, SweepPoint};
-pub use vclock::{DeadlineExpired, DeadlineScope, VClock};

@@ -379,7 +379,8 @@ fn indent_tail(s: &str, pad: &str) -> String {
 /// In [`OutputMode::Text`] each emission is printed immediately (so long
 /// experiments show progress); in every mode the emissions are also
 /// recorded into a [`Report`] the caller collects with
-/// [`OutputSink::take_report`].
+/// [`OutputSink::take_report`]. A failed print ends the printing, not
+/// the run (see [`OutputSink::stdout_error`]).
 #[derive(Debug)]
 pub struct OutputSink {
     id: String,
@@ -388,6 +389,8 @@ pub struct OutputSink {
     /// persistence (used by tests).
     save_dir: Option<PathBuf>,
     report: Report,
+    /// The first failed text-mode print.
+    stdout_error: Option<io::Error>,
 }
 
 impl OutputSink {
@@ -405,6 +408,7 @@ impl OutputSink {
             id,
             mode,
             save_dir: Some(PathBuf::from(Self::DEFAULT_SAVE_DIR)),
+            stdout_error: None,
         }
     }
 
@@ -428,11 +432,24 @@ impl OutputSink {
         &self.id
     }
 
-    /// Emits one line of preformatted text (one `println!` in text mode).
+    /// `println!`, keeping the first failed write instead of panicking.
+    fn print(&mut self, text: &str) {
+        if self.stdout_error.is_none() {
+            self.stdout_error = writeln!(io::stdout(), "{text}").err();
+        }
+    }
+
+    /// The first text-mode print that failed; printing stopped there.
+    #[must_use]
+    pub fn stdout_error(&self) -> Option<&io::Error> {
+        self.stdout_error.as_ref()
+    }
+
+    /// Emits one line of preformatted text (printed in text mode).
     pub fn line(&mut self, line: impl Into<String>) {
         let line = line.into();
         if self.mode == OutputMode::Text {
-            println!("{line}");
+            self.print(&line);
         }
         self.report.blocks.push(Block::Text(line));
     }
@@ -446,7 +463,7 @@ impl OutputSink {
     /// in CSV mode).
     pub fn table(&mut self, name: impl Into<String>, table: TextTable) {
         if self.mode == OutputMode::Text {
-            println!("{}", table.render());
+            self.print(&table.render());
         }
         self.report.blocks.push(Block::Table {
             name: name.into(),
@@ -488,7 +505,7 @@ impl OutputSink {
         match write {
             Ok(()) => {
                 let line = format!("results saved to {}", path.display());
-                println!("{line}");
+                self.print(&line);
                 self.report.blocks.push(Block::Text(line));
             }
             Err(e) => eprintln!("warning: could not save results: {e}"),
