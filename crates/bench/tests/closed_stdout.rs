@@ -1,6 +1,7 @@
 //! A reader that closes `balloc`'s stdout early (`balloc list | head -1`)
 //! ends the run quietly with exit 0; any other failed write is a clean
-//! exit-1 error. Neither may panic.
+//! exit-1 error (exit 2, the I/O error code, under `balloc lint`).
+//! Neither may panic.
 
 use std::fs::File;
 use std::io::Read;
@@ -41,24 +42,40 @@ fn closed_stdout_ends_the_run_quietly() {
         &["all", "--smoke", "--runs", "2", "--n", "64", "--json"][..],
         &["all", "--smoke", "--runs", "2", "--n", "64"],
         &["list"],
+        &["lint", "--list"],
     ] {
         assert_quiet_success(args, &run_and_close_early(args));
     }
 }
 
-#[test]
-fn other_stdout_write_errors_exit_1_with_a_message() {
+/// Runs `balloc args` with stdout on `/dev/full` (every write fails with
+/// ENOSPC) and checks the exit code and message. Hosts without the device
+/// skip the check.
+fn assert_full_stdout_fails(args: &[&str], code: i32) {
     let full = Path::new("/dev/full");
     if !full.exists() {
         return;
     }
     let out = Command::new(env!("CARGO_BIN_EXE_balloc"))
-        .arg("list")
+        .args(args)
         .stdout(File::create(full).expect("open /dev/full"))
         .output()
         .expect("run balloc");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("error: writing to stdout"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "balloc {args:?}: {stderr}");
+    assert_eq!(out.status.code(), Some(code), "balloc {args:?}: {stderr}");
+    assert!(
+        stderr.contains("error: writing to stdout"),
+        "balloc {args:?}: {stderr}"
+    );
+}
+
+#[test]
+fn other_stdout_write_errors_exit_1_with_a_message() {
+    assert_full_stdout_fails(&["list"], 1);
+}
+
+#[test]
+fn lint_stdout_write_errors_exit_2_with_a_message() {
+    assert_full_stdout_fails(&["lint", "--list"], 2);
 }

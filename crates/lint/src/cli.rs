@@ -5,7 +5,7 @@
 //! so the driver itself passes L005 and stays unit-testable; `--json`
 //! renders through the workspace `Report` layer like every experiment.
 
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::PathBuf;
 
 use balloc_sim::{OutputMode, OutputSink};
@@ -114,38 +114,19 @@ fn parse(argv: &[String], err: &mut dyn Write) -> Result<Option<Options>, i32> {
 
 /// Runs the linter. Returns a process exit code; all output goes to the
 /// provided handles.
+///
+/// A reader that closes `out` early ends the run quietly with the code it
+/// would have had; any other failed write to `out` is an I/O error
+/// ([`EXIT_USAGE`], with `error: writing to stdout: …` on `err`).
 pub fn run(argv: &[String], out: &mut dyn Write, err: &mut dyn Write) -> i32 {
     let opts = match parse(argv, err) {
         Ok(Some(opts)) => opts,
-        Ok(None) => {
-            let _ = write!(out, "{USAGE}");
-            return EXIT_OK;
-        }
+        Ok(None) => return finish(write!(out, "{USAGE}"), EXIT_OK, out, err),
         Err(code) => return code,
     };
 
     if opts.list {
-        let _ = writeln!(out, "{:<6} {:<30} {:<6} SUMMARY", "CODE", "NAME", "LEVEL");
-        let _ = writeln!(
-            out,
-            "{:<6} {:<30} {:<6} {}",
-            lints::L000.code,
-            lints::L000.name,
-            lints::L000.severity.label(),
-            lints::L000.summary
-        );
-        for lint in lints::registry() {
-            let info = lint.info();
-            let _ = writeln!(
-                out,
-                "{:<6} {:<30} {:<6} {}",
-                info.code,
-                info.name,
-                info.severity.label(),
-                info.summary
-            );
-        }
-        return EXIT_OK;
+        return finish(write_list(out), EXIT_OK, out, err);
     }
 
     let root = match &opts.root {
@@ -216,7 +197,7 @@ pub fn run(argv: &[String], out: &mut dyn Write, err: &mut dyn Write) -> i32 {
         .filter(|d| opts.deny_all || d.severity == Severity::Deny)
         .count();
 
-    if opts.json {
+    let written = if opts.json {
         let mut sink = OutputSink::new("lint", OutputMode::Json).with_save_dir(None);
         sink.save_artifact(&Artifact {
             files_checked,
@@ -238,24 +219,59 @@ pub fn run(argv: &[String], out: &mut dyn Write, err: &mut dyn Write) -> i32 {
                 .collect(),
         });
         let report = sink.take_report();
-        let _ = writeln!(out, "{}", report.to_json("docs/LINTS.md"));
+        writeln!(out, "{}", report.to_json("docs/LINTS.md"))
     } else {
         for d in &all {
             let _ = writeln!(err, "{}", d.render(opts.deny_all));
         }
-        let _ = writeln!(
+        writeln!(
             out,
             "balloc-lint: {files_checked} files checked, {} finding{}, {denials} \
              deny-level, {suppressed} suppressed",
             all.len(),
             if all.len() == 1 { "" } else { "s" },
-        );
-    }
+        )
+    };
+    let code = if denials > 0 { EXIT_FINDINGS } else { EXIT_OK };
+    finish(written, code, out, err)
+}
 
-    if denials > 0 {
-        EXIT_FINDINGS
-    } else {
-        EXIT_OK
+/// The lint catalog of `--list`.
+fn write_list(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "{:<6} {:<30} {:<6} SUMMARY", "CODE", "NAME", "LEVEL")?;
+    writeln!(
+        out,
+        "{:<6} {:<30} {:<6} {}",
+        lints::L000.code,
+        lints::L000.name,
+        lints::L000.severity.label(),
+        lints::L000.summary
+    )?;
+    for lint in lints::registry() {
+        let info = lint.info();
+        writeln!(
+            out,
+            "{:<6} {:<30} {:<6} {}",
+            info.code,
+            info.name,
+            info.severity.label(),
+            info.summary
+        )?;
+    }
+    Ok(())
+}
+
+/// The exit code of a run that ends with `written` on `out`: `code` when
+/// the output landed or the reader closed `out` early (it has what it
+/// read, and a verdict still stands), [`EXIT_USAGE`] on any other error.
+fn finish(written: io::Result<()>, code: i32, out: &mut dyn Write, err: &mut dyn Write) -> i32 {
+    match written.and_then(|()| out.flush()) {
+        Ok(()) => code,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => code,
+        Err(e) => {
+            let _ = writeln!(err, "error: writing to stdout: {e}");
+            EXIT_USAGE
+        }
     }
 }
 
@@ -290,6 +306,51 @@ mod tests {
         for code_name in ["L000", "L001", "L002", "L003", "L004", "L005", "L007"] {
             assert!(out.contains(code_name), "missing {code_name} in: {out}");
         }
+    }
+
+    /// A stdout whose every write fails with `kind`.
+    struct Failing(io::ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(self.0.into())
+        }
+    }
+
+    fn run_failing(args: &[&str], kind: io::ErrorKind) -> (i32, String) {
+        let argv: Vec<String> = args.iter().map(ToString::to_string).collect();
+        let mut err = Vec::new();
+        let code = run(&argv, &mut Failing(kind), &mut err);
+        (code, String::from_utf8(err).unwrap())
+    }
+
+    #[test]
+    fn stdout_write_errors_are_io_errors() {
+        for args in [&["--list"][..], &["--help"]] {
+            let (code, err) = run_failing(args, io::ErrorKind::StorageFull);
+            assert_eq!(code, EXIT_USAGE, "{args:?}");
+            assert!(
+                err.starts_with("error: writing to stdout: "),
+                "{args:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn closed_stdout_ends_quietly_with_the_verdict() {
+        for args in [&["--list"][..], &["--help"], &["--deny-all"]] {
+            let (code, err) = run_failing(args, io::ErrorKind::BrokenPipe);
+            assert_eq!((code, err.as_str()), (EXIT_OK, ""), "{args:?}");
+        }
+        let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
+        let args = ["--deny-all", "--root", fixtures];
+        let (code, err) = run_failing(&args, io::ErrorKind::BrokenPipe);
+        assert_eq!(code, EXIT_FINDINGS);
+        assert!(!err.contains("writing to stdout"), "{err}");
     }
 
     #[test]
