@@ -18,10 +18,7 @@ use balloc_core::{LoadState, Process, Rng, TwoChoice};
 use balloc_noise::{
     Batched, DelayStrategy, Delayed, GBounded, GMyopic, GaussianLoadDecider, SigmaNoisyLoad,
 };
-use balloc_processes::{
-    DChoice, GraphicalTwoChoice, MeanThinning, NonUniformTwoChoice, OneChoice, OnePlusBeta,
-    Topology,
-};
+use balloc_processes::{DChoice, OneChoice, OnePlusBeta};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -57,7 +54,6 @@ fn throughput(c: &mut Criterion) {
     bench_process(c, "two_choice", TwoChoice::classic);
     bench_process(c, "d_choice_4", || DChoice::classic(4));
     bench_process(c, "one_plus_beta_0.5", || OnePlusBeta::new(0.5));
-    bench_process(c, "mean_thinning", MeanThinning::new);
     bench_process(c, "g_bounded_8", || GBounded::new(8));
     bench_process(c, "g_myopic_8", || GMyopic::new(8));
     bench_process(c, "sigma_noisy_load_4", || SigmaNoisyLoad::new(4.0));
@@ -70,16 +66,6 @@ fn throughput(c: &mut Criterion) {
     });
     bench_process(c, "delayed_n_flip", || {
         Delayed::new(N as u64, DelayStrategy::AdversarialFlip)
-    });
-    bench_process(c, "graphical_cycle", || {
-        GraphicalTwoChoice::classic(Topology::Cycle)
-    });
-    bench_process(c, "graphical_complete", || {
-        GraphicalTwoChoice::classic(Topology::Complete)
-    });
-    bench_process(c, "nonuniform_two_choice", || {
-        let weights: Vec<f64> = (0..N).map(|i| 1.0 + (i % 3) as f64 * 0.2).collect();
-        NonUniformTwoChoice::classic(&weights)
     });
 }
 

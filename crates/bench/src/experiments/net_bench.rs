@@ -191,6 +191,12 @@ impl Experiment for NetBench {
         let shards = (args.extras.u64("--shards") as usize).min(args.n);
         let d = args.extras.u64("--d") as usize;
         let replay_only = args.extras.switch("--replay");
+        if d > args.n {
+            return Err(BenchError::Usage(format!(
+                "--d must not exceed --n (got {d} candidates for {} bins)",
+                args.n
+            )));
+        }
 
         let request = Request {
             d,

@@ -316,8 +316,10 @@ impl CommonArgs {
         if out.threads == 0 {
             out.threads = Self::default().threads;
         }
-        if out.n == 0 {
-            return Err(BenchError::Usage("--n must be positive".into()));
+        if out.n < 2 {
+            return Err(BenchError::Usage(
+                "--n must be at least 2 (Two-Choice needs two bins)".into(),
+            ));
         }
         if out.balls_per_bin == 0 {
             return Err(BenchError::Usage(
@@ -670,7 +672,9 @@ mod tests {
 
     #[test]
     fn zero_n_and_zero_runs_rejected() {
-        assert!(usage_err(&["--n", "0"]).contains("--n must be positive"));
+        for n in ["0", "1"] {
+            assert!(usage_err(&["--n", n]).contains("--n must be at least 2"));
+        }
         assert!(usage_err(&["--runs", "0"]).contains("--runs must be positive"));
     }
 

@@ -173,6 +173,36 @@ fn balloc_binary_rejects_bad_flag_with_exit_2_and_suggestion() {
 }
 
 #[test]
+fn every_experiment_at_two_bins_finishes_or_refuses_cleanly() {
+    // n = 2 is the smallest valid scale: each experiment must either run
+    // or reject its flags with a usage error (exit 2), never panic.
+    for exp in registry() {
+        let output = Command::new(env!("CARGO_BIN_EXE_balloc"))
+            .args([exp.id(), "--smoke", "--n", "2"])
+            .output()
+            .expect("balloc binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            matches!(output.status.code(), Some(0 | 2)) && !stderr.contains("panicked"),
+            "balloc {} --smoke --n 2 exited {:?}:\n{stderr}",
+            exp.id(),
+            output.status.code()
+        );
+    }
+}
+
+#[test]
+fn net_bench_rejects_more_candidates_than_bins_with_exit_2() {
+    let output = Command::new(env!("CARGO_BIN_EXE_balloc"))
+        .args(["net_bench", "--smoke", "--n", "64", "--d", "65"])
+        .output()
+        .expect("balloc binary runs");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("--d") && stderr.contains("--n"), "{stderr}");
+}
+
+#[test]
 fn serve_bench_replay_json_is_byte_identical_across_runs() {
     // The serving layer's determinism contract, checked at the binary
     // level: `serve_bench --replay` output (decision digests, gaps,

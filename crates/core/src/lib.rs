@@ -39,14 +39,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod alias;
 pub mod load;
 pub mod probability;
 pub mod process;
 pub mod rng;
 pub mod stats;
 
-pub use alias::AliasTable;
 pub use load::{LoadBatch, LoadState};
 pub use process::{Decider, DecisionProbability, PerfectDecider, Process, TieBreak, TwoChoice};
 pub use rng::{Rng, SplitMix64};

@@ -46,10 +46,8 @@ mod batch;
 mod delay;
 mod fault;
 mod noisy_comp;
-mod query;
 pub mod rho;
 pub mod strategies;
-mod thinning_noise;
 
 pub use adv_comp::{AdvComp, GBounded, GMyopic};
 pub use adv_load::{AdvLoad, PerturbStrategy};
@@ -57,10 +55,8 @@ pub use batch::Batched;
 pub use delay::{DelayStrategy, Delayed};
 pub use fault::{CorruptKind, LoadCorruptor};
 pub use noisy_comp::{GaussianLoadDecider, NoisyComp, SigmaNoisyLoad};
-pub use query::QueryComp;
 pub use rho::{BoundedRho, ConstantRho, GaussianRho, MyopicRho, RhoFunction};
 pub use strategies::{
     CompStrategy, CompStrategyProbability, CorrectAll, FixedRule, OverloadSeeking, ReverseAll,
     ReverseWithProbability, UniformRandom,
 };
-pub use thinning_noise::{NoisyMeanThinning, ThresholdNoise};

@@ -1,66 +1,6 @@
-//! Trivial decision rules used as baselines and adversarial extremes.
+//! The adversarial-extreme decision rule.
 
 use balloc_core::{Decider, DecisionProbability, LoadState, Rng};
-
-/// Always keeps the first sample — turns `TwoChoice` into `One-Choice`
-/// (the second sample is drawn but ignored).
-///
-/// Useful for seed-aligned comparisons where two processes must consume the
-/// same random stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AlwaysFirst;
-
-impl Decider for AlwaysFirst {
-    #[inline]
-    fn decide(&mut self, _state: &LoadState, i1: usize, _i2: usize, _rng: &mut Rng) -> usize {
-        i1
-    }
-
-    #[inline]
-    fn batchable(&self) -> bool {
-        true
-    }
-}
-
-impl DecisionProbability for AlwaysFirst {
-    #[inline]
-    fn prob_first(&self, _state: &LoadState, _i1: usize, _i2: usize) -> f64 {
-        1.0
-    }
-}
-
-/// Always allocates to the lighter bin, breaking ties toward the first
-/// sample. Identical to the classic perfect comparison; provided for
-/// symmetry with [`AlwaysHeavier`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AlwaysLighter;
-
-impl Decider for AlwaysLighter {
-    #[inline]
-    fn decide(&mut self, state: &LoadState, i1: usize, i2: usize, _rng: &mut Rng) -> usize {
-        if state.load(i2) < state.load(i1) {
-            i2
-        } else {
-            i1
-        }
-    }
-
-    #[inline]
-    fn batchable(&self) -> bool {
-        true
-    }
-}
-
-impl DecisionProbability for AlwaysLighter {
-    #[inline]
-    fn prob_first(&self, state: &LoadState, i1: usize, i2: usize) -> f64 {
-        if state.load(i2) < state.load(i1) {
-            0.0
-        } else {
-            1.0
-        }
-    }
-}
 
 /// Always allocates to the **heavier** bin (ties toward the first sample):
 /// the worst possible comparison rule, equivalent to `g-Bounded` with
@@ -100,23 +40,17 @@ impl DecisionProbability for AlwaysHeavier {
 mod tests {
     use super::*;
     use crate::OneChoice;
-    use balloc_core::{Process, TwoChoice};
-
-    #[test]
-    fn always_first_ignores_loads() {
-        let state = LoadState::from_loads(vec![100, 0]);
-        let mut rng = Rng::from_seed(0);
-        assert_eq!(AlwaysFirst.decide(&state, 0, 1, &mut rng), 0);
-        assert_eq!(AlwaysFirst.prob_first(&state, 0, 1), 1.0);
-    }
+    use balloc_core::{PerfectDecider, Process, TieBreak, TwoChoice};
 
     #[test]
     fn always_lighter_and_heavier_are_opposites() {
+        // The lighter rule is the perfect comparison with first-sample ties.
+        let mut lighter = PerfectDecider::new(TieBreak::FirstSample);
         let state = LoadState::from_loads(vec![3, 8]);
         let mut rng = Rng::from_seed(0);
-        assert_eq!(AlwaysLighter.decide(&state, 0, 1, &mut rng), 0);
+        assert_eq!(lighter.decide(&state, 0, 1, &mut rng), 0);
         assert_eq!(AlwaysHeavier.decide(&state, 0, 1, &mut rng), 1);
-        assert_eq!(AlwaysLighter.prob_first(&state, 1, 0), 0.0);
+        assert_eq!(lighter.prob_first(&state, 1, 0), 0.0);
         assert_eq!(AlwaysHeavier.prob_first(&state, 1, 0), 1.0);
     }
 
@@ -124,7 +58,6 @@ mod tests {
     fn ties_go_to_first_sample() {
         let state = LoadState::from_loads(vec![4, 4]);
         let mut rng = Rng::from_seed(0);
-        assert_eq!(AlwaysLighter.decide(&state, 1, 0, &mut rng), 1);
         assert_eq!(AlwaysHeavier.decide(&state, 1, 0, &mut rng), 1);
     }
 

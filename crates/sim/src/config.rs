@@ -1,6 +1,6 @@
 //! Experiment configuration.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The configuration of a single simulation run: `m` balls into `n` bins,
 /// driven by the deterministic stream of `seed`.
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let paper = RunConfig::per_bin(1_000, 1_000, 7);
 /// assert_eq!(paper.m, 1_000_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct RunConfig {
     /// Number of bins.
     pub n: usize,
@@ -123,6 +123,7 @@ impl Checkpoints {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
     #[should_panic(expected = "positive")]
@@ -212,7 +213,9 @@ mod tests {
     fn config_serializes_roundtrip() {
         let c = RunConfig::new(5, 10, 42);
         let json = serde_json::to_string(&c).unwrap();
-        let back: RunConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
+        let back = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.get("n"), &Value::UInt(5));
+        assert_eq!(back.get("m"), &Value::UInt(10));
+        assert_eq!(back.get("seed"), &Value::UInt(42));
     }
 }

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::runner::RunResult;
 
@@ -24,7 +24,7 @@ use crate::runner::RunResult;
 /// assert_eq!(dist.mode(), 4);
 /// assert!((dist.mean() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct GapDistribution {
     counts: BTreeMap<i64, usize>,
     total: usize,
@@ -165,6 +165,7 @@ impl fmt::Display for GapDistribution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
     #[should_panic(expected = "empty")]
@@ -222,7 +223,10 @@ mod tests {
     fn serde_roundtrip() {
         let d = GapDistribution::from_gaps([1, 2, 2].into_iter());
         let json = serde_json::to_string(&d).unwrap();
-        let back: GapDistribution = serde_json::from_str(&json).unwrap();
-        assert_eq!(d, back);
+        let back = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.get("counts").get("1"), &Value::UInt(1));
+        assert_eq!(back.get("counts").get("2"), &Value::UInt(2));
+        assert_eq!(back.get("counts").as_object().map(<[_]>::len), Some(2));
+        assert_eq!(back.get("total"), &Value::UInt(3));
     }
 }

@@ -641,22 +641,12 @@ mod tests {
         let artifact = report.artifact_json().expect("artifact recorded");
         assert!(artifact.contains("null"));
         assert!(!artifact.contains("NaN") && !artifact.contains("inf"));
-        #[derive(serde::Deserialize, Debug, PartialEq)]
-        struct MetricsBack {
-            mean_gap: Option<f64>,
-            throughput: Option<f64>,
-        }
-        let back: MetricsBack = serde_json::from_str(artifact).expect("valid JSON");
-        assert_eq!(
-            back,
-            MetricsBack {
-                mean_gap: None,
-                throughput: None
-            }
-        );
+        let back = serde_json::from_str(artifact).expect("valid JSON");
+        assert_eq!(back.get("mean_gap"), &serde::Value::Null);
+        assert_eq!(back.get("throughput"), &serde::Value::Null);
         // …and the wrapping document stays parseable too.
         let doc = report.to_json("Figure 0.0");
-        assert!(serde_json::from_str::<serde::Value>(&doc).is_ok(), "{doc}");
+        assert!(serde_json::from_str(&doc).is_ok(), "{doc}");
     }
 
     #[test]

@@ -13,14 +13,14 @@
 use balloc_core::rng::point_seed;
 use balloc_core::stats::Summary;
 use balloc_core::Process;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::RunConfig;
 use crate::distribution::GapDistribution;
 use crate::runner::{gaps, repeat_grid, RunResult};
 
 /// Aggregated results of all repetitions at a single parameter value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SweepPoint {
     /// The swept parameter value (`g`, `σ`, `b`, `τ`, …).
     pub param: f64,

@@ -10,7 +10,7 @@
 //! * [`core`](balloc_core) — load state, deterministic RNG, and the
 //!   `Two-Choice`-with-noise process framework;
 //! * [`processes`](balloc_processes) — baseline processes (`One-Choice`,
-//!   `d-Choice`, `(1+β)`, thinning);
+//!   `d-Choice`, `(1+β)`);
 //! * [`noise`](balloc_noise) — the paper's noise settings (`g-Adv-Comp`,
 //!   `g-Bounded`, `g-Myopic-Comp`, `g-Adv-Load`, `ρ-Noisy-Comp`,
 //!   `σ-Noisy-Load`, `τ-Delay`, `b-Batch`);

@@ -4,229 +4,138 @@
 //! every fixed seed: same final load vector (including all maintained
 //! aggregates) and the same number of raw draws consumed from the
 //! generator. This suite runs every registered process — every decider
-//! class, both `batchable` and not, every tie rule, every topology, every
-//! staleness model — against the per-ball reference, splitting the batched
-//! run at arbitrary chunk boundaries, and compares the final `LoadState`
-//! **and** the final `Rng` state.
+//! class, both `batchable` and not, every tie rule, every staleness model
+//! — against the per-ball reference, splitting the batched run at
+//! arbitrary chunk boundaries, and compares the final `LoadState` **and**
+//! the final `Rng` state.
 //!
 //! A process that pre-draws samples it does not consume, reorders draws
 //! relative to its per-ball body, or reads a stale aggregate inside a
 //! deferred-aggregate batch fails here.
 
-use balloc_core::{LoadState, PerfectDecider, Process, Rng, TieBreak, TwoChoice};
+use balloc_core::{Decider, LoadState, PerfectDecider, Process, Rng, TieBreak, TwoChoice};
 use balloc_noise::{
     AdvComp, AdvLoad, Batched, CorrectAll, DelayStrategy, Delayed, GBounded, GMyopic,
-    GaussianLoadDecider, NoisyMeanThinning, OverloadSeeking, PerturbStrategy, QueryComp,
-    ReverseAll, ReverseWithProbability, SigmaNoisyLoad, ThresholdNoise, UniformRandom,
+    GaussianLoadDecider, OverloadSeeking, PerturbStrategy, ReverseAll, ReverseWithProbability,
+    SigmaNoisyLoad, UniformRandom,
 };
-use balloc_processes::{
-    AlwaysFirst, AlwaysHeavier, DChoice, GraphicalTwoChoice, MeanThinning, NonUniformTwoChoice,
-    OneChoice, OnePlusBeta, Topology, TwoThinning,
-};
+use balloc_processes::{AlwaysHeavier, DChoice, OneChoice, OnePlusBeta};
 use proptest::prelude::*;
 
+/// A decider that knows each sample only as below, or at or above, the
+/// midpoint of `[min_load, max_load]`, and flips a coin between samples
+/// on the same side. It reads the aggregates that a deferred-aggregate
+/// batch leaves stale, so it is not batchable and must run per ball.
+#[derive(Debug)]
+struct Bracketed;
+
+impl Decider for Bracketed {
+    fn decide(&mut self, state: &LoadState, i1: usize, i2: usize, rng: &mut Rng) -> usize {
+        let (lo, hi) = (state.min_load(), state.max_load());
+        let mid = lo + (hi - lo) / 2;
+        match (state.load(i1) < mid, state.load(i2) < mid) {
+            (true, false) => i1,
+            (false, true) => i2,
+            _ if rng.coin() => i1,
+            _ => i2,
+        }
+    }
+
+    fn batchable(&self) -> bool {
+        false
+    }
+}
+
 /// A registered process: name plus a factory building it for `n` bins.
-/// The factory returns the effective bin count (topologies with structural
-/// constraints may adjust it) together with the process.
-type Entry = (&'static str, fn(usize) -> (usize, Box<dyn Process>));
+type Entry = (&'static str, fn(usize) -> Box<dyn Process>);
 
 fn registry() -> Vec<Entry> {
-    fn nonuniform_weights(n: usize) -> Vec<f64> {
-        (0..n).map(|i| 1.0 + (i % 3) as f64 * 0.4).collect()
-    }
     vec![
-        ("one_choice", |n| (n, Box::new(OneChoice::new()))),
-        ("two_choice_first", |n| (n, Box::new(TwoChoice::classic()))),
-        ("two_choice_random_ties", |n| {
-            (n, Box::new(TwoChoice::classic_random_ties()))
+        ("one_choice", |_| Box::new(OneChoice::new())),
+        ("two_choice_first", |_| Box::new(TwoChoice::classic())),
+        ("two_choice_random_ties", |_| {
+            Box::new(TwoChoice::classic_random_ties())
         }),
-        ("two_choice_lowest_index", |n| {
-            (
-                n,
-                Box::new(TwoChoice::new(PerfectDecider::new(TieBreak::LowestIndex))),
-            )
+        ("two_choice_lowest_index", |_| {
+            Box::new(TwoChoice::new(PerfectDecider::new(TieBreak::LowestIndex)))
         }),
-        ("two_choice_always_first", |n| {
-            (n, Box::new(TwoChoice::new(AlwaysFirst)))
+        ("two_choice_always_heavier", |_| {
+            Box::new(TwoChoice::new(AlwaysHeavier))
         }),
-        ("two_choice_always_heavier", |n| {
-            (n, Box::new(TwoChoice::new(AlwaysHeavier)))
+        ("d_choice_1", |_| Box::new(DChoice::classic(1))),
+        ("d_choice_2", |_| Box::new(DChoice::classic(2))),
+        ("d_choice_4", |_| Box::new(DChoice::classic(4))),
+        ("d_choice_3_bounded", |_| {
+            Box::new(DChoice::with_decider(3, AdvComp::new(2, ReverseAll)))
         }),
-        ("d_choice_1", |n| (n, Box::new(DChoice::classic(1)))),
-        ("d_choice_2", |n| (n, Box::new(DChoice::classic(2)))),
-        ("d_choice_4", |n| (n, Box::new(DChoice::classic(4)))),
-        ("d_choice_3_bounded", |n| {
-            (
-                n,
-                Box::new(DChoice::with_decider(3, AdvComp::new(2, ReverseAll))),
-            )
+        ("d_choice_3_myopic", |_| {
+            Box::new(DChoice::with_decider(3, AdvComp::new(2, UniformRandom)))
         }),
-        ("d_choice_3_myopic", |n| {
-            (
-                n,
-                Box::new(DChoice::with_decider(3, AdvComp::new(2, UniformRandom))),
-            )
+        ("one_plus_beta_0", |_| Box::new(OnePlusBeta::new(0.0))),
+        ("one_plus_beta_0.6", |_| Box::new(OnePlusBeta::new(0.6))),
+        ("one_plus_beta_1", |_| Box::new(OnePlusBeta::new(1.0))),
+        ("one_plus_beta_0.5_heavier", |_| {
+            Box::new(OnePlusBeta::with_decider(0.5, AlwaysHeavier))
         }),
-        ("one_plus_beta_0", |n| (n, Box::new(OnePlusBeta::new(0.0)))),
-        ("one_plus_beta_0.6", |n| {
-            (n, Box::new(OnePlusBeta::new(0.6)))
+        ("g_bounded_0", |_| Box::new(GBounded::new(0))),
+        ("g_bounded_3", |_| Box::new(GBounded::new(3))),
+        ("g_bounded_16", |_| Box::new(GBounded::new(16))),
+        ("g_myopic_3", |_| Box::new(GMyopic::new(3))),
+        ("adv_comp_overload_seeking", |_| {
+            Box::new(TwoChoice::new(AdvComp::new(3, OverloadSeeking)))
         }),
-        ("one_plus_beta_1", |n| (n, Box::new(OnePlusBeta::new(1.0)))),
-        ("one_plus_beta_0.5_heavier", |n| {
-            (n, Box::new(OnePlusBeta::with_decider(0.5, AlwaysHeavier)))
+        ("adv_comp_correct_all", |_| {
+            Box::new(TwoChoice::new(AdvComp::new(2, CorrectAll)))
         }),
-        ("mean_thinning", |n| (n, Box::new(MeanThinning::new()))),
-        ("two_thinning_0", |n| (n, Box::new(TwoThinning::new(0.0)))),
-        ("two_thinning_1.5", |n| (n, Box::new(TwoThinning::new(1.5)))),
-        ("two_thinning_neg2", |n| {
-            (n, Box::new(TwoThinning::new(-2.0)))
+        ("adv_comp_reverse_p0", |_| {
+            Box::new(TwoChoice::new(AdvComp::new(
+                2,
+                ReverseWithProbability::new(0.0),
+            )))
         }),
-        ("g_bounded_0", |n| (n, Box::new(GBounded::new(0)))),
-        ("g_bounded_3", |n| (n, Box::new(GBounded::new(3)))),
-        ("g_bounded_16", |n| (n, Box::new(GBounded::new(16)))),
-        ("g_myopic_3", |n| (n, Box::new(GMyopic::new(3)))),
-        ("adv_comp_overload_seeking", |n| {
-            (
-                n,
-                Box::new(TwoChoice::new(AdvComp::new(3, OverloadSeeking))),
-            )
+        ("adv_comp_reverse_p0.3", |_| {
+            Box::new(TwoChoice::new(AdvComp::new(
+                2,
+                ReverseWithProbability::new(0.3),
+            )))
         }),
-        ("adv_comp_correct_all", |n| {
-            (n, Box::new(TwoChoice::new(AdvComp::new(2, CorrectAll))))
+        ("adv_comp_reverse_p1", |_| {
+            Box::new(TwoChoice::new(AdvComp::new(
+                2,
+                ReverseWithProbability::new(1.0),
+            )))
         }),
-        ("adv_comp_reverse_p0", |n| {
-            (
-                n,
-                Box::new(TwoChoice::new(AdvComp::new(
-                    2,
-                    ReverseWithProbability::new(0.0),
-                ))),
-            )
+        ("adv_load_reverse_2", |_| {
+            Box::new(TwoChoice::new(AdvLoad::new(2, PerturbStrategy::Reverse)))
         }),
-        ("adv_comp_reverse_p0.3", |n| {
-            (
-                n,
-                Box::new(TwoChoice::new(AdvComp::new(
-                    2,
-                    ReverseWithProbability::new(0.3),
-                ))),
-            )
+        ("adv_load_uniform_2", |_| {
+            Box::new(TwoChoice::new(AdvLoad::new(2, PerturbStrategy::Uniform)))
         }),
-        ("adv_comp_reverse_p1", |n| {
-            (
-                n,
-                Box::new(TwoChoice::new(AdvComp::new(
-                    2,
-                    ReverseWithProbability::new(1.0),
-                ))),
-            )
+        ("sigma_noisy_load_3", |_| Box::new(SigmaNoisyLoad::new(3.0))),
+        ("gaussian_load_2", |_| {
+            Box::new(TwoChoice::new(GaussianLoadDecider::new(2.0)))
         }),
-        ("adv_load_reverse_2", |n| {
-            (
-                n,
-                Box::new(TwoChoice::new(AdvLoad::new(2, PerturbStrategy::Reverse))),
-            )
+        ("bracketed_comp", |_| Box::new(TwoChoice::new(Bracketed))),
+        ("batched_1", |_| Box::new(Batched::new(1))),
+        ("batched_5", |_| Box::new(Batched::new(5))),
+        ("batched_n", |n| Box::new(Batched::new(n as u64))),
+        ("batched_4_first_sample_ties", |_| {
+            Box::new(Batched::with_tie_break(4, TieBreak::FirstSample))
         }),
-        ("adv_load_uniform_2", |n| {
-            (
-                n,
-                Box::new(TwoChoice::new(AdvLoad::new(2, PerturbStrategy::Uniform))),
-            )
+        ("delayed_1_stalest", |_| {
+            Box::new(Delayed::new(1, DelayStrategy::Stalest))
         }),
-        ("sigma_noisy_load_3", |n| {
-            (n, Box::new(SigmaNoisyLoad::new(3.0)))
-        }),
-        ("gaussian_load_2", |n| {
-            (n, Box::new(TwoChoice::new(GaussianLoadDecider::new(2.0))))
-        }),
-        ("query_comp_3", |n| {
-            (n, Box::new(TwoChoice::new(QueryComp::new(3))))
-        }),
-        ("batched_1", |n| (n, Box::new(Batched::new(1)))),
-        ("batched_5", |n| (n, Box::new(Batched::new(5)))),
-        ("batched_n", |n| (n, Box::new(Batched::new(n as u64)))),
-        ("batched_4_first_sample_ties", |n| {
-            (
-                n,
-                Box::new(Batched::with_tie_break(4, TieBreak::FirstSample)),
-            )
-        }),
-        ("delayed_1_stalest", |n| {
-            (n, Box::new(Delayed::new(1, DelayStrategy::Stalest)))
-        }),
-        ("delayed_3_stalest", |n| {
-            (n, Box::new(Delayed::new(3, DelayStrategy::Stalest)))
+        ("delayed_3_stalest", |_| {
+            Box::new(Delayed::new(3, DelayStrategy::Stalest))
         }),
         ("delayed_n_freshest", |n| {
-            (n, Box::new(Delayed::new(n as u64, DelayStrategy::Freshest)))
+            Box::new(Delayed::new(n as u64, DelayStrategy::Freshest))
         }),
         ("delayed_n_flip", |n| {
-            (
-                n,
-                Box::new(Delayed::new(n as u64, DelayStrategy::AdversarialFlip)),
-            )
+            Box::new(Delayed::new(n as u64, DelayStrategy::AdversarialFlip))
         }),
         ("delayed_n_random_in_window", |n| {
-            (
-                n,
-                Box::new(Delayed::new(n as u64, DelayStrategy::RandomInWindow)),
-            )
-        }),
-        ("noisy_mean_thinning_g0", |n| {
-            (
-                n,
-                Box::new(NoisyMeanThinning::new(ThresholdNoise::Gaussian(0.0))),
-            )
-        }),
-        ("noisy_mean_thinning_g2", |n| {
-            (
-                n,
-                Box::new(NoisyMeanThinning::new(ThresholdNoise::Gaussian(2.0))),
-            )
-        }),
-        ("noisy_mean_thinning_adv3", |n| {
-            (
-                n,
-                Box::new(NoisyMeanThinning::new(ThresholdNoise::Adversarial(3))),
-            )
-        }),
-        ("graphical_cycle", |n| {
-            (n, Box::new(GraphicalTwoChoice::classic(Topology::Cycle)))
-        }),
-        ("graphical_complete", |n| {
-            (n, Box::new(GraphicalTwoChoice::classic(Topology::Complete)))
-        }),
-        ("graphical_hypercube", |n| {
-            // The hypercube needs n = 2^d; round down to keep it valid.
-            let n = usize::max(2, n.next_power_of_two() / 2);
-            (
-                n,
-                Box::new(GraphicalTwoChoice::classic(Topology::Hypercube)),
-            )
-        }),
-        ("graphical_complete_reversed", |n| {
-            (
-                n,
-                Box::new(GraphicalTwoChoice::with_decider(
-                    Topology::Complete,
-                    AdvComp::new(2, ReverseAll),
-                )),
-            )
-        }),
-        ("nonuniform_two_choice", |n| {
-            (
-                n,
-                Box::new(NonUniformTwoChoice::classic(&nonuniform_weights(n))),
-            )
-        }),
-        ("nonuniform_always_heavier", |n| {
-            (
-                n,
-                Box::new(NonUniformTwoChoice::with_decider(
-                    &nonuniform_weights(n),
-                    AlwaysHeavier,
-                )),
-            )
+            Box::new(Delayed::new(n as u64, DelayStrategy::RandomInWindow))
         }),
     ]
 }
@@ -236,23 +145,23 @@ fn registry() -> Vec<Entry> {
 /// identical.
 fn assert_equivalent(
     name: &str,
-    factory: fn(usize) -> (usize, Box<dyn Process>),
+    factory: fn(usize) -> Box<dyn Process>,
     n: usize,
     steps: u64,
     seed: u64,
     splits: &[u64],
 ) -> Result<(), TestCaseError> {
-    let (n_eff, mut reference) = factory(n);
+    let mut reference = factory(n);
     reference.reset();
-    let mut ref_state = LoadState::new(n_eff);
+    let mut ref_state = LoadState::new(n);
     let mut ref_rng = Rng::from_seed(seed);
     for _ in 0..steps {
         reference.allocate(&mut ref_state, &mut ref_rng);
     }
 
-    let (_, mut batched) = factory(n);
+    let mut batched = factory(n);
     batched.reset();
-    let mut batch_state = LoadState::new(n_eff);
+    let mut batch_state = LoadState::new(n);
     let mut batch_rng = Rng::from_seed(seed);
     let mut left = steps;
     for &chunk in splits {
@@ -267,7 +176,7 @@ fn assert_equivalent(
         &batch_state,
         "{}: load states diverged (n = {}, steps = {}, seed = {}, splits = {:?})",
         name,
-        n_eff,
+        n,
         steps,
         seed,
         splits
@@ -277,7 +186,7 @@ fn assert_equivalent(
         &batch_rng,
         "{}: rng states diverged (n = {}, steps = {}, seed = {}, splits = {:?})",
         name,
-        n_eff,
+        n,
         steps,
         seed,
         splits
